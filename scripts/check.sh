@@ -78,6 +78,12 @@ require_test "${BUILD_DIR:-build-asan}" 'test_metrics'
 require_test "${BUILD_DIR:-build-asan}" 'test_watchdog'
 require_test "${BUILD_DIR:-build-asan}" 'test_layered'
 require_test "${BUILD_DIR:-build-asan}" 'test_validity_fuzz'
+# The golden BBE/MBBE battery (bitwise rows recorded before the arena
+# layout) and the search's allocation regression.
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_corpus\.Solves/BacktrackingGolden\.'
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_backtracking\..*AllocatesLessThanOncePerExpandedSubSolution'
 run_pass "${TRACE_BUILD_DIR:-build-asan-trace}" "" -DDAGSFC_SANITIZE=ON \
   -DDAGSFC_TRACE=ON
 run_pass "${TSAN_BUILD_DIR:-build-tsan}" \
@@ -105,6 +111,13 @@ ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
 # locking and the per-shard pool teardown.
 require_test "${BUILD_DIR:-build-asan}" 'test_shard'
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_shard'
+# Non-dyadic rates: residuals a few ulps below zero compose bitwise.
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_shard\.ShardService\.NonDyadicRatesDrainToNominal'
+require_test "${TSAN_BUILD_DIR:-build-tsan}" \
+  'test_shard\.ShardService\.NonDyadicRatesDrainToNominal'
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_shard\.ShardLedger\.ComposeCopiesResidualsJustBelowZeroBitwise'
 ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
   -j "$(nproc)" -R 'shard'
 # Oracle pass: the epoch-keyed ALT oracle suite under both sanitizer trees

@@ -1,9 +1,7 @@
 #include "core/backtracking.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
-#include <set>
 
 #include "core/path_oracle.hpp"
 #include "graph/dijkstra.hpp"
@@ -13,35 +11,138 @@ namespace dagsfc::core {
 
 namespace {
 
-constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+constexpr std::uint32_t kNoParent = static_cast<std::uint32_t>(-1);
+
+/// One instantiated real-path in the solve's Arena: hops + 1 node ids from
+/// node_begin, hops edge ids from edge_begin, and the cost exactly as the
+/// producing query (tree walk, shortest-path tree or Yen) summed it.
+struct PathSpan {
+  std::uint32_t node_begin = 0;
+  std::uint32_t edge_begin = 0;
+  std::uint32_t hops = 0;
+  double cost = 0.0;
+};
+
+/// A run of consecutive Arena path ids: the candidate real-paths of one
+/// meta-path after capacity screening (count 0 = none survives).
+struct PathRun {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
 
 /// One node of the sub-solution tree (§4.4.2): the embedding of a single
 /// DAG-SFC layer, linked to the previous layer's sub-solution it extends.
+/// Its placement (aligned with layer_slots(l)) and its path picks (one
+/// Arena path id per inter-layer meta-path, then one per inner-layer
+/// meta-path) live in the solve's Arena, so a child costs no allocation.
 struct SubSolution {
-  std::size_t parent = kNoParent;  ///< index into the previous layer's pool
+  std::uint32_t parent = kNoParent;  ///< index into the previous layer's pool
   NodeId end_node = graph::kInvalidNode;
-  double cumulative_cost = 0.0;  ///< exact cost of layers embedded so far
+  double cumulative_cost = 0.0;   ///< exact cost of layers embedded so far
   double cumulative_delay = 0.0;  ///< critical-path delay so far (ms)
-  std::vector<NodeId> layer_placement;   ///< aligned with layer_slots(l)
-  std::vector<graph::Path> inter;        ///< per VNF slot of the layer
-  std::vector<graph::Path> inner;        ///< per VNF slot (parallel layers)
+  std::uint32_t placement = 0;    ///< offset into Arena::placements
+  std::uint32_t picks = 0;        ///< offset into Arena::picks
 };
 
-/// Trivial single-node path used when a meta-path's endpoints coincide.
-graph::Path trivial_path(NodeId v) {
-  graph::Path p;
-  p.nodes.push_back(v);
-  return p;
-}
+/// Append-only per-solve storage behind every sub-solution. Paths are
+/// shared: each meta-path instance is stored once and referenced by id
+/// from every child that picks it. graph::Path is built only when a
+/// complete candidate is assembled.
+struct Arena {
+  std::vector<NodeId> nodes;
+  std::vector<graph::EdgeId> edges;
+  std::vector<PathSpan> paths;
+  std::vector<NodeId> placements;
+  std::vector<std::uint32_t> picks;
+
+  [[nodiscard]] std::span<const NodeId> nodes_of(const PathSpan& p) const {
+    return {nodes.data() + p.node_begin, p.hops + std::size_t{1}};
+  }
+  [[nodiscard]] std::span<const graph::EdgeId> edges_of(
+      const PathSpan& p) const {
+    return {edges.data() + p.edge_begin, p.hops};
+  }
+
+  /// Marks where the next path's node and edge ids start.
+  [[nodiscard]] PathSpan open() const {
+    DAGSFC_CHECK(nodes.size() < kNoParent && edges.size() < kNoParent);
+    PathSpan p;
+    p.node_begin = static_cast<std::uint32_t>(nodes.size());
+    p.edge_begin = static_cast<std::uint32_t>(edges.size());
+    return p;
+  }
+  /// Reverses the ids appended since open() in place.
+  void reverse_tail(const PathSpan& p) {
+    std::reverse(nodes.begin() + p.node_begin, nodes.end());
+    std::reverse(edges.begin() + p.edge_begin, edges.end());
+  }
+  /// Records the ids appended since open() as one path of cost \p cost.
+  void close(PathSpan p, double cost) {
+    p.hops = static_cast<std::uint32_t>(edges.size() - p.edge_begin);
+    p.cost = cost;
+    paths.push_back(p);
+  }
+
+  void push(const graph::Path& p) {
+    const PathSpan s = open();
+    nodes.insert(nodes.end(), p.nodes.begin(), p.nodes.end());
+    edges.insert(edges.end(), p.edges.begin(), p.edges.end());
+    close(s, p.cost);
+  }
+  /// Single-node path for a meta-path whose endpoints coincide.
+  void push_trivial(NodeId v) {
+    const PathSpan s = open();
+    nodes.push_back(v);
+    close(s, 0.0);
+  }
+
+  [[nodiscard]] graph::Path path(std::uint32_t id) const {
+    const PathSpan& s = paths[id];
+    const auto n = nodes_of(s);
+    const auto e = edges_of(s);
+    graph::Path p;
+    p.nodes.assign(n.begin(), n.end());
+    p.edges.assign(e.begin(), e.end());
+    p.cost = s.cost;
+    return p;
+  }
+};
+
+/// Candidate path runs memoized per target node under a stamp: next()
+/// starts a new scope (a parent's inter-layer meta-paths, a merger's
+/// inner-layer ones) in O(1).
+class PathMemo {
+ public:
+  explicit PathMemo(std::size_t n) : stamp_of_(n, 0), runs_(n) {}
+
+  void next() noexcept { ++stamp_; }
+  [[nodiscard]] const PathRun* find(NodeId v) const {
+    return stamp_of_[v] == stamp_ ? &runs_[v] : nullptr;
+  }
+  PathRun put(NodeId v, PathRun run) {
+    stamp_of_[v] = stamp_;
+    runs_[v] = run;
+    return run;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_of_;
+  std::vector<PathRun> runs_;
+  std::uint32_t stamp_ = 1;
+};
 
 /// Tracks which of a layer's required VNF types are already offered by the
 /// searched node set (forward/backward coverage condition L_l ⊆ F^{·,l}).
 class Coverage {
  public:
-  Coverage(const net::CapacityLedger& ledger, std::vector<VnfTypeId> types,
-           double rate)
-      : ledger_(&ledger), types_(std::move(types)),
-        covered_(types_.size(), 0), rate_(rate) {}
+  Coverage(const net::CapacityLedger& ledger, double rate)
+      : ledger_(&ledger), rate_(rate) {}
+
+  void reset(std::span<const VnfTypeId> types) {
+    types_ = types;
+    covered_.assign(types.size(), 0);
+    num_covered_ = 0;
+  }
 
   void observe(NodeId v) {
     for (std::size_t i = 0; i < types_.size(); ++i) {
@@ -58,22 +159,21 @@ class Coverage {
 
  private:
   const net::CapacityLedger* ledger_;
-  std::vector<VnfTypeId> types_;
+  double rate_;
+  std::span<const VnfTypeId> types_;
   std::vector<char> covered_;
   std::size_t num_covered_ = 0;
-  double rate_;
 };
 
 /// Runs an expanding-ring search from \p start until \p coverage is
 /// complete, the (optional) node budget is exhausted, or the filtered
-/// component runs out. Returns the search tree; \p success reports whether
+/// component runs out, and rebuilds \p tree from it. Returns whether
 /// coverage was achieved.
-SearchTree ring_search(const graph::Graph& g, NodeId start, Coverage coverage,
-                       std::size_t node_budget,
-                       const graph::NodeFilter& filter, bool& success,
-                       graph::SearchWorkspace& ws) {
+bool ring_search(const graph::Graph& g, NodeId start, Coverage& coverage,
+                 std::size_t node_budget, graph::NodeFilter filter,
+                 graph::SearchWorkspace& ws, SearchTree& tree) {
   DAGSFC_TRACE_SCOPE("backtracking/ring_search");
-  graph::RingExpander expander(g, start, filter, &ws);
+  graph::RingExpander expander(g, start, std::move(filter), &ws);
   coverage.observe(start);
   while (!coverage.complete()) {
     if (node_budget > 0 && expander.visited().size() >= node_budget) break;
@@ -84,47 +184,20 @@ SearchTree ring_search(const graph::Graph& g, NodeId start, Coverage coverage,
       if (coverage.complete()) break;
     }
   }
-  success = coverage.complete();
-  return SearchTree::from_expander(expander);
+  tree.assign(expander);
+  return coverage.complete();
 }
 
-/// Cartesian-product enumerator over per-type candidate node lists, visited
-/// lexicographically and capped.
-class AssignmentEnumerator {
- public:
-  explicit AssignmentEnumerator(std::vector<std::vector<NodeId>> choices)
-      : choices_(std::move(choices)), cursor_(choices_.size(), 0) {
-    for (const auto& c : choices_) {
-      if (c.empty()) {
-        done_ = true;
-        return;
-      }
-    }
+/// Steps a lexicographic odometer (last digit fastest) over digits below
+/// \p sizes; false once it wraps past the last combination.
+bool next_combination(std::span<std::uint32_t> cursor,
+                      std::span<const std::uint32_t> sizes) {
+  for (std::size_t i = cursor.size(); i-- > 0;) {
+    if (++cursor[i] < sizes[i]) return true;
+    cursor[i] = 0;
   }
-
-  [[nodiscard]] bool done() const noexcept { return done_; }
-
-  [[nodiscard]] std::vector<NodeId> current() const {
-    std::vector<NodeId> out(choices_.size());
-    for (std::size_t i = 0; i < choices_.size(); ++i) {
-      out[i] = choices_[i][cursor_[i]];
-    }
-    return out;
-  }
-
-  void advance() {
-    for (std::size_t i = choices_.size(); i-- > 0;) {
-      if (++cursor_[i] < choices_[i].size()) return;
-      cursor_[i] = 0;
-    }
-    done_ = true;
-  }
-
- private:
-  std::vector<std::vector<NodeId>> choices_;
-  std::vector<std::size_t> cursor_;
-  bool done_ = false;
-};
+  return false;
+}
 
 struct LayerContext {
   const ModelIndex& index;
@@ -135,87 +208,236 @@ struct LayerContext {
   double z;
 };
 
-/// Exact cost contribution of one layer sub-solution: rented VNFs plus link
-/// cost with the intra-group multicast discount of formula (9). Cost is
-/// separable per layer (the discount never crosses layers), so cumulative
-/// sums are exact.
-double layer_cost(const LayerContext& ctx, const SubSolution& ss,
-                  std::span<const SlotId> slots) {
+/// Instantiates meta-paths into the Arena: the real-path set P^a_b of
+/// §4.4.1 restricted per mode, capacity-screened, and memoized per target —
+/// inter-layer paths once per (parent, node), inner-layer paths once per
+/// (merger, node), final hops once per end node — instead of once per VNF
+/// allocation.
+class MetaPaths {
+ public:
+  MetaPaths(const BacktrackingOptions& opts, const LayerContext& ctx,
+            PathOracle& oracle, Arena& arena, const SearchTree& fst,
+            const SearchTree& bst)
+      : opts_(opts),
+        ctx_(ctx),
+        oracle_(oracle),
+        arena_(arena),
+        inter_(*this, fst, /*to_root=*/false),
+        inner_(*this, bst, /*to_root=*/true),
+        final_memo_(ctx.g.num_nodes()) {}
+
+  /// New parent: inter-layer meta-paths now leave \p start, the root of
+  /// the forward-search tree.
+  void begin_parent(NodeId start) { begin(inter_, start); }
+  /// New merger: inner-layer meta-paths now enter \p m, the root of the
+  /// backward-search tree.
+  void begin_merger(NodeId m) { begin(inner_, m); }
+
+  /// Candidate real-paths start → \p v (the inter-layer P^{start}_v).
+  PathRun inter(NodeId v) { return candidates(inter_, v); }
+  /// Candidate real-paths \p v → merger (the inner-layer P^v_m).
+  PathRun inner(NodeId v) { return candidates(inner_, v); }
+
+  /// The min-cost path \p v → \p destination that completes a candidate
+  /// ending at v (count 0 when unreachable).
+  PathRun final_hop(NodeId v, NodeId destination) {
+    if (const PathRun* run = final_memo_.find(v)) return *run;
+    const auto first = static_cast<std::uint32_t>(arena_.paths.size());
+    if (v == destination) {
+      arena_.push_trivial(v);
+    } else if (auto p = oracle_.min_cost_path(v, destination)) {
+      arena_.push(*p);
+    }
+    return final_memo_.put(
+        v, PathRun{first,
+                   static_cast<std::uint32_t>(arena_.paths.size() - first)});
+  }
+
+ private:
+  /// The fixed end of one kind of meta-path: the parent's start node with
+  /// its FST (inter-layer paths leave it) or the merger with its BST
+  /// (inner-layer paths enter it, so they run to the tree root).
+  struct Anchor {
+    Anchor(MetaPaths& owner, const SearchTree& search_tree, bool toward_root)
+        : tree(&search_tree),
+          to_root(toward_root),
+          // Alternative real-paths in tree mode stay inside the search
+          // tree's node set: the paper's second/third-step candidates
+          // re-traverse the trees, not the whole graph.
+          usable([&owner, &search_tree](graph::EdgeId e) {
+            return owner.tree_usable(search_tree, e);
+          }),
+          memo(owner.ctx_.g.num_nodes()) {}
+
+    const SearchTree* tree;
+    bool to_root;
+    graph::EdgeFilter usable;
+    PathMemo memo;
+    NodeId node = graph::kInvalidNode;
+    std::shared_ptr<const graph::ShortestPathTree> sp;  // MBBE mode
+  };
+
+  void begin(Anchor& a, NodeId node) {
+    a.node = node;
+    a.memo.next();
+    if (opts_.min_cost_path_instantiation) a.sp = oracle_.tree(node);
+  }
+
+  PathRun candidates(Anchor& a, NodeId v) {
+    if (const PathRun* run = a.memo.find(v)) return *run;
+    const std::size_t first = arena_.paths.size();
+    const std::size_t k = opts_.paths_per_meta_path;
+    const NodeId from = a.to_root ? v : a.node;
+    const NodeId to = a.to_root ? a.node : v;
+    if (v == a.node) {
+      arena_.push_trivial(v);
+    } else if (opts_.min_cost_path_instantiation) {
+      if (k <= 1) {
+        push_tree_path(*a.sp, v, a.to_root);
+      } else {
+        for (const graph::Path& p : oracle_.k_shortest(from, to, k)) {
+          arena_.push(p);
+        }
+      }
+    } else {
+      push_tree_walk(*a.tree, v, a.to_root);
+      if (k > 1) {
+        add_alternatives(oracle_.k_shortest_filtered(from, to, k, a.usable),
+                         first);
+      }
+    }
+    return a.memo.put(v, screen(first));
+  }
+
+  [[nodiscard]] bool tree_usable(const SearchTree& tree,
+                                 graph::EdgeId e) const {
+    const graph::Edge& ed = ctx_.g.edge(e);
+    return ctx_.ledger.link_can_carry(e, ctx_.rate) && tree.contains(ed.u) &&
+           tree.contains(ed.v);
+  }
+
+  /// Father-pointer walk v → root of \p tree, reversed in place for a
+  /// root → v path. The cost stays the to-root sum either way.
+  void push_tree_walk(const SearchTree& tree, NodeId v, bool to_root) {
+    const PathSpan s = arena_.open();
+    const double cost =
+        tree.append_path_to_root(ctx_.g, v, arena_.nodes, arena_.edges);
+    if (!to_root) arena_.reverse_tail(s);
+    arena_.close(s, cost);
+  }
+
+  /// Shortest-path-tree path root → \p v (as path_to builds it), reversed
+  /// in place for v → root; nothing when v is unreached.
+  void push_tree_path(const graph::ShortestPathTree& t, NodeId v,
+                      bool to_root) {
+    if (!t.reached(v)) return;
+    const PathSpan s = arena_.open();
+    t.append_path_to(v, arena_.nodes, arena_.edges);
+    if (to_root) arena_.reverse_tail(s);
+    arena_.close(s, t.dist[v]);
+  }
+
+  /// Appends Yen alternatives that differ from the tree path at \p first,
+  /// keeping at most paths_per_meta_path candidates in all.
+  void add_alternatives(const std::vector<graph::Path>& alts,
+                        std::size_t first) {
+    for (const graph::Path& alt : alts) {
+      if (arena_.paths.size() - first >= opts_.paths_per_meta_path) break;
+      if (!std::ranges::equal(alt.nodes,
+                              arena_.nodes_of(arena_.paths[first]))) {
+        arena_.push(alt);
+      }
+    }
+  }
+
+  /// Capacity screen: every link of a candidate must individually carry
+  /// the flow rate (the multi-use check happens on assembly). Survivors
+  /// keep their order.
+  PathRun screen(std::size_t first) {
+    const auto dropped = std::remove_if(
+        arena_.paths.begin() + static_cast<std::ptrdiff_t>(first),
+        arena_.paths.end(), [this](const PathSpan& p) {
+          for (graph::EdgeId e : arena_.edges_of(p)) {
+            if (!ctx_.ledger.link_can_carry(e, ctx_.rate)) return true;
+          }
+          return false;
+        });
+    arena_.paths.erase(dropped, arena_.paths.end());
+    return PathRun{static_cast<std::uint32_t>(first),
+                   static_cast<std::uint32_t>(arena_.paths.size() - first)};
+  }
+
+  const BacktrackingOptions& opts_;
+  const LayerContext& ctx_;
+  PathOracle& oracle_;
+  Arena& arena_;
+  Anchor inter_;
+  Anchor inner_;
+  PathMemo final_memo_;
+};
+
+// Exact cost contribution of one layer sub-solution: vnf_cost + link_cost,
+// rented VNFs plus link cost with the intra-group multicast discount of
+// formula (9). Cost is separable per layer (the discount never crosses
+// layers), so cumulative sums are exact.
+
+/// VNF rental terms, summed in slot order.
+double vnf_cost(const LayerContext& ctx, std::span<const NodeId> placement,
+                std::span<const SlotId> slots) {
   double vnf = 0.0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const auto inst =
-        ctx.net.find_instance(ss.layer_placement[i],
-                              ctx.index.slot_type(slots[i]));
+        ctx.net.find_instance(placement[i], ctx.index.slot_type(slots[i]));
     DAGSFC_ASSERT(inst.has_value());
     vnf += ctx.net.instance(*inst).price * ctx.z;
   }
-  std::set<graph::EdgeId> group_edges;
-  for (const graph::Path& p : ss.inter) {
-    group_edges.insert(p.edges.begin(), p.edges.end());
+  return vnf;
+}
+
+/// Link terms: the deduplicated inter-layer edges in ascending id order
+/// (the group shares each link once), then the inner-layer edges in path
+/// order. \p scratch is reused across calls.
+double link_cost(const LayerContext& ctx, const Arena& arena,
+                 std::span<const std::uint32_t> inter,
+                 std::span<const std::uint32_t> inner,
+                 std::vector<graph::EdgeId>& scratch) {
+  scratch.clear();
+  for (const std::uint32_t id : inter) {
+    const auto edges = arena.edges_of(arena.paths[id]);
+    scratch.insert(scratch.end(), edges.begin(), edges.end());
   }
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
   double link = 0.0;
-  for (graph::EdgeId e : group_edges) link += ctx.net.link_price(e) * ctx.z;
-  for (const graph::Path& p : ss.inner) {
-    for (graph::EdgeId e : p.edges) link += ctx.net.link_price(e) * ctx.z;
+  for (graph::EdgeId e : scratch) link += ctx.net.link_price(e) * ctx.z;
+  for (const std::uint32_t id : inner) {
+    for (graph::EdgeId e : arena.edges_of(arena.paths[id])) {
+      link += ctx.net.link_price(e) * ctx.z;
+    }
   }
-  return vnf + link;
+  return link;
 }
 
 /// Critical-path delay contribution of one layer sub-solution: slowest
 /// branch (inter hops + VNF processing + inner hops) plus the merge step.
 /// Matches core/delay.hpp's end_to_end_delay accumulation exactly.
-double layer_delay(const LayerContext& ctx, const SubSolution& ss,
-                   std::span<const SlotId> slots, bool parallel,
-                   const DelayModel& model) {
+double layer_delay(const LayerContext& ctx, const Arena& arena,
+                   std::span<const std::uint32_t> inter,
+                   std::span<const std::uint32_t> inner,
+                   std::span<const SlotId> slots, const DelayModel& model) {
+  const bool parallel = !inner.empty();
   double worst = 0.0;
-  for (std::size_t i = 0; i < ss.inter.size(); ++i) {
-    double d = static_cast<double>(ss.inter[i].length()) * model.per_hop_ms;
+  for (std::size_t i = 0; i < inter.size(); ++i) {
+    double d = static_cast<double>(arena.paths[inter[i]].hops) *
+               model.per_hop_ms;
     d += model.processing_ms(ctx.index.slot_type(slots[i]));
     if (parallel) {
-      d += static_cast<double>(ss.inner[i].length()) * model.per_hop_ms;
+      d += static_cast<double>(arena.paths[inner[i]].hops) * model.per_hop_ms;
     }
     worst = std::max(worst, d);
   }
   return worst + (parallel ? model.merger_ms : 0.0);
 }
-
-/// Path residual check: every link of the path must individually be able to
-/// carry the flow rate (the full multi-use check happens on assembly).
-bool path_links_ok(const net::CapacityLedger& ledger, const graph::Path& p,
-                   double rate) {
-  for (graph::EdgeId e : p.edges) {
-    if (!ledger.link_can_carry(e, rate)) return false;
-  }
-  return true;
-}
-
-/// Odometer over index lists: enumerates the cartesian product of
-/// {0..sizes[0]-1} × … lexicographically.
-class Odometer {
- public:
-  explicit Odometer(std::vector<std::size_t> sizes)
-      : sizes_(std::move(sizes)), cursor_(sizes_.size(), 0) {
-    for (std::size_t s : sizes_) {
-      if (s == 0) done_ = true;
-    }
-  }
-  [[nodiscard]] bool done() const noexcept { return done_; }
-  [[nodiscard]] const std::vector<std::size_t>& current() const noexcept {
-    return cursor_;
-  }
-  void advance() {
-    for (std::size_t i = sizes_.size(); i-- > 0;) {
-      if (++cursor_[i] < sizes_[i]) return;
-      cursor_[i] = 0;
-    }
-    done_ = true;
-  }
-
- private:
-  std::vector<std::size_t> sizes_;
-  std::vector<std::size_t> cursor_;
-  bool done_ = false;
-};
 
 }  // namespace
 
@@ -242,12 +464,60 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
   PathOracle oracle(g, ledger, rate, workspace);
   graph::SearchWorkspace& ws = oracle.workspace();
 
+  // Per-solve state, reused across every parent and merger: the two search
+  // trees, the arena every sub-solution points into, and scratch buffers.
+  SearchTree fst;
+  SearchTree bst;
+  Arena arena;
+  MetaPaths meta(opts_, ctx, oracle, arena, fst, bst);
+  Coverage coverage(ledger, rate);
+  std::vector<VnfTypeId> required;
+  std::vector<SubSolution> children;  // all candidates of one parent
+  std::vector<NodeId> merger_nodes;
+  std::vector<NodeId> choice_nodes;   // per-VNF candidate hosts, back to back
+  std::vector<std::uint32_t> choice_first;
+  std::vector<std::uint32_t> choice_count;
+  std::vector<std::uint32_t> assign_cursor;
+  std::vector<NodeId> placement;
+  std::vector<PathRun> runs;           // one allocation's path options
+  std::vector<std::uint32_t> combo_sizes;
+  std::vector<std::uint32_t> combo_cursor;
+  std::vector<std::uint32_t> picks;   // inter ids, then inner ids
+  std::vector<graph::EdgeId> edge_scratch;
+
+  /// Stores a candidate child in the arena and \p children.
+  const auto emit_child = [&](std::size_t l, std::uint32_t parent,
+                              NodeId end, double cost, double delay) {
+    DAGSFC_CHECK(arena.picks.size() < kNoParent);
+    SubSolution child;
+    child.parent = parent;
+    child.end_node = end;
+    child.cumulative_cost = cost;
+    child.cumulative_delay = delay;
+    child.placement = static_cast<std::uint32_t>(arena.placements.size());
+    child.picks = static_cast<std::uint32_t>(arena.picks.size());
+    arena.placements.insert(arena.placements.end(), placement.begin(),
+                            placement.end());
+    arena.picks.insert(arena.picks.end(), picks.begin(), picks.end());
+    if (tr) {
+      SolveEvent e;
+      e.kind = TraceEventKind::CandidateChild;
+      e.i0 = static_cast<std::int64_t>(l);
+      e.i1 = static_cast<std::int64_t>(end);
+      e.i2 = static_cast<std::int64_t>(parent);
+      e.v0 = cost;
+      tr(e);
+    }
+    children.push_back(child);
+    ++result.expanded_sub_solutions;
+  };
+
   // Layer 0 of the sub-solution tree: the source, at no cost (§4.4.2).
   std::vector<std::vector<SubSolution>> pools(omega + 1);
   {
     SubSolution root;
     root.end_node = prob.flow.source;
-    pools[0].push_back(std::move(root));
+    pools[0].push_back(root);
   }
 
   for (std::size_t l = 0; l < omega; ++l) {
@@ -255,6 +525,10 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
     const sfc::Layer& layer = dag.layer(l);
     const auto slots = index.layer_slots(l);
     std::vector<SubSolution>& out = pools[l + 1];
+    const std::size_t width = layer.vnfs.size();
+
+    required.assign(layer.vnfs.begin(), layer.vnfs.end());
+    if (layer.has_merger()) required.push_back(catalog.merger());
 
     if (tr) {
       SolveEvent e;
@@ -284,8 +558,7 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
         e.i2 = static_cast<std::int64_t>(kids.size());
         tr(e);
       }
-      dest.insert(dest.end(), std::make_move_iterator(kids.begin()),
-                  std::make_move_iterator(kids.end()));
+      dest.insert(dest.end(), kids.begin(), kids.end());
     };
 
     // Pass 0 honors the X_max cap (MBBE strategy (1)); when a layer yields
@@ -302,81 +575,30 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
       tr(e);
     }
 
-    for (std::size_t parent = 0; parent < pools[l].size(); ++parent) {
-      const SubSolution& ss = pools[l][parent];
+    for (std::size_t p = 0; p < pools[l].size(); ++p) {
+      const auto parent = static_cast<std::uint32_t>(p);
+      const SubSolution& ss = pools[l][p];
       const NodeId start = ss.end_node;
 
       // ---- Step 1: forward search --------------------------------------
-      std::vector<VnfTypeId> required(layer.vnfs);
-      if (layer.has_merger()) required.push_back(catalog.merger());
-      bool fwd_ok = false;
-      const SearchTree fst =
-          ring_search(g, start, Coverage(ledger, required, rate), x_max_pass,
-                      {}, fwd_ok, ws);
+      coverage.reset(required);
+      const bool fwd_ok =
+          ring_search(g, start, coverage, x_max_pass, {}, ws, fst);
       oracle.note_bfs();
       if (tr) {
         SolveEvent e;
         e.kind = TraceEventKind::ForwardSearch;
         e.i0 = static_cast<std::int64_t>(l);
         e.i1 = static_cast<std::int64_t>(start);
-        e.i2 = static_cast<std::int64_t>(fst.network_nodes().size());
+        e.i2 = static_cast<std::int64_t>(fst.size());
         e.v0 = fwd_ok ? 1.0 : 0.0;
         e.v1 = x_max_pass > 0 ? 1.0 : 0.0;
         tr(e);
       }
       if (!fwd_ok) continue;
 
-      // Min-cost tree from the start node, shared by MBBE's inter-layer
-      // instantiation across all of this parent's candidates.
-      std::shared_ptr<const graph::ShortestPathTree> sp_from_start;
-      if (opts_.min_cost_path_instantiation) {
-        sp_from_start = oracle.tree(start);
-      }
-
-      // Alternative real-paths in tree mode stay inside the forward-search
-      // node set: the paper's second/third-step candidates re-traverse the
-      // trees, not the whole graph.
-      const graph::EdgeFilter fst_usable = [&](graph::EdgeId e) {
-        const graph::Edge& ed = g.edge(e);
-        return ledger.link_can_carry(e, rate) && fst.contains(ed.u) &&
-               fst.contains(ed.v);
-      };
-
-      /// Candidate real-paths for the inter-layer meta-path to \p v — the
-      /// real-path set P^{start}_v restricted per mode, capacity-screened.
-      auto inter_paths_to = [&](NodeId v) -> std::vector<graph::Path> {
-        std::vector<graph::Path> paths;
-        if (v == start) {
-          paths.push_back(trivial_path(start));
-        } else if (opts_.min_cost_path_instantiation) {
-          if (opts_.paths_per_meta_path <= 1) {
-            if (auto p = sp_from_start->path_to(v)) {
-              paths.push_back(std::move(*p));
-            }
-          } else {
-            paths = oracle.k_shortest(start, v, opts_.paths_per_meta_path);
-          }
-        } else {
-          paths.push_back(fst.path_from_root(g, v));
-          if (opts_.paths_per_meta_path > 1) {
-            for (auto& alt : oracle.k_shortest_filtered(
-                     start, v, opts_.paths_per_meta_path, fst_usable)) {
-              if (alt.nodes != paths.front().nodes) {
-                paths.push_back(std::move(alt));
-              }
-            }
-            if (paths.size() > opts_.paths_per_meta_path) {
-              paths.resize(opts_.paths_per_meta_path);
-            }
-          }
-        }
-        std::erase_if(paths, [&](const graph::Path& p) {
-          return !path_links_ok(ledger, p, rate);
-        });
-        return paths;
-      };
-
-      std::vector<SubSolution> children;  // all candidates of this parent
+      meta.begin_parent(start);
+      children.clear();
 
       if (!layer.has_merger()) {
         // Single-VNF layer: each hosting node in the forward set is a
@@ -385,32 +607,21 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
         const VnfTypeId t = layer.vnfs[0];
         for (NodeId v : fst.network_nodes()) {
           if (!ledger.node_offers(v, t, rate)) continue;
-          for (graph::Path& path : inter_paths_to(v)) {
-            SubSolution child;
-            child.parent = parent;
-            child.end_node = v;
-            child.layer_placement = {v};
-            child.inter.push_back(std::move(path));
-            child.cumulative_cost =
-                ss.cumulative_cost + layer_cost(ctx, child, slots);
-            child.cumulative_delay =
+          const PathRun run = meta.inter(v);
+          placement.assign(1, v);
+          const double vnf = vnf_cost(ctx, placement, slots);
+          for (std::uint32_t j = 0; j < run.count; ++j) {
+            picks.assign(1, run.first + j);
+            const double cost =
+                ss.cumulative_cost +
+                (vnf + link_cost(ctx, arena, picks, {}, edge_scratch));
+            const double delay =
                 ss.cumulative_delay +
-                layer_delay(ctx, child, slots, false, opts_.delay_model);
-            if (opts_.delay_budget_ms &&
-                child.cumulative_delay > *opts_.delay_budget_ms) {
+                layer_delay(ctx, arena, picks, {}, slots, opts_.delay_model);
+            if (opts_.delay_budget_ms && delay > *opts_.delay_budget_ms) {
               continue;
             }
-            if (tr) {
-              SolveEvent e;
-              e.kind = TraceEventKind::CandidateChild;
-              e.i0 = static_cast<std::int64_t>(l);
-              e.i1 = static_cast<std::int64_t>(child.end_node);
-              e.i2 = static_cast<std::int64_t>(parent);
-              e.v0 = child.cumulative_cost;
-              tr(e);
-            }
-            children.push_back(std::move(child));
-            ++result.expanded_sub_solutions;
+            emit_child(l, parent, v, cost, delay);
           }
         }
         prune_and_merge(children, out);
@@ -418,7 +629,7 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
       }
 
       // ---- Steps 2–3: backward search per merger + candidate generation
-      std::vector<NodeId> merger_nodes;
+      merger_nodes.clear();
       for (NodeId v : fst.network_nodes()) {
         if (ledger.node_offers(v, catalog.merger(), rate)) {
           merger_nodes.push_back(v);
@@ -427,137 +638,102 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
       std::sort(merger_nodes.begin(), merger_nodes.end());
 
       for (NodeId m : merger_nodes) {
-        bool bwd_ok = false;
-        const SearchTree bst = ring_search(
-            g, m, Coverage(ledger, layer.vnfs, rate), 0,
-            [&](NodeId v) { return fst.contains(v); }, bwd_ok, ws);
+        coverage.reset(layer.vnfs);
+        const bool bwd_ok = ring_search(
+            g, m, coverage, 0, [&fst](NodeId v) { return fst.contains(v); },
+            ws, bst);
         oracle.note_bfs();
         if (tr) {
           SolveEvent e;
           e.kind = TraceEventKind::BackwardSearch;
           e.i0 = static_cast<std::int64_t>(l);
           e.i1 = static_cast<std::int64_t>(m);
-          e.i2 = static_cast<std::int64_t>(bst.network_nodes().size());
+          e.i2 = static_cast<std::int64_t>(bst.size());
           e.v0 = bwd_ok ? 1.0 : 0.0;
           tr(e);
         }
         if (!bwd_ok) continue;
-
-        std::shared_ptr<const graph::ShortestPathTree> sp_from_merger;
-        if (opts_.min_cost_path_instantiation) {
-          sp_from_merger = oracle.tree(m);
-        }
-        const graph::EdgeFilter bst_usable = [&](graph::EdgeId e) {
-          const graph::Edge& ed = g.edge(e);
-          return ledger.link_can_carry(e, rate) && bst.contains(ed.u) &&
-                 bst.contains(ed.v);
-        };
-        /// Candidate real-paths v → merger (the inner-layer P^v_m).
-        auto inner_paths_from = [&](NodeId v) -> std::vector<graph::Path> {
-          std::vector<graph::Path> paths;
-          if (v == m) {
-            paths.push_back(trivial_path(m));
-          } else if (opts_.min_cost_path_instantiation) {
-            if (opts_.paths_per_meta_path <= 1) {
-              if (auto p = sp_from_merger->path_to(v)) {
-                std::reverse(p->nodes.begin(), p->nodes.end());
-                std::reverse(p->edges.begin(), p->edges.end());
-                paths.push_back(std::move(*p));
-              }
-            } else {
-              paths = oracle.k_shortest(v, m, opts_.paths_per_meta_path);
-            }
-          } else {
-            paths.push_back(bst.path_to_root(g, v));
-            if (opts_.paths_per_meta_path > 1) {
-              for (auto& alt : oracle.k_shortest_filtered(
-                       v, m, opts_.paths_per_meta_path, bst_usable)) {
-                if (alt.nodes != paths.front().nodes) {
-                  paths.push_back(std::move(alt));
-                }
-              }
-              if (paths.size() > opts_.paths_per_meta_path) {
-                paths.resize(opts_.paths_per_meta_path);
-              }
-            }
-          }
-          std::erase_if(paths, [&](const graph::Path& p) {
-            return !path_links_ok(ledger, p, rate);
-          });
-          return paths;
-        };
+        meta.begin_merger(m);
 
         // First-step candidates (§4.4.1 i): allocations of the layer's
-        // parallel VNFs to backward-set nodes.
-        std::vector<std::vector<NodeId>> choices(layer.vnfs.size());
-        for (std::size_t i = 0; i < layer.vnfs.size(); ++i) {
+        // parallel VNFs to backward-set nodes, enumerated lexicographically
+        // over each VNF's sorted hosts.
+        choice_nodes.clear();
+        choice_first.assign(width, 0);
+        choice_count.assign(width, 0);
+        bool any_allocation = true;
+        for (std::size_t i = 0; i < width; ++i) {
+          choice_first[i] = static_cast<std::uint32_t>(choice_nodes.size());
           for (NodeId v : bst.network_nodes()) {
             if (ledger.node_offers(v, layer.vnfs[i], rate)) {
-              choices[i].push_back(v);
+              choice_nodes.push_back(v);
             }
           }
-          std::sort(choices[i].begin(), choices[i].end());
+          std::sort(choice_nodes.begin() + choice_first[i],
+                    choice_nodes.end());
+          choice_count[i] = static_cast<std::uint32_t>(choice_nodes.size() -
+                                                       choice_first[i]);
+          any_allocation = any_allocation && choice_count[i] > 0;
         }
 
+        assign_cursor.assign(width, 0);
         std::size_t enumerated = 0;
-        for (AssignmentEnumerator en(std::move(choices));
-             !en.done() && enumerated < opts_.max_assignments_per_pair;
-             en.advance(), ++enumerated) {
-          const std::vector<NodeId> assign = en.current();
+        for (bool more = any_allocation;
+             more && enumerated < opts_.max_assignments_per_pair;
+             more = next_combination(assign_cursor, choice_count),
+                  ++enumerated) {
+          placement.clear();
+          for (std::size_t i = 0; i < width; ++i) {
+            placement.push_back(
+                choice_nodes[choice_first[i] + assign_cursor[i]]);
+          }
 
           // Candidate real-paths per meta-path of this allocation: the
           // second/third-step candidates of §4.4.1, capped by
           // max_path_combos.
-          const std::size_t width = assign.size();
-          std::vector<std::vector<graph::Path>> inter_opts(width);
-          std::vector<std::vector<graph::Path>> inner_opts(width);
+          // Digit 2i picks slot i's inter path, digit 2i + 1 its inner one.
+          runs.clear();
+          combo_sizes.clear();
           bool ok = true;
-          std::vector<std::size_t> sizes;
-          sizes.reserve(2 * width);
           for (std::size_t i = 0; i < width && ok; ++i) {
-            inter_opts[i] = inter_paths_to(assign[i]);
-            inner_opts[i] = inner_paths_from(assign[i]);
-            ok = !inter_opts[i].empty() && !inner_opts[i].empty();
-            if (ok) {
-              sizes.push_back(inter_opts[i].size());
-              sizes.push_back(inner_opts[i].size());
-            }
+            runs.push_back(meta.inter(placement[i]));
+            runs.push_back(meta.inner(placement[i]));
+            combo_sizes.push_back(runs[2 * i].count);
+            combo_sizes.push_back(runs[2 * i + 1].count);
+            ok = combo_sizes[2 * i] > 0 && combo_sizes[2 * i + 1] > 0;
           }
           if (!ok) continue;  // step iv: drop infeasible candidates
 
+          placement.push_back(m);  // merger slot is last
+          const double vnf = vnf_cost(ctx, placement, slots);
+          combo_cursor.assign(2 * width, 0);
+          picks.resize(2 * width);
           std::size_t combos = 0;
-          for (Odometer od(sizes); !od.done() && combos < opts_.max_path_combos;
-               od.advance(), ++combos) {
-            SubSolution child;
-            child.parent = parent;
-            child.end_node = m;
-            child.layer_placement = assign;
-            child.layer_placement.push_back(m);  // merger slot is last
-            const auto& pick = od.current();
+          for (bool more_paths = true;
+               more_paths && combos < opts_.max_path_combos;
+               more_paths = next_combination(combo_cursor, combo_sizes),
+                    ++combos) {
             for (std::size_t i = 0; i < width; ++i) {
-              child.inter.push_back(inter_opts[i][pick[2 * i]]);
-              child.inner.push_back(inner_opts[i][pick[2 * i + 1]]);
+              const std::size_t d = 2 * i;
+              picks[i] = runs[d].first + combo_cursor[d];
+              picks[width + i] = runs[d + 1].first + combo_cursor[d + 1];
             }
-            child.cumulative_cost =
-                ss.cumulative_cost + layer_cost(ctx, child, slots);
-            child.cumulative_delay =
+            const std::span<const std::uint32_t> inter_picks(picks.data(),
+                                                             width);
+            const std::span<const std::uint32_t> inner_picks(
+                picks.data() + width, width);
+            const double cost =
+                ss.cumulative_cost +
+                (vnf + link_cost(ctx, arena, inter_picks, inner_picks,
+                                 edge_scratch));
+            const double delay =
                 ss.cumulative_delay +
-                layer_delay(ctx, child, slots, true, opts_.delay_model);
-            if (opts_.delay_budget_ms &&
-                child.cumulative_delay > *opts_.delay_budget_ms) {
+                layer_delay(ctx, arena, inter_picks, inner_picks, slots,
+                            opts_.delay_model);
+            if (opts_.delay_budget_ms && delay > *opts_.delay_budget_ms) {
               continue;
             }
-            if (tr) {
-              SolveEvent e;
-              e.kind = TraceEventKind::CandidateChild;
-              e.i0 = static_cast<std::int64_t>(l);
-              e.i1 = static_cast<std::int64_t>(child.end_node);
-              e.i2 = static_cast<std::int64_t>(parent);
-              e.v0 = child.cumulative_cost;
-              tr(e);
-            }
-            children.push_back(std::move(child));
-            ++result.expanded_sub_solutions;
+            emit_child(l, parent, m, cost, delay);
           }
         }
       }
@@ -608,23 +784,20 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
   std::optional<EmbeddingSolution> best;
 
   for (const SubSolution& leaf : pools[omega]) {
-    auto final_hop =
-        leaf.end_node == prob.flow.destination
-            ? std::optional<graph::Path>(trivial_path(leaf.end_node))
-            : oracle.min_cost_path(leaf.end_node, prob.flow.destination);
-    if (!final_hop) continue;
+    const PathRun hop = meta.final_hop(leaf.end_node, prob.flow.destination);
+    if (hop.count == 0) continue;
     ++result.candidate_solutions;
+    const PathSpan& final_hop = arena.paths[hop.first];
 
     if (opts_.delay_budget_ms) {
       const double total_delay =
           leaf.cumulative_delay +
-          static_cast<double>(final_hop->length()) *
-              opts_.delay_model.per_hop_ms;
+          static_cast<double>(final_hop.hops) * opts_.delay_model.per_hop_ms;
       if (total_delay > *opts_.delay_budget_ms) continue;
     }
 
     // Quick lower-bound cut before full assembly.
-    if (leaf.cumulative_cost + final_hop->cost * prob.flow.size >= best_cost) {
+    if (leaf.cumulative_cost + final_hop.cost * prob.flow.size >= best_cost) {
       continue;
     }
 
@@ -637,25 +810,24 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
     const SubSolution* cur = &leaf;
     for (std::size_t l = omega; l-- > 0;) {
       const auto slots = index.layer_slots(l);
-      DAGSFC_ASSERT(cur->layer_placement.size() == slots.size());
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        sol.placement[slots[i]] = cur->layer_placement[i];
+        sol.placement[slots[i]] = arena.placements[cur->placement + i];
       }
       const auto [ifirst, ilast] = index.inter_group_range(l);
-      DAGSFC_ASSERT(ilast - ifirst == cur->inter.size());
       for (std::size_t i = ifirst; i < ilast; ++i) {
-        sol.inter_paths[i] = cur->inter[i - ifirst];
+        sol.inter_paths[i] = arena.path(arena.picks[cur->picks + i - ifirst]);
       }
+      const std::size_t inter_count = ilast - ifirst;
       const auto [nfirst, nlast] = index.inner_layer_range(l);
-      DAGSFC_ASSERT(nlast - nfirst == cur->inner.size());
       for (std::size_t i = nfirst; i < nlast; ++i) {
-        sol.inner_paths[i] = cur->inner[i - nfirst];
+        sol.inner_paths[i] =
+            arena.path(arena.picks[cur->picks + inter_count + i - nfirst]);
       }
       cur = &pools[l][cur->parent];
     }
     const auto [dfirst, dlast] = index.inter_group_range(omega);
     DAGSFC_ASSERT(dlast - dfirst == 1);
-    sol.inter_paths[dfirst] = *final_hop;
+    sol.inter_paths[dfirst] = arena.path(hop.first);
 
     DAGSFC_ASSERT(evaluator.validate(sol).empty());
     const ResourceUsage u = evaluator.usage(sol);

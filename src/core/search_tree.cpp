@@ -6,32 +6,37 @@ namespace dagsfc::core {
 
 SearchTree SearchTree::from_expander(const graph::RingExpander& expander) {
   SearchTree t;
+  t.assign(expander);
+  return t;
+}
+
+void SearchTree::assign(const graph::RingExpander& expander) {
   const auto& visited = expander.visited();
   DAGSFC_CHECK(!visited.empty());
+  for (graph::NodeId v : network_) index_of_[v] = kNone;
+  nodes_.clear();
+  network_.assign(visited.begin(), visited.end());
 
   // Discovery order keeps rings contiguous: the expander appends each ring's
   // nodes in order.
   graph::NodeId max_node = 0;
   for (graph::NodeId v : visited) max_node = std::max(max_node, v);
-  t.index_of_.assign(max_node + 1, kNone);
+  if (index_of_.size() <= max_node) index_of_.resize(max_node + 1, kNone);
 
-  t.nodes_.reserve(visited.size());
   for (graph::NodeId v : visited) {
-    const auto idx = static_cast<TreeIndex>(t.nodes_.size());
+    const auto idx = static_cast<TreeIndex>(nodes_.size());
     Node n;
     n.network_node = v;
     const graph::NodeId parent = expander.bfs_parent(v);
     if (parent != graph::kInvalidNode) {
-      const TreeIndex pidx = t.index_of_[parent];
+      const TreeIndex pidx = index_of_[parent];
       DAGSFC_ASSERT(pidx != kNone);
       n.father = pidx;
-      n.ring = t.nodes_[pidx].ring + 1;
-      t.nodes_[pidx].children.push_back(idx);
+      n.ring = nodes_[pidx].ring + 1;
     }
-    t.index_of_[v] = idx;
-    t.nodes_.push_back(std::move(n));
+    index_of_[v] = idx;
+    nodes_.push_back(n);
   }
-  return t;
 }
 
 SearchTree::TreeIndex SearchTree::find(graph::NodeId v) const {
@@ -39,29 +44,30 @@ SearchTree::TreeIndex SearchTree::find(graph::NodeId v) const {
   return index_of_[v];
 }
 
-std::vector<graph::NodeId> SearchTree::network_nodes() const {
-  std::vector<graph::NodeId> out;
-  out.reserve(nodes_.size());
-  for (const Node& n : nodes_) out.push_back(n.network_node);
-  return out;
-}
-
-graph::Path SearchTree::path_to_root(const graph::Graph& g,
-                                     graph::NodeId v) const {
+double SearchTree::append_path_to_root(
+    const graph::Graph& g, graph::NodeId v, std::vector<graph::NodeId>& nodes,
+    std::vector<graph::EdgeId>& edges) const {
   TreeIndex i = find(v);
   DAGSFC_CHECK_MSG(i != kNone, "node was not reached by this search");
-  graph::Path p;
-  p.nodes.push_back(nodes_[i].network_node);
+  double cost = 0.0;
+  nodes.push_back(nodes_[i].network_node);
   while (nodes_[i].father != kNone) {
     const TreeIndex f = nodes_[i].father;
     const auto e =
         g.find_edge(nodes_[i].network_node, nodes_[f].network_node);
     DAGSFC_CHECK_MSG(e.has_value(), "father hop is not a network link");
-    p.edges.push_back(*e);
-    p.nodes.push_back(nodes_[f].network_node);
+    edges.push_back(*e);
+    cost += g.edge(*e).weight;
+    nodes.push_back(nodes_[f].network_node);
     i = f;
   }
-  p.cost = g.path_cost(p);
+  return cost;
+}
+
+graph::Path SearchTree::path_to_root(const graph::Graph& g,
+                                     graph::NodeId v) const {
+  graph::Path p;
+  p.cost = append_path_to_root(g, v, p.nodes, p.edges);
   return p;
 }
 
@@ -78,10 +84,10 @@ std::vector<SearchTree::BinaryNode> SearchTree::binary_view() const {
   for (TreeIndex i = 0; i < nodes_.size(); ++i) {
     out[i].father = nodes_[i].father;
     out[i].network_node = nodes_[i].network_node;
-    // Left child: the first node this one discovered in the next iteration.
-    if (!nodes_[i].children.empty()) {
-      out[i].left_child = nodes_[i].children.front();
-    }
+    // Left child: the first node this one discovered in the next iteration
+    // — the lowest index fathered by it, as indices follow discovery.
+    const TreeIndex f = nodes_[i].father;
+    if (f != kNone && out[f].left_child == kNone) out[f].left_child = i;
   }
   // Right child: the next node discovered in the same iteration. Nodes are
   // stored in discovery order, so rings are contiguous index ranges.

@@ -11,9 +11,13 @@
 ///
 /// The paper stores the tree in a binary left-child/right-sibling encoding
 /// (Table 1: father, left child = first node found in the next iteration,
-/// right child = next node of the same iteration). We keep the natural
-/// n-ary form for the algorithms and expose the equivalent binary encoding
-/// through binary_view() — tests verify the two views agree.
+/// right child = next node of the same iteration). We keep father pointers
+/// in discovery order for the algorithms and expose the equivalent binary
+/// encoding through binary_view() — tests verify the two views agree.
+///
+/// The backtracking engine runs one search per sub-solution and merger, so
+/// a tree is rebuilt in place (assign()) and hands out real-paths by
+/// appending to caller buffers: once warm, neither allocates.
 
 #include <vector>
 
@@ -31,7 +35,6 @@ class SearchTree {
     graph::NodeId network_node = graph::kInvalidNode;  // Table 1 element 4
     TreeIndex father = kNone;                          // element 1
     std::uint32_t ring = 0;  ///< BFS iteration that discovered the node
-    std::vector<TreeIndex> children;  ///< natural n-ary form
   };
 
   /// Binary left-child/right-sibling record per Table 1.
@@ -45,6 +48,8 @@ class SearchTree {
   /// Builds the tree from a completed RingExpander: one tree node per
   /// visited network node, fathered by its BFS parent.
   static SearchTree from_expander(const graph::RingExpander& expander);
+  /// Rebuilds this tree from \p expander in place, reusing its storage.
+  void assign(const graph::RingExpander& expander);
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] const Node& node(TreeIndex i) const {
@@ -63,11 +68,19 @@ class SearchTree {
   }
 
   /// All network nodes in the tree, in discovery order.
-  [[nodiscard]] std::vector<graph::NodeId> network_nodes() const;
+  [[nodiscard]] const std::vector<graph::NodeId>& network_nodes() const {
+    return network_;
+  }
 
-  /// The real-path from \p v to the root obtained by walking father
-  /// pointers (the "existing path to the root" of §4.2.2). Requires v in
-  /// the tree and each father hop to be an actual link of \p g.
+  /// Appends the real-path from \p v to the root, obtained by walking
+  /// father pointers (the "existing path to the root" of §4.2.2), to
+  /// \p nodes and \p edges, both in to-root order, and returns its cost
+  /// summed in that order. Requires v in the tree and each father hop to be
+  /// an actual link of \p g.
+  double append_path_to_root(const graph::Graph& g, graph::NodeId v,
+                             std::vector<graph::NodeId>& nodes,
+                             std::vector<graph::EdgeId>& edges) const;
+  /// The same path as a graph::Path.
   [[nodiscard]] graph::Path path_to_root(const graph::Graph& g,
                                          graph::NodeId v) const;
   /// Same path reversed: root → v.
@@ -79,7 +92,8 @@ class SearchTree {
 
  private:
   std::vector<Node> nodes_;
-  std::vector<TreeIndex> index_of_;  // network node -> tree index
+  std::vector<graph::NodeId> network_;  // nodes_[i].network_node, in order
+  std::vector<TreeIndex> index_of_;     // network node -> tree index
 };
 
 }  // namespace dagsfc::core

@@ -6,22 +6,30 @@ namespace dagsfc::graph {
 
 std::optional<Path> ShortestPathTree::path_to(NodeId target) const {
   if (!reached(target)) return std::nullopt;
+  Path p;
+  p.cost = dist[target];
+  append_path_to(target, p.nodes, p.edges);
+  return p;
+}
+
+void ShortestPathTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
+                                      std::vector<EdgeId>& edges) const {
+  DAGSFC_CHECK(reached(target));
   // One parent walk to count hops, then exact-size fills backwards — no
   // push_back growth, no reverse.
   std::size_t hops = 0;
   for (NodeId v = target; v != source; v = parent[v]) ++hops;
-  Path p;
-  p.cost = dist[target];
-  p.nodes.resize(hops + 1);
-  p.edges.resize(hops);
+  const std::size_t n0 = nodes.size();
+  const std::size_t e0 = edges.size();
+  nodes.resize(n0 + hops + 1);
+  edges.resize(e0 + hops);
   NodeId v = target;
   for (std::size_t i = hops; i > 0; --i) {
-    p.nodes[i] = v;
-    p.edges[i - 1] = parent_edge[v];
+    nodes[n0 + i] = v;
+    edges[e0 + i - 1] = parent_edge[v];
     v = parent[v];
   }
-  p.nodes[0] = source;
-  return p;
+  nodes[n0] = source;
 }
 
 namespace {

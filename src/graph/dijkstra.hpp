@@ -40,6 +40,10 @@ struct ShortestPathTree {
   }
   /// Reconstructs the min-cost path source→target; nullopt if unreachable.
   [[nodiscard]] std::optional<Path> path_to(NodeId target) const;
+  /// Appends that path's node and edge ids to the caller's buffers (no
+  /// allocation once they are warm). Requires reached(target).
+  void append_path_to(NodeId target, std::vector<NodeId>& nodes,
+                      std::vector<EdgeId>& edges) const;
 };
 
 // --- flat tier -----------------------------------------------------------

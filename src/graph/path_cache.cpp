@@ -48,31 +48,20 @@ void PathCache::make_room(Store& store, ContextIndex& index,
   index.clear();
 }
 
-std::vector<EdgeId> PathCache::footprint(const ShortestPathTree& t) {
-  std::vector<EdgeId> edges;
-  edges.reserve(t.parent_edge.size());
-  for (NodeId v = 0; v < t.parent.size(); ++v) {
-    if (t.parent[v] != kInvalidNode) edges.push_back(t.parent_edge[v]);
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
-}
-
 std::shared_ptr<const ShortestPathTree> PathCache::tree(
     const Graph& g, NodeId source, std::uint64_t context,
     const EdgeFilter& filter, PathQueryCounters& c) {
   const TreeKey key{context, source};
   if (auto it = trees_.find(key); it != trees_.end()) {
     ++c.cache_hits;
-    return it->second.tree;
+    return it->second;
   }
   ++c.cache_misses;
   ++c.dijkstra_calls;
   auto entry = std::make_shared<const ShortestPathTree>(
       dijkstra(g, source, filter));
   make_room(trees_, tree_contexts_, c);
-  trees_.emplace(key, TreeEntry{entry, footprint(*entry)});
+  trees_.emplace(key, entry);
   index_add(tree_contexts_, context);
   return entry;
 }
@@ -83,14 +72,14 @@ std::shared_ptr<const ShortestPathTree> PathCache::tree(
   const TreeKey key{context, source};
   if (auto it = trees_.find(key); it != trees_.end()) {
     ++c.cache_hits;
-    return it->second.tree;
+    return it->second;
   }
   ++c.cache_misses;
   ++c.dijkstra_calls;
   auto entry =
       std::make_shared<const ShortestPathTree>(dijkstra(g, source, ws, mask));
   make_room(trees_, tree_contexts_, c);
-  trees_.emplace(key, TreeEntry{entry, footprint(*entry)});
+  trees_.emplace(key, entry);
   index_add(tree_contexts_, context);
   return entry;
 }
@@ -154,8 +143,8 @@ void PathCache::evict_yen_context(std::uint64_t context) {
   index_remove(yen_contexts_, context, n);
 }
 
-void PathCache::on_link_debit(EdgeId e, double before, double after,
-                              double eps) {
+void PathCache::on_link_debit(EdgeId e, NodeId u, NodeId v, double before,
+                              double after, double eps) {
   ++inval_.link_debits;
   // The common case exits here: no cached rate flips, nothing is walked.
   std::vector<std::uint64_t> flipped;
@@ -173,8 +162,7 @@ void PathCache::on_link_debit(EdgeId e, double before, double after,
     // (exact — see the file comment); walk just this context's range.
     auto it = trees_.lower_bound(TreeKey{context, 0});
     while (it != trees_.end() && it->first.context == context) {
-      if (std::binary_search(it->second.edges.begin(),
-                             it->second.edges.end(), e)) {
+      if (in_footprint(*it->second, e, u, v)) {
         it = trees_.erase(it);
         ++inval_.trees_evicted;
         index_remove(tree_contexts_, context, 1);

@@ -21,13 +21,17 @@
 /// short of a flip leaves the rate-r usable-edge set — and therefore every
 /// rate-r result — untouched, so most commits evict nothing.
 ///
-/// When a debit DOES flip an edge e unusable at rate r:
+/// When a debit DOES flip an edge e = (u, v) unusable at rate r:
 ///   * Tree entries at rate r whose parent-edge footprint avoids e are
 ///     kept; the rest are evicted. This is exact, not heuristic: Dijkstra's
 ///     effective pops happen in (final-dist, node) order and the final
 ///     parent of each node is the first relaxation to reach its final
 ///     distance, so a recompute without e — an edge no surviving tree
 ///     parent uses — reproduces every dist/parent/parent_edge bitwise.
+///     A tree edge joins a node to its parent, so e is in a tree's
+///     footprint exactly when it is the parent edge of u or of v: the
+///     owner passes the endpoints with the debit and the test is two
+///     lookups, with no per-entry footprint stored or sorted on insert.
 ///   * Yen entries at rate r are evicted wholesale. Intersection-only
 ///     eviction would be wrong for k-paths: a spur path using e can mask
 ///     an equal-cost e-free alternative from the candidate pool, so a
@@ -143,8 +147,10 @@ class PathCache {
   /// Residual-change notifications (see the invalidation contract above).
   /// \p eps is the owner's feasibility tolerance: usable ⇔ residual ≥
   /// rate − eps, evaluated with the same expression the ledger uses so the
-  /// cache and the admission checks never disagree on a flip.
-  void on_link_debit(EdgeId e, double before, double after, double eps);
+  /// cache and the admission checks never disagree on a flip. A debit
+  /// carries the edge's endpoints \p u and \p v for the footprint test.
+  void on_link_debit(EdgeId e, NodeId u, NodeId v, double before,
+                     double after, double eps);
   void on_link_credit(EdgeId e, double before, double after, double eps);
 
   [[nodiscard]] std::size_t num_trees() const noexcept {
@@ -177,17 +183,15 @@ class PathCache {
     std::size_t k;
     auto operator<=>(const YenKey&) const = default;
   };
-  /// A cached tree plus its parent-edge footprint (sorted, deduplicated)
-  /// for the intersection test on debit flips.
-  struct TreeEntry {
-    std::shared_ptr<const ShortestPathTree> tree;
-    std::vector<EdgeId> edges;
-  };
-
   static bool usable(double residual, double rate, double eps) noexcept {
     return residual >= rate - eps;
   }
-  static std::vector<EdgeId> footprint(const ShortestPathTree& t);
+  /// Whether edge \p e = (u, v) is some node's parent edge in \p t.
+  static bool in_footprint(const ShortestPathTree& t, EdgeId e, NodeId u,
+                           NodeId v) noexcept {
+    return (t.parent[u] != kInvalidNode && t.parent_edge[u] == e) ||
+           (t.parent[v] != kInvalidNode && t.parent_edge[v] == e);
+  }
 
   /// Refcounted index of the distinct contexts present in one store,
   /// sorted by context bits. Mutation hooks consult it first: with no
@@ -217,7 +221,7 @@ class PathCache {
   void make_room(Store& store, ContextIndex& index, PathQueryCounters& c);
 
   std::size_t max_entries_;
-  std::map<TreeKey, TreeEntry> trees_;
+  std::map<TreeKey, std::shared_ptr<const ShortestPathTree>> trees_;
   std::map<YenKey, std::shared_ptr<const std::vector<Path>>> yens_;
   ContextIndex tree_contexts_;
   ContextIndex yen_contexts_;

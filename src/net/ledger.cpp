@@ -80,7 +80,8 @@ void CapacityLedger::note_link_changed(EdgeId e, double before, double after) {
   journal_record(/*is_link=*/true, static_cast<std::uint32_t>(e), after);
   if (cache_) {
     if (after < before) {
-      cache_->on_link_debit(e, before, after, kEps);
+      const graph::Edge& ed = net_->topology().edge(e);
+      cache_->on_link_debit(e, ed.u, ed.v, before, after, kEps);
     } else if (after > before) {
       cache_->on_link_credit(e, before, after, kEps);
     }
@@ -136,7 +137,7 @@ void CapacityLedger::release_instance(InstanceId id, double rate) {
 
 void CapacityLedger::set_link_residual(EdgeId e, double residual) {
   DAGSFC_CHECK(e < link_residual_.size());
-  DAGSFC_CHECK(residual >= 0.0);
+  DAGSFC_CHECK_MSG(residual >= -kEps, "residual below zero");
   DAGSFC_CHECK_MSG(residual <= net_->link_capacity(e) + kEps,
                    "residual exceeds nominal link capacity");
   const double before = link_residual_[e];
@@ -148,7 +149,7 @@ void CapacityLedger::set_link_residual(EdgeId e, double residual) {
 
 void CapacityLedger::set_instance_residual(InstanceId id, double residual) {
   DAGSFC_CHECK(id < instance_residual_.size());
-  DAGSFC_CHECK(residual >= 0.0);
+  DAGSFC_CHECK_MSG(residual >= -kEps, "residual below zero");
   DAGSFC_CHECK_MSG(residual <= net_->instance(id).capacity + kEps,
                    "residual exceeds nominal instance capacity");
   if (instance_residual_[id] == residual) return;

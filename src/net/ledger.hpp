@@ -94,7 +94,10 @@ class CapacityLedger {
   /// Sets one resource's residual to exactly \p residual (bitwise — no
   /// subtraction round-trip), going through the normal mutation epilogue so
   /// the epoch, per-resource stamp, journal, and path-cache invalidation
-  /// all observe the change. Residual must lie in [0, nominal capacity].
+  /// all observe the change. Residual must lie in [−kEps, nominal capacity
+  /// + kEps]: consume_link/consume_instance admit a debit down to −kEps
+  /// (a capacity-1.0 link after debits 0.3, 0.3, 0.3, 0.1 holds −2.8e-17),
+  /// so any residual a live ledger holds can be copied here bitwise.
   /// This is the shard layer's view-composition primitive: a scratch ledger
   /// is overwritten with each owner shard's live residuals (and zeros for
   /// everything outside the allowed regions) before a restricted solve.

@@ -2,8 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "core/exact.hpp"
+#include "graph/workspace.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
+
+namespace {
+/// Counts every path into the global allocator (the idiom of
+/// test_search_workspace.cpp). Read only as a delta around single-threaded
+/// solves.
+std::atomic<std::size_t> g_news{0};
+
+void* counted_alloc(std::size_t size) {
+  ++g_news;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* counted_aligned_alloc(std::size_t size, std::size_t align) {
+  ++g_news;
+  void* p = nullptr;
+  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
+                     size == 0 ? 1 : size) != 0) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t al) {
+  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t size, std::align_val_t al) {
+  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace dagsfc::core {
 namespace {
@@ -261,6 +310,62 @@ TEST(Engine, SolveFreshEqualsSolveWithNominalLedger) {
   ASSERT_TRUE(a.ok() && b2.ok());
   EXPECT_DOUBLE_EQ(a.cost, b2.cost);
   EXPECT_EQ(a.solution->placement, b2.solution->placement);
+}
+
+// ---------------------------------------------------------------------------
+// Allocation regression: sub-solutions and their meta-paths live in a
+// per-solve arena, so a solve's heap allocations do not grow with the
+// number of sub-solutions it expands. Not zero: SolveResult still returns
+// graph::Paths, and path-cache misses allocate their trees.
+
+/// A Table 2 instance (sim::make_scenario defaults) of the given size.
+std::unique_ptr<test::Fixture> table2_fixture(std::size_t nodes,
+                                              std::size_t sfc_size,
+                                              std::uint64_t seed) {
+  sim::ExperimentConfig cfg;
+  cfg.network_size = nodes;
+  cfg.sfc_size = sfc_size;
+  Rng rng(seed);
+  sim::Scenario sc = sim::make_scenario(rng, cfg);
+  sfc::DagSfc dag = sim::make_sfc(rng, sc.network.catalog(), cfg);
+  return test::make_fixture(std::move(sc.network), std::move(dag),
+                            Flow{sc.source, sc.destination, 1.0, 1.0});
+}
+
+/// Heap allocations of one solve against a fresh nominal ledger, with the
+/// search workspace already warm — the way fig6's workers solve.
+std::size_t solve_allocations(const Embedder& algo, const ModelIndex& index,
+                              SolveResult& out) {
+  graph::SearchWorkspace ws;
+  Rng rng(1);
+  (void)algo.solve_fresh(index, rng, nullptr, &ws);
+  const std::size_t before = g_news.load();
+  out = algo.solve_fresh(index, rng, nullptr, &ws);
+  return g_news.load() - before;
+}
+
+TEST(Bbe, AllocatesLessThanOncePerExpandedSubSolution) {
+  const auto fx = table2_fixture(200, 4, 13);
+  const BbeEmbedder bbe;
+  SolveResult r;
+  const std::size_t allocs = solve_allocations(bbe, *fx->index, r);
+  ASSERT_TRUE(r.ok()) << r.failure_reason;
+  ASSERT_GE(r.expanded_sub_solutions, 1000u);
+  EXPECT_LT(allocs, r.expanded_sub_solutions)
+      << allocs << " allocations for " << r.expanded_sub_solutions
+      << " expanded sub-solutions";
+}
+
+TEST(Mbbe, AllocatesLessThanOncePerExpandedSubSolutionOnTable2) {
+  const auto fx = table2_fixture(500, 9, 16);
+  const MbbeEmbedder mbbe;
+  SolveResult r;
+  const std::size_t allocs = solve_allocations(mbbe, *fx->index, r);
+  ASSERT_TRUE(r.ok()) << r.failure_reason;
+  ASSERT_GT(r.expanded_sub_solutions, 0u);
+  EXPECT_LT(allocs, r.expanded_sub_solutions)
+      << allocs << " allocations for " << r.expanded_sub_solutions
+      << " expanded sub-solutions";
 }
 
 }  // namespace

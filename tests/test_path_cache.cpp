@@ -61,7 +61,7 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
 
   // A debit that leaves the edge usable at rate 1.0 is not a flip: the
   // usable-edge set — and therefore every cached result — is unchanged.
-  cache.on_link_debit(0, 10.0, 5.0, kEps);
+  cache.on_link_debit(0, 0, 1, 10.0, 5.0, kEps);
   (void)cache.tree(g, 0, ctx(1.0), {}, c);
   EXPECT_EQ(c.cache_hits, 2u);
   EXPECT_EQ(cache.invalidation_stats().flips, 0u);
@@ -69,7 +69,7 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
 
   // Draining edge 0 below the rate flips it unusable; the tree from node 0
   // carries edge 0 in its parent footprint, so it must go.
-  cache.on_link_debit(0, 5.0, 0.5, kEps);
+  cache.on_link_debit(0, 0, 1, 5.0, 0.5, kEps);
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   const auto t3 = cache.tree(g, 0, ctx(1.0), {}, c);
@@ -88,7 +88,7 @@ TEST(PathCache, DebitFlipSparesTreesOutsideTheFootprint) {
 
   // Edge 1 (1–3) flips unusable: only the tree from node 0 routes through
   // it, so the tree from node 2 survives and keeps hitting.
-  cache.on_link_debit(1, 1.0, 0.0, kEps);
+  cache.on_link_debit(1, 1, 3, 1.0, 0.0, kEps);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   EXPECT_EQ(cache.num_trees(), 1u);
   (void)cache.tree(g, 2, ctx(1.0), {}, c);
@@ -107,7 +107,7 @@ TEST(PathCache, ContextSeparatesEntriesAndFlipsAreRateScoped) {
   EXPECT_EQ(cache.num_trees(), 2u);
 
   // 2.5 → 1.5 flips edge 0 at rate 2.0 only; the rate-1.0 entry survives.
-  cache.on_link_debit(0, 2.5, 1.5, kEps);
+  cache.on_link_debit(0, 0, 1, 2.5, 1.5, kEps);
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.num_trees(), 1u);
   (void)cache.tree(g, 0, ctx(1.0), {}, c);
@@ -136,12 +136,12 @@ TEST(PathCache, DebitFlipEvictsAllKPathListsAtThatRate) {
   // Yen entries are evicted wholesale on a flip even when their paths avoid
   // the edge: a vanished edge can unmask equal-cost candidates, so keeping
   // "non-intersecting" lists would not be bit-exact.
-  cache.on_link_debit(3, 1.0, 0.0, kEps);
+  cache.on_link_debit(3, 2, 3, 1.0, 0.0, kEps);
   EXPECT_EQ(cache.invalidation_stats().yens_evicted, 1u);
   EXPECT_EQ(cache.num_k_paths(), 0u);
   // A non-flip debit, by contrast, spares them.
   (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
-  cache.on_link_debit(3, 10.0, 5.0, kEps);
+  cache.on_link_debit(3, 2, 3, 10.0, 5.0, kEps);
   EXPECT_EQ(cache.num_k_paths(), 1u);
 }
 

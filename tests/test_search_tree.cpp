@@ -112,8 +112,29 @@ TEST(SearchTree, BinaryViewLeftChildIsFirstChild) {
   const SearchTree t = full_tree(g, 0);
   const auto bin = t.binary_view();
   const auto i1 = t.find(1);
-  ASSERT_FALSE(t.node(i1).children.empty());
-  EXPECT_EQ(bin[i1].left_child, t.node(i1).children.front());
+  SearchTree::TreeIndex first_child = SearchTree::kNone;
+  for (SearchTree::TreeIndex i = 0; i < t.size(); ++i) {
+    if (t.node(i).father == i1) {
+      first_child = i;
+      break;
+    }
+  }
+  ASSERT_NE(first_child, SearchTree::kNone);
+  EXPECT_EQ(bin[i1].left_child, first_child);
+}
+
+TEST(SearchTree, AssignRebuildsFromAnotherSearchInPlace) {
+  const graph::Graph g = branchy();
+  SearchTree t = full_tree(g, 0);
+  graph::RingExpander e(g, 3, [](graph::NodeId v) { return v != 1; });
+  while (!e.expand().empty()) {
+  }
+  t.assign(e);
+  EXPECT_EQ(t.network_nodes(), (std::vector<graph::NodeId>{3, 2}));
+  EXPECT_EQ(t.network_nodes(), SearchTree::from_expander(e).network_nodes());
+  for (graph::NodeId v : {0u, 1u, 4u}) EXPECT_FALSE(t.contains(v)) << v;
+  EXPECT_EQ(t.root_network_node(), 3u);
+  EXPECT_EQ(t.path_to_root(g, 2).nodes, (std::vector<graph::NodeId>{2, 3}));
 }
 
 TEST(SearchTree, RestrictedExpanderYieldsSubtree) {

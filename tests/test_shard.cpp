@@ -6,7 +6,9 @@
 /// commit battery over the sharded ledger (conservation after release-all).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <set>
 #include <thread>
 #include <vector>
@@ -403,6 +405,92 @@ TEST(ShardService, OpenLoopConservesAfterReleaseAll) {
       shard::run_sharded_open_loop(workload, substrate, open);
   EXPECT_TRUE(r.conserved);
   EXPECT_EQ(r.metrics.completed(), 80u);
+}
+
+// ------------------------------------------------ non-dyadic residuals --
+
+/// A two-region scenario whose links and VNF instances all have capacity
+/// 1.0, so a few non-dyadic debits drive a residual a few ulps below zero.
+sim::RegionalScenario unit_capacity_scenario(std::uint64_t seed) {
+  Rng rng(seed);
+  auto cfg = small_workload_config(2, 8, 1);
+  cfg.regional.base.link_capacity = 1.0;
+  cfg.regional.base.vnf_capacity = 1.0;
+  return sim::make_regional_scenario(rng, cfg.regional);
+}
+
+TEST(ShardLedger, ComposeCopiesResidualsJustBelowZeroBitwise) {
+  const sim::RegionalScenario s = unit_capacity_scenario(5);
+  const shard::ShardedSubstrate sub = make_substrate(s);
+  shard::ShardedLedger ledger(sub);
+  const graph::EdgeId e = sub.links_owned_by(0).front();
+  const net::InstanceId id = sub.instances_owned_by(0).front();
+
+  core::ResourceUsage u;
+  u.link_uses.assign(s.network.num_links(), 0);
+  u.instance_uses.assign(s.network.num_instances(), 0);
+  u.link_uses[e] = 1;
+  u.instance_uses[id] = 1;
+  const std::vector<shard::RegionId> regions{0};
+  std::vector<std::uint64_t> epochs;
+  for (const double rate : {0.3, 0.3, 0.3, 0.1}) {
+    ledger.snapshot_epochs(regions, epochs);
+    ASSERT_TRUE(ledger.try_commit(u, rate, regions, epochs).ok);
+  }
+  // 1.0 − 0.3 − 0.3 − 0.3 − 0.1 = −2.8e-17: inside consume_*'s −kEps
+  // admission tolerance, so the shard holds it.
+  const double link_left = ledger.link_residual(e);
+  const double instance_left = ledger.instance_residual(id);
+  ASSERT_LT(link_left, 0.0);
+  ASSERT_LT(instance_left, 0.0);
+
+  // compose() is a bitwise copy: try_commit's fast path applies without
+  // re-checking because the view holds exactly what the shards hold.
+  net::CapacityLedger view(s.network);
+  ledger.compose(regions, view, epochs);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.link_residual(e)),
+            std::bit_cast<std::uint64_t>(link_left));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.instance_residual(id)),
+            std::bit_cast<std::uint64_t>(instance_left));
+}
+
+TEST(ShardLedger, SetResidualStillRejectsBelowMinusEps) {
+  const sim::RegionalScenario s = unit_capacity_scenario(5);
+  net::CapacityLedger ledger(s.network);
+  constexpr double kEps = 1e-9;  // the ledger's feasibility tolerance
+  ledger.set_link_residual(0, -kEps);
+  ledger.set_instance_residual(0, -kEps);
+  EXPECT_EQ(ledger.link_residual(0), -kEps);
+  EXPECT_EQ(ledger.instance_residual(0), -kEps);
+  EXPECT_THROW(ledger.set_link_residual(0, -2 * kEps), ContractViolation);
+  EXPECT_THROW(ledger.set_instance_residual(0, -2 * kEps),
+               ContractViolation);
+  EXPECT_EQ(ledger.link_residual(0), -kEps);  // a rejected set changes nothing
+}
+
+TEST(ShardService, NonDyadicRatesDrainToNominal) {
+  // Capacities 4/3 (with 2.0 no sequence of these rates ends below zero)
+  // and holding times long enough that residuals run down to the floor.
+  auto cfg = small_workload_config(3, 8, 240);
+  cfg.regional.base.link_capacity = 4.0;
+  cfg.regional.base.vnf_capacity = 3.0;
+  cfg.mean_holding_time = 20.0;
+  shard::ShardWorkload workload = shard::make_shard_workload(cfg, 41);
+  constexpr std::array<double, 4> kRates = {0.3, 0.7, 1.0, 1.3};
+  for (std::size_t i = 0; i < workload.arrivals.size(); ++i) {
+    workload.arrivals[i].request.flow.rate = kRates[i % kRates.size()];
+  }
+  const shard::ShardedSubstrate substrate(
+      workload.scenario.network,
+      shard::RegionPartition::from_labels(workload.scenario.region_of));
+  shard::ShardedEmbeddingService::Options options;
+  options.workers_per_shard = 2;
+  const shard::ShardDriverResult r =
+      shard::run_sharded_closed_loop(workload, substrate, options);
+  EXPECT_TRUE(r.conserved);
+  EXPECT_EQ(r.metrics.completed(), 240u);
+  EXPECT_GT(r.metrics.accepted, 0u);
+  EXPECT_GT(r.metrics.rejected_infeasible, 0u);  // capacity actually binds
 }
 
 // ---------------------------------------------------------- ledger battery --
