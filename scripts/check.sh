@@ -2,10 +2,11 @@
 # Strict verification pass: builds the full tree with AddressSanitizer and
 # UBSan (-DDAGSFC_SANITIZE=ON) into build-asan/ and runs the test suite
 # under it. Any sanitizer report fails the run (halt_on_error, plus
-# -fno-sanitize-recover=undefined at compile time). A second pass repeats
-# the build with the ambient trace macros compiled in (-DDAGSFC_TRACE=ON)
-# so the zero-overhead-when-disabled instrumentation path is itself
-# sanitizer-clean. A third pass builds with ThreadSanitizer
+# -fno-sanitize-recover=undefined at compile time), and so does any
+# compiler warning: this pass builds with -DDAGSFC_WERROR=ON. A second
+# pass repeats the build with the ambient trace macros compiled in
+# (-DDAGSFC_TRACE=ON) so the zero-overhead-when-disabled instrumentation
+# path is itself sanitizer-clean. A third pass builds with ThreadSanitizer
 # (-DDAGSFC_TSAN=ON) and runs the concurrency-heavy suites (the serve
 # layer, the thread pool, and the trial runner) to catch data races in the
 # snapshot/commit machinery and the lazy CSR build. A fourth pass reuses
@@ -72,7 +73,7 @@ require_test() {
   fi
 }
 
-run_pass "${BUILD_DIR:-build-asan}" "" -DDAGSFC_SANITIZE=ON
+run_pass "${BUILD_DIR:-build-asan}" "" -DDAGSFC_SANITIZE=ON -DDAGSFC_WERROR=ON
 require_test "${BUILD_DIR:-build-asan}" 'test_search_flat'
 require_test "${BUILD_DIR:-build-asan}" 'test_metrics'
 require_test "${BUILD_DIR:-build-asan}" 'test_watchdog'
@@ -84,6 +85,11 @@ require_test "${BUILD_DIR:-build-asan}" \
   'test_corpus\.Solves/BacktrackingGolden\.'
 require_test "${BUILD_DIR:-build-asan}" \
   'test_backtracking\..*AllocatesLessThanOncePerExpandedSubSolution'
+# Resumable path-cache entries: differential, invalidation and counter
+# tests, and the dense instance table's agreement with a scan.
+require_test "${BUILD_DIR:-build-asan}" 'test_path_cache\.ResumableEntry\.'
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_network\.Network\.FindInstanceAgreesWithInstanceScan'
 run_pass "${TRACE_BUILD_DIR:-build-asan-trace}" "" -DDAGSFC_SANITIZE=ON \
   -DDAGSFC_TRACE=ON
 run_pass "${TSAN_BUILD_DIR:-build-tsan}" \
@@ -97,6 +103,7 @@ ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
 # path-cache suites that pin its determinism and invalidation contracts.
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_mvcc'
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_path_cache'
+require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_path_cache\.ResumableEntry\.'
 ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
   -j "$(nproc)" -R 'mvcc|serve|path_cache'
 # Layered-embedder pass: same TSan tree; the cross-embedder battery, the

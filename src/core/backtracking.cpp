@@ -274,13 +274,15 @@ class MetaPaths {
     graph::EdgeFilter usable;
     PathMemo memo;
     NodeId node = graph::kInvalidNode;
-    std::shared_ptr<const graph::ShortestPathTree> sp;  // MBBE mode
+    // MBBE mode: the min-cost search from the anchor, held for the whole
+    // parent/merger and settled one candidate host at a time.
+    std::shared_ptr<graph::LazyTree> sp;
   };
 
   void begin(Anchor& a, NodeId node) {
     a.node = node;
     a.memo.next();
-    if (opts_.min_cost_path_instantiation) a.sp = oracle_.tree(node);
+    if (opts_.min_cost_path_instantiation) a.sp = oracle_.search(node);
   }
 
   PathRun candidates(Anchor& a, NodeId v) {
@@ -293,7 +295,7 @@ class MetaPaths {
       arena_.push_trivial(v);
     } else if (opts_.min_cost_path_instantiation) {
       if (k <= 1) {
-        push_tree_path(*a.sp, v, a.to_root);
+        if (oracle_.settle(*a.sp, v)) push_tree_path(*a.sp, v, a.to_root);
       } else {
         for (const graph::Path& p : oracle_.k_shortest(from, to, k)) {
           arena_.push(p);
@@ -327,10 +329,8 @@ class MetaPaths {
   }
 
   /// Shortest-path-tree path root → \p v (as path_to builds it), reversed
-  /// in place for v → root; nothing when v is unreached.
-  void push_tree_path(const graph::ShortestPathTree& t, NodeId v,
-                      bool to_root) {
-    if (!t.reached(v)) return;
+  /// in place for v → root. Requires v settled and reached.
+  void push_tree_path(const graph::LazyTree& t, NodeId v, bool to_root) {
     const PathSpan s = arena_.open();
     t.append_path_to(v, arena_.nodes, arena_.edges);
     if (to_root) arena_.reverse_tail(s);

@@ -58,6 +58,7 @@ SolveResult Embedder::solve(const ModelIndex& index,
       q.kind = TraceEventKind::PathQueries;
       q.i0 = static_cast<std::int64_t>(r.path_queries.dijkstra_calls);
       q.i1 = static_cast<std::int64_t>(r.path_queries.yen_calls);
+      q.i2 = static_cast<std::int64_t>(r.path_queries.nodes_settled);
       t(q);
       SolveEvent c;
       c.kind = TraceEventKind::CacheStats;

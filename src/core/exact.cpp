@@ -120,7 +120,7 @@ SolveResult ExactEmbedder::do_solve(const ModelIndex& index,
 
       // Distances from each merger candidate, shared across assignments
       // (and across DP cells and layers, via the path cache).
-      std::map<NodeId, std::shared_ptr<const graph::ShortestPathTree>>
+      std::map<NodeId, std::shared_ptr<const graph::LazyTree>>
           from_merger;
       for (NodeId m : hosts(catalog.merger())) {
         from_merger.emplace(m, oracle.tree(m));

@@ -42,9 +42,9 @@ graph::Path reversed(const graph::Graph& g, const graph::Path& p) {
   return out;
 }
 
-std::size_t tree_path_hops(const graph::ShortestPathTree& sp, NodeId v) {
+std::size_t tree_path_hops(const graph::LazyTree& sp, NodeId v) {
   std::size_t hops = 0;
-  for (NodeId u = v; u != sp.source; u = sp.parent[u]) ++hops;
+  for (NodeId u = v; u != sp.source; u = sp.parent(u)) ++hops;
   return hops;
 }
 
@@ -80,7 +80,7 @@ struct LayeredRun {
   std::vector<std::vector<NodeId>> merger_hosts;          // [layer]
   /// Distance trees from each merger candidate, built lazily per layer and
   /// shared across every gadget firing (and the reconstruction).
-  std::vector<std::map<NodeId, std::shared_ptr<const graph::ShortestPathTree>>>
+  std::vector<std::map<NodeId, std::shared_ptr<const graph::LazyTree>>>
       from_merger;
   std::vector<char> merger_trees_ready;
 
@@ -145,7 +145,7 @@ struct LayeredRun {
     return static_cast<NodeId>(l * n + v);
   }
 
-  const std::map<NodeId, std::shared_ptr<const graph::ShortestPathTree>>&
+  const std::map<NodeId, std::shared_ptr<const graph::LazyTree>>&
   merger_trees(std::size_t l) {
     if (!merger_trees_ready[l]) {
       for (NodeId m : merger_hosts[l]) {
@@ -671,17 +671,16 @@ SolveResult solve_budget(LayeredRun& run, double budget,
       continue;
     }
     const std::size_t l = to_level - 1;  // the layer just embedded
-    const sfc::Layer& layer = run.dag.layer(l);
     const auto slots = run.index.layer_slots(l);
     const auto [ifirst, ilast] = run.index.inter_group_range(l);
     if (lab.gadget < 0) {  // placement arc of a sequential layer
-      DAGSFC_ASSERT(!layer.has_merger());
+      DAGSFC_ASSERT(!run.dag.layer(l).has_merger());
       DAGSFC_ASSERT(seg.target() == node);
       sol.placement[slots[0]] = node;
       seg.cost = run.g.path_cost(seg);
       sol.inter_paths[ifirst] = std::move(seg);
     } else {  // gadget transition of a parallel layer
-      DAGSFC_ASSERT(layer.has_merger());
+      DAGSFC_ASSERT(run.dag.layer(l).has_merger());
       DAGSFC_ASSERT(seg.edges.empty());  // no routing on a parallel level
       const NodeId prev_end = seg.nodes.front();
       const GadgetBack& back = gadget_backs[lab.gadget];

@@ -37,51 +37,58 @@ const graph::DistanceOracle* PathOracle::pruning_oracle() const {
   return (o != nullptr && o->matches(*g_)) ? o : nullptr;
 }
 
-std::shared_ptr<const graph::ShortestPathTree> PathOracle::tree(
-    NodeId source) {
+std::shared_ptr<graph::LazyTree> PathOracle::search(NodeId source) {
   if (!flat_) {
-    if (auto* cache = ledger_->path_cache()) {
-      return cache->tree(*g_, source, context(), usable_, counters_);
-    }
     ++counters_.dijkstra_calls;
-    return std::make_shared<const graph::ShortestPathTree>(
+    return std::make_shared<graph::LazyTree>(
         graph::dijkstra(*g_, source, usable_));
   }
-  const graph::EdgeMask* mask = usable_mask();
   if (auto* cache = ledger_->path_cache()) {
-    return cache->tree(*g_, source, context(), mask, *ws_, counters_);
+    return cache->search(*g_, source, context(), counters_);
   }
   ++counters_.dijkstra_calls;
-  return std::make_shared<const graph::ShortestPathTree>(
-      graph::dijkstra(*g_, source, *ws_, mask));
+  return std::make_shared<graph::LazyTree>(*g_, source);
+}
+
+bool PathOracle::settle(graph::LazyTree& t, NodeId target) {
+  counters_.nodes_settled += t.settle(*g_, target, effective_mask());
+  return t.reached(target);
+}
+
+std::shared_ptr<const graph::LazyTree> PathOracle::tree(NodeId source) {
+  auto t = search(source);
+  counters_.nodes_settled += t->settle_all(*g_, effective_mask());
+  return t;
 }
 
 std::optional<graph::Path> PathOracle::min_cost_path(NodeId a, NodeId b) {
-  if (ledger_->path_cache()) return tree(a)->path_to(b);
+  if (flat_ && ledger_->path_cache()) {
+    const auto t = search(a);
+    settle(*t, b);
+    return t->path_to(b);
+  }
   ++counters_.dijkstra_calls;
   if (!flat_) return graph::min_cost_path(*g_, a, b, usable_);
+  DAGSFC_CHECK(g_->has_node(b));
   const graph::EdgeMask* mask = effective_mask();
   if (const graph::DistanceOracle* o = pruning_oracle()) {
     graph::PruneStats stats;
     graph::AltQuery alt = o->query(a, b, /*seed_upper_bound=*/mask == nullptr);
     alt.stats = &stats;
-    auto path = graph::min_cost_path(*g_, a, b, *ws_, mask, alt);
+    counters_.nodes_settled +=
+        graph::dijkstra_into(*g_, a, *ws_, mask, b, alt);
     counters_.oracle_tested += stats.tested;
     counters_.oracle_pruned += stats.pruned;
-    return path;
+  } else {
+    counters_.nodes_settled += graph::dijkstra_into(*g_, a, *ws_, mask, b);
   }
-  return graph::min_cost_path(*g_, a, b, *ws_, mask);
+  return graph::extract_path(*ws_, b);
 }
 
 std::vector<std::optional<graph::Path>> PathOracle::min_cost_paths(
     NodeId a, std::span<const NodeId> targets) {
   std::vector<std::optional<graph::Path>> out;
   out.reserve(targets.size());
-  if (ledger_->path_cache()) {
-    const auto t = tree(a);
-    for (const NodeId b : targets) out.push_back(t->path_to(b));
-    return out;
-  }
   if (!flat_) {
     for (const NodeId b : targets) {
       ++counters_.dijkstra_calls;
@@ -89,10 +96,19 @@ std::vector<std::optional<graph::Path>> PathOracle::min_cost_paths(
     }
     return out;
   }
+  if (ledger_->path_cache()) {
+    const auto t = search(a);
+    for (const NodeId b : targets) {
+      settle(*t, b);
+      out.push_back(t->path_to(b));
+    }
+    return out;
+  }
   // One multi-target pass; counts as one computation. Each extraction is
   // bitwise the early-exit answer (see dijkstra_into_targets).
   ++counters_.dijkstra_calls;
-  graph::dijkstra_into_targets(*g_, a, targets, *ws_, effective_mask());
+  counters_.nodes_settled +=
+      graph::dijkstra_into_targets(*g_, a, targets, *ws_, effective_mask());
   for (const NodeId b : targets) {
     out.push_back(graph::extract_path(*ws_, b));
   }

@@ -17,13 +17,24 @@
 /// seed implementations instead (sampled at construction, like the ledger's
 /// cache default).
 ///
-/// Cached and uncached answers are bit-identical by construction: a cached
-/// point-to-point path is read out of the full Dijkstra tree, whose parent
-/// chain for any target equals the early-exit run's (targets are finalized
+/// Min-cost questions go through resumable searches (graph::LazyTree):
+/// search() hands out the search from a source — the ledger's cached entry,
+/// shared across queries and solves, or a fresh one without a cache — and
+/// settle() runs it only until the asked-for target's distance is final.
+/// With a cache, min_cost_path(s) settle the cached search only up to
+/// their targets; without one they run one-shot early-exit searches on the
+/// workspace. tree() settles everything (EXACT and LAYERED read whole
+/// trees).
+///
+/// Cached and uncached answers are bit-identical by construction: a
+/// search's settled nodes are a prefix of the full Dijkstra pop sequence
+/// with the same dist/parent bits, so the parent chain of a settled target
+/// equals the early-exit run's and the full tree's (targets are finalized
 /// when popped; later relaxations cannot improve them), and cached Yen
 /// results are the same deterministic k_shortest_paths() output. Flat and
 /// reference answers are bit-identical too — tests/test_search_flat.cpp
-/// holds every embedder to that.
+/// holds every embedder to that. The reference tier computes every query
+/// from scratch with the seed code and caches only Yen.
 
 #include <bit>
 #include <cstdint>
@@ -72,19 +83,28 @@ class PathOracle {
   /// share the oracle's buffers.
   [[nodiscard]] graph::SearchWorkspace& workspace() noexcept { return *ws_; }
 
-  /// Min-cost tree from \p source over usable links.
-  [[nodiscard]] std::shared_ptr<const graph::ShortestPathTree> tree(
-      NodeId source);
+  /// The min-cost search from \p source over usable links: the cached
+  /// entry (a hit, or a miss that starts it) when the ledger caches, a
+  /// fresh search otherwise. Settle it toward each target with settle().
+  [[nodiscard]] std::shared_ptr<graph::LazyTree> search(NodeId source);
+
+  /// Settles \p t until \p target's distance is final; true iff the
+  /// target is reachable. Counts the settled nodes.
+  bool settle(graph::LazyTree& t, NodeId target);
+
+  /// Complete min-cost tree from \p source over usable links.
+  [[nodiscard]] std::shared_ptr<const graph::LazyTree> tree(NodeId source);
 
   /// Min-cost path a → b over usable links; nullopt when unreachable.
   [[nodiscard]] std::optional<graph::Path> min_cost_path(NodeId a, NodeId b);
 
   /// Batched: min-cost paths a → targets[i], element i of the result
   /// matching target i (nullopt where unreachable). Bit-identical to
-  /// calling min_cost_path per target — with a cache it reads one tree,
-  /// without one it runs a single multi-target pass (dijkstra_into_targets)
-  /// whose settled parents equal each early-exit run's. The baselines route
-  /// all meta-paths sharing a source through this.
+  /// calling min_cost_path per target — with a cache it settles one search
+  /// up to the farthest target, without one it runs a single multi-target
+  /// pass (dijkstra_into_targets) whose settled parents equal each
+  /// early-exit run's. The baselines route all meta-paths sharing a source
+  /// through this.
   [[nodiscard]] std::vector<std::optional<graph::Path>> min_cost_paths(
       NodeId a, std::span<const NodeId> targets);
 

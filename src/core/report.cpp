@@ -64,7 +64,9 @@ std::string describe_search(const SolveResult& result) {
   std::ostringstream os;
   os << "search: expanded " << result.expanded_sub_solutions
      << " sub-solutions, " << result.candidate_solutions << " candidates; "
-     << "dijkstra " << c.dijkstra_calls << ", yen " << c.yen_calls;
+     << "dijkstra " << c.dijkstra_calls;
+  if (c.nodes_settled > 0) os << " (" << c.nodes_settled << " settled)";
+  os << ", yen " << c.yen_calls;
   if (c.bfs_calls > 0) os << ", bfs " << c.bfs_calls;
   if (c.steiner_calls > 0) os << ", steiner " << c.steiner_calls;
   os << ", path-cache " << c.cache_hits << "/"

@@ -64,7 +64,8 @@ enum class TraceEventKind : std::uint8_t {
   LinkTerm,        ///< i0 = edge, i1 = charged uses (α_e), i2 = raw path
                    ///< incidences, v0 = term value (α_e·price·z), v1 = price
   // --- Cache: shortest-path work attribution ---
-  PathQueries,     ///< i0 = dijkstra computations, i1 = yen computations
+  PathQueries,     ///< i0 = dijkstra computations, i1 = yen computations,
+                   ///< i2 = nodes the Dijkstra searches settled
   CacheStats,      ///< i0 = hits, i1 = misses, i2 = evictions
 };
 

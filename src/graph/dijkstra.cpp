@@ -4,6 +4,32 @@
 
 namespace dagsfc::graph {
 
+namespace {
+
+/// Appends the parent chain source → \p target, read through \p link(v)
+/// (a ParentLink), to the caller's buffers: one walk to count hops, then
+/// exact-size fills backwards — no push_back growth, no reverse.
+template <typename LinkOf>
+void append_chain(NodeId source, NodeId target, const LinkOf& link,
+                  std::vector<NodeId>& nodes, std::vector<EdgeId>& edges) {
+  std::size_t hops = 0;
+  for (NodeId v = target; v != source; v = link(v).parent) ++hops;
+  const std::size_t n0 = nodes.size();
+  const std::size_t e0 = edges.size();
+  nodes.resize(n0 + hops + 1);
+  edges.resize(e0 + hops);
+  NodeId v = target;
+  for (std::size_t i = hops; i > 0; --i) {
+    const ParentLink l = link(v);
+    nodes[n0 + i] = v;
+    edges[e0 + i - 1] = l.edge;
+    v = l.parent;
+  }
+  nodes[n0] = source;
+}
+
+}  // namespace
+
 std::optional<Path> ShortestPathTree::path_to(NodeId target) const {
   if (!reached(target)) return std::nullopt;
   Path p;
@@ -15,76 +41,97 @@ std::optional<Path> ShortestPathTree::path_to(NodeId target) const {
 void ShortestPathTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
                                       std::vector<EdgeId>& edges) const {
   DAGSFC_CHECK(reached(target));
-  // One parent walk to count hops, then exact-size fills backwards — no
-  // push_back growth, no reverse.
-  std::size_t hops = 0;
-  for (NodeId v = target; v != source; v = parent[v]) ++hops;
-  const std::size_t n0 = nodes.size();
-  const std::size_t e0 = edges.size();
-  nodes.resize(n0 + hops + 1);
-  edges.resize(e0 + hops);
-  NodeId v = target;
-  for (std::size_t i = hops; i > 0; --i) {
-    nodes[n0 + i] = v;
-    edges[e0 + i - 1] = parent_edge[v];
-    v = parent[v];
-  }
-  nodes[n0] = source;
+  append_chain(
+      source, target,
+      [this](NodeId v) { return ParentLink{parent[v], parent_edge[v]}; },
+      nodes, edges);
 }
 
 namespace {
 
-/// The flat relaxation loop, templated on the edge-admission test so the
-/// unfiltered instantiation carries no per-edge branch on a mask pointer.
-/// The scan streams the CSR incidence and weight arrays in lockstep — the
-/// only random access left per arc is the neighbor's fused dist/stamp slot.
+/// The flat relaxation loop. Every unpruned search runs it: one-shot and
+/// multi-target searches over a SearchWorkspace, each layer of the
+/// multi-source bank, and the path cache's resumable LazyTrees. Templated
+/// on the label store, on the edge-admission test (so the unfiltered
+/// instantiation carries no per-edge branch on a mask pointer) and on the
+/// stop test. The scan streams the CSR incidence and weight arrays in
+/// lockstep — the only random access left per arc is the neighbor's dist
+/// slot.
+///
+/// Before settling the next final node — the heap's top once stale entries
+/// are dropped — the loop asks stop(top). On true it returns with that node
+/// still on the heap and its row unscanned, so calling it again on the same
+/// labels and heap resumes exactly where it stopped: the pops of all calls
+/// together are the pops of one uninterrupted run. Returns the number of
+/// nodes settled (rows scanned).
 ///
 /// Bit-identity with reference::run_dijkstra: the loop structure (pop →
 /// stale check → stop check → relax on strict improvement) is the same, CSR
-/// rows replay the adjacency lists in insertion order, and the workspace
-/// heap pops in the same (dist, node) lexicographic order as the seed's
+/// rows replay the adjacency lists in insertion order, and SearchHeap pops
+/// in the same (dist, node) lexicographic order as the seed's
 /// std::priority_queue. Since a node is only re-pushed with a strictly
 /// smaller dist, all live heap entries are distinct, so *any* correct
 /// min-heap pops the identical sequence — neither the heap's layout nor its
 /// integer key encoding can change a parent, a distance, or a tie-break.
-template <typename Allow>
-void run_flat(const Graph& g, NodeId source, SearchWorkspace& ws,
-              const Allow& allow, NodeId stop_at) {
-  DAGSFC_CHECK(g.has_node(source));
+template <typename Labels, typename Allow, typename Stop>
+std::size_t settle_loop(const Graph& g, Labels& labels, SearchHeap& heap,
+                        const Allow& allow, const Stop& stop) {
   const CsrView csr = g.csr();
   const std::uint32_t* const off = csr.offsets.data();
   const Incidence* const inc = csr.incidence.data();
   const double* const wt = csr.weights.data();
-  ws.prepare(g);
-  ws.start(source);
-  while (!ws.heap_empty()) {
-    const auto [d, v] = ws.heap_pop();
-    if (d > ws.dist_unchecked(v)) continue;  // stale entry
-    if (v == stop_at) break;
+  std::size_t settled = 0;
+  while (!heap.empty()) {
+    const SearchHeap::Item top = heap.top();
+    if (top.key > labels.dist_unchecked(top.node)) {  // stale entry
+      heap.pop();
+      continue;
+    }
+    if (stop(top)) break;
+    heap.pop();
+    ++settled;
+    const double d = top.key;
+    const NodeId v = top.node;
     const std::uint32_t row_end = off[v + 1];
     for (std::uint32_t s = off[v]; s != row_end; ++s) {
       const Incidence in = inc[s];
       if (!allow(in.edge)) continue;
       const double nd = d + wt[s];
-      if (nd < ws.dist_if_live(in.neighbor)) {
-        ws.relax(in.neighbor, nd, v, in.edge);
-        ws.heap_push(nd, in.neighbor);
+      if (nd < labels.dist_if_live(in.neighbor)) {
+        labels.relax(in.neighbor, nd, v, in.edge);
+        heap.push(nd, in.neighbor);
       }
     }
   }
+  return settled;
 }
 
-/// run_flat with ALT pruning toward stop_at. The loop is run_flat's, plus a
+/// settle_loop over \p mask's edges (null ⇒ all).
+template <typename Labels, typename Stop>
+std::size_t settle_masked(const Graph& g, Labels& labels, SearchHeap& heap,
+                          const EdgeMask* mask, const Stop& stop) {
+  if (mask == nullptr) {
+    return settle_loop(
+        g, labels, heap, [](EdgeId) { return true; }, stop);
+  }
+  DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
+  const EdgeMask m = *mask;
+  return settle_loop(
+      g, labels, heap, [m](EdgeId e) { return m.allows(e); }, stop);
+}
+
+/// settle_loop with ALT pruning toward stop_at, as a pop-then-stop loop of
+/// its own (one-shot only). Its structure is settle_loop's, plus a
 /// guard: candidates whose settled-or-tentative cost d plus the landmark
 /// lower bound lb(v) = max_l |d(l,t) − d(l,v)| exceeds prune_guard(ub) are
 /// skipped — a pop skips the row scan, a relaxation skips the write and
 /// push. ub starts at alt.seed_ub (kInfCost when unseeded) and tightens to
 /// the best tentative distance of stop_at each time it improves.
 ///
-/// Why the surviving run is bitwise identical to run_flat's:
+/// Why the surviving run is bitwise identical to settle_loop's:
 ///   * Nothing is reordered. Keys, pushes, and the (key, node) pop order
 ///     are untouched; pruning only removes entries, and the relative order
-///     of the survivors is the order run_flat would pop them in.
+///     of the survivors is the order settle_loop would pop them in.
 ///   * The target's final parent chain survives intact. For any node w on
 ///     the eventual chain, its final write has value D(s,w) and
 ///     lb(w) ≤ d(w,t) ≤ (chain cost w→t), so value + lb(w) ≤ dist(t) ≤ ub
@@ -102,8 +149,9 @@ void run_flat(const Graph& g, NodeId source, SearchWorkspace& ws,
 /// differential battery in tests/test_distance_oracle.cpp checks this over
 /// every embedder).
 template <typename Allow>
-void run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
-                  const Allow& allow, NodeId stop_at, const AltQuery& alt) {
+std::size_t run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
+                         const Allow& allow, NodeId stop_at,
+                         const AltQuery& alt) {
   DAGSFC_CHECK(g.has_node(source) && g.has_node(stop_at));
   DAGSFC_ASSERT(stop_at == alt.target);
   const CsrView csr = g.csr();
@@ -115,6 +163,7 @@ void run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
   double guard = prune_guard(alt.seed_ub);  // inf-safe: stays +inf unseeded
   std::uint64_t tested = 0;
   std::uint64_t pruned = 0;
+  std::size_t settled = 0;
   while (!ws.heap_empty()) {
     const auto [d, v] = ws.heap_pop();
     if (d > ws.dist_unchecked(v)) continue;  // stale entry
@@ -124,6 +173,7 @@ void run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
       ++pruned;
       continue;
     }
+    ++settled;
     const std::uint32_t row_end = off[v + 1];
     for (std::uint32_t s = off[v]; s != row_end; ++s) {
       const Incidence in = inc[s];
@@ -148,21 +198,20 @@ void run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
     alt.stats->tested += tested;
     alt.stats->pruned += pruned;
   }
+  return settled;
 }
 
 }  // namespace
 
-void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                   const EdgeMask* mask, NodeId stop_at) {
-  if (mask == nullptr) {
-    run_flat(
-        g, source, ws, [](EdgeId) { return true; }, stop_at);
-  } else {
-    DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
-    const EdgeMask m = *mask;
-    run_flat(
-        g, source, ws, [m](EdgeId e) { return m.allows(e); }, stop_at);
-  }
+std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
+                          const EdgeMask* mask, NodeId stop_at) {
+  DAGSFC_CHECK(g.has_node(source));
+  ws.prepare(g);
+  ws.start(source);
+  return settle_masked(g, ws, ws.heap(), mask,
+                       [stop_at](SearchHeap::Item top) {
+                         return top.node == stop_at;
+                       });
 }
 
 ShortestPathTree export_tree(const SearchWorkspace& ws, std::size_t n) {
@@ -181,20 +230,12 @@ ShortestPathTree export_tree(const SearchWorkspace& ws, std::size_t n) {
 
 std::optional<Path> extract_path(const SearchWorkspace& ws, NodeId target) {
   if (!ws.reached(target)) return std::nullopt;
-  const NodeId source = ws.source();
-  std::size_t hops = 0;
-  for (NodeId v = target; v != source; v = ws.parent(v)) ++hops;
   Path p;
   p.cost = ws.dist_unchecked(target);
-  p.nodes.resize(hops + 1);
-  p.edges.resize(hops);
-  NodeId v = target;
-  for (std::size_t i = hops; i > 0; --i) {
-    p.nodes[i] = v;
-    p.edges[i - 1] = ws.parent_edge(v);
-    v = ws.parent(v);
-  }
-  p.nodes[0] = source;
+  append_chain(
+      ws.source(), target,
+      [&ws](NodeId v) { return ParentLink{ws.parent(v), ws.parent_edge(v)}; },
+      p.nodes, p.edges);
   return p;
 }
 
@@ -211,13 +252,13 @@ std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
   return extract_path(ws, target);
 }
 
-void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                   const EdgeMask* mask, NodeId stop_at, const AltQuery& alt) {
+std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
+                          const EdgeMask* mask, NodeId stop_at,
+                          const AltQuery& alt) {
   if (alt.active == 0 && alt.seed_ub == kInfCost) {
     // Nothing to prune with — run the plain kernel (same results either
     // way; this just skips the per-candidate bound arithmetic).
-    dijkstra_into(g, source, ws, mask, stop_at);
-    return;
+    return dijkstra_into(g, source, ws, mask, stop_at);
   }
   // A landmark-routed upper bound is the cost of a real path that may use
   // masked edges — seeding it under a mask would prune valid routes. The
@@ -226,14 +267,13 @@ void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
   // over-pruning beyond it is unobservable (see AltQuery::seed_ub).
   DAGSFC_CHECK(mask == nullptr || alt.seed_ub == kInfCost || alt.threshold);
   if (mask == nullptr) {
-    run_flat_alt(
+    return run_flat_alt(
         g, source, ws, [](EdgeId) { return true; }, stop_at, alt);
-  } else {
-    DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
-    const EdgeMask m = *mask;
-    run_flat_alt(
-        g, source, ws, [m](EdgeId e) { return m.allows(e); }, stop_at, alt);
   }
+  DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
+  const EdgeMask m = *mask;
+  return run_flat_alt(
+      g, source, ws, [m](EdgeId e) { return m.allows(e); }, stop_at, alt);
 }
 
 std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
@@ -246,122 +286,162 @@ std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
 
 namespace {
 
-/// The layered multi-source loop shared by the masked and unmasked
-/// instantiations. State ids are layer·|V| + node; layers run back to back
-/// over one prepared slot bank, so the heap's working set never exceeds a
-/// single standalone search and the CSR/weight streams stay hot across
-/// layers. Every layer's pass *is* the standalone loop — only the slot
+/// One layer of the multi-source bank in settle_loop's label-store shape:
+/// node v of layer l lives in state l·|V| + v. Layers run back to back over
+/// one prepared slot bank, each to exhaustion before the next starts, so
+/// the heap only ever holds one layer's nodes and can key them by node id:
+/// its (key, node) pop order is the (key, state) order shifted by a
+/// constant. Every layer's pass *is* the standalone loop — only the slot
 /// indices carry the layer offset — so per-layer results are bitwise the
-/// standalone run's by construction.
-template <typename Allow>
-void run_flat_multi(const Graph& g, std::span<const NodeId> sources,
-                    SearchWorkspace& ws, const Allow& allow) {
-  const std::size_t n = g.num_nodes();
-  const std::size_t k = sources.size();
-  DAGSFC_CHECK(k > 0);
-  DAGSFC_CHECK_MSG(k * n < static_cast<std::size_t>(kInvalidNode),
-                   "layered state space must fit the node id type");
-  const CsrView csr = g.csr();
-  const std::uint32_t* const off = csr.offsets.data();
-  const Incidence* const inc = csr.incidence.data();
-  const double* const wt = csr.weights.data();
-  for (const NodeId s : sources) DAGSFC_CHECK(g.has_node(s));
-  ws.prepare_states(k * n, 2 * g.num_edges() + 2);
-  for (std::size_t layer = 0; layer < k; ++layer) {
-    const NodeId layer_base = static_cast<NodeId>(layer * n);
-    const auto sv = static_cast<NodeId>(layer_base + sources[layer]);
-    ws.relax(sv, 0.0, kInvalidNode, kInvalidEdge);
-    ws.heap_push(0.0, sv);
-    while (!ws.heap_empty()) {
-      const auto [d, sv2] = ws.heap_pop();
-      if (d > ws.dist_unchecked(sv2)) continue;  // stale entry
-      const auto v = static_cast<NodeId>(sv2 - layer_base);
-      const std::uint32_t row_end = off[v + 1];
-      for (std::uint32_t s = off[v]; s != row_end; ++s) {
-        const Incidence in = inc[s];
-        if (!allow(in.edge)) continue;
-        const double nd = d + wt[s];
-        const NodeId w = layer_base + in.neighbor;
-        if (nd < ws.dist_if_live(w)) {
-          ws.relax(w, nd, sv2, in.edge);
-          ws.heap_push(nd, w);
-        }
-      }
-    }
+/// standalone run's by construction, and the heap's working set never
+/// exceeds a single search's.
+struct LayerLabels {
+  SearchWorkspace& ws;
+  NodeId base;
+
+  [[nodiscard]] double dist_unchecked(NodeId v) const {
+    return ws.dist_unchecked(base + v);
   }
-}
+  [[nodiscard]] double dist_if_live(NodeId v) const {
+    return ws.dist_if_live(base + v);
+  }
+  void relax(NodeId v, double d, NodeId par, EdgeId via) {
+    ws.relax(base + v, d, base + par, via);
+  }
+};
 
 }  // namespace
 
 void multi_source_dijkstra_into(const Graph& g, std::span<const NodeId> sources,
                                 SearchWorkspace& ws, const EdgeMask* mask) {
-  if (mask == nullptr) {
-    run_flat_multi(g, sources, ws, [](EdgeId) { return true; });
-  } else {
-    DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
-    const EdgeMask m = *mask;
-    run_flat_multi(g, sources, ws, [m](EdgeId e) { return m.allows(e); });
+  const std::size_t n = g.num_nodes();
+  const std::size_t k = sources.size();
+  DAGSFC_CHECK(k > 0);
+  DAGSFC_CHECK_MSG(k * n < static_cast<std::size_t>(kInvalidNode),
+                   "layered state space must fit the node id type");
+  for (const NodeId s : sources) DAGSFC_CHECK(g.has_node(s));
+  ws.prepare_states(k * n, 2 * g.num_edges() + 2);
+  for (std::size_t layer = 0; layer < k; ++layer) {
+    LayerLabels labels{ws, static_cast<NodeId>(layer * n)};
+    ws.relax(labels.base + sources[layer], 0.0, kInvalidNode, kInvalidEdge);
+    ws.heap_push(0.0, sources[layer]);
+    settle_masked(g, labels, ws.heap(), mask,
+                  [](SearchHeap::Item) { return false; });
   }
 }
 
-namespace {
-
-template <typename Allow>
-void run_flat_targets(const Graph& g, NodeId source,
-                      std::span<const NodeId> targets, SearchWorkspace& ws,
-                      const Allow& allow) {
+std::size_t dijkstra_into_targets(const Graph& g, NodeId source,
+                                  std::span<const NodeId> targets,
+                                  SearchWorkspace& ws, const EdgeMask* mask) {
   DAGSFC_CHECK(g.has_node(source));
-  const CsrView csr = g.csr();
-  const std::uint32_t* const off = csr.offsets.data();
-  const Incidence* const inc = csr.incidence.data();
-  const double* const wt = csr.weights.data();
-  // Pending = targets not yet settled. Small list, so the per-pop membership
-  // scan beats any indexed structure; removing *all* matches of a popped
+  // Pending = targets not yet final. Small list, so the per-settle
+  // membership scan beats any indexed structure; erasing *all* matches of a
   // node also makes duplicate target entries harmless.
   std::vector<NodeId>& pending = ws.scratch_nodes();
   pending.assign(targets.begin(), targets.end());
   for (const NodeId t : pending) DAGSFC_CHECK(g.has_node(t));
   ws.prepare(g);
   ws.start(source);
-  while (!ws.heap_empty() && !pending.empty()) {
-    const auto [d, v] = ws.heap_pop();
-    if (d > ws.dist_unchecked(v)) continue;  // stale entry
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i] == v) {
-        pending[i] = pending.back();
-        pending.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    if (pending.empty()) break;  // last target settled; its row is moot
-    const std::uint32_t row_end = off[v + 1];
-    for (std::uint32_t s = off[v]; s != row_end; ++s) {
-      const Incidence in = inc[s];
-      if (!allow(in.edge)) continue;
-      const double nd = d + wt[s];
-      if (nd < ws.dist_if_live(in.neighbor)) {
-        ws.relax(in.neighbor, nd, v, in.edge);
-        ws.heap_push(nd, in.neighbor);
-      }
-    }
-  }
+  return settle_masked(g, ws, ws.heap(), mask,
+                       [&pending](SearchHeap::Item top) {
+                         std::erase(pending, top.node);
+                         return pending.empty();  // the last one is final
+                       });
 }
+
+// --- resumable tier --------------------------------------------------------
+
+namespace {
+
+/// A LazyTree's label arrays in settle_loop's label-store shape. The arrays
+/// belong to one search, so there are no generation stamps: an unreached
+/// node simply reads kInfCost.
+struct TreeLabels {
+  double* dist;
+  ParentLink* links;
+
+  [[nodiscard]] double dist_unchecked(NodeId v) const { return dist[v]; }
+  [[nodiscard]] double dist_if_live(NodeId v) const { return dist[v]; }
+  void relax(NodeId v, double d, NodeId par, EdgeId via) {
+    dist[v] = d;
+    links[v] = ParentLink{par, via};
+  }
+};
 
 }  // namespace
 
-void dijkstra_into_targets(const Graph& g, NodeId source,
-                           std::span<const NodeId> targets,
-                           SearchWorkspace& ws, const EdgeMask* mask) {
-  if (mask == nullptr) {
-    run_flat_targets(g, source, targets, ws, [](EdgeId) { return true; });
-  } else {
-    DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
-    const EdgeMask m = *mask;
-    run_flat_targets(g, source, targets, ws,
-                     [m](EdgeId e) { return m.allows(e); });
+LazyTree::LazyTree(const Graph& g, NodeId src)
+    : source(src),
+      dist(g.num_nodes(), kInfCost),
+      links_(g.num_nodes(), ParentLink{kInvalidNode, kInvalidEdge}) {
+  DAGSFC_CHECK(g.has_node(src));
+  // Room for one live entry per node. Stale entries can outgrow it (the
+  // worst case is one push per successful relaxation, 2|E| + 1), but no
+  // search on the Table 2 substrates did, and an entry lives as long as its
+  // cache slot: reserving the worst case would multiply its size.
+  heap_.reserve(g.num_nodes() + 1);
+  dist[src] = 0.0;
+  heap_.push(0.0, src);
+}
+
+LazyTree::LazyTree(const ShortestPathTree& full)
+    : source(full.source), dist(full.dist), links_(full.dist.size()) {
+  for (NodeId v = 0; v < links_.size(); ++v) {
+    links_[v] = ParentLink{full.parent[v], full.parent_edge[v]};
   }
 }
+
+bool LazyTree::is_final(NodeId v) const {
+  // Pops come in non-decreasing key order and a relaxation adds a
+  // non-negative weight to a popped key, so no later write can go below
+  // the smallest key on the heap: once that reaches dist[v], v's label
+  // (relaxations improve strictly) is final.
+  return complete() || heap_.top().key >= dist[v];
+}
+
+template <typename Stop>
+std::size_t LazyTree::resume(const Graph& g, const EdgeMask* mask,
+                             const Stop& stop) {
+  DAGSFC_CHECK_MSG(!invalidated_, "cannot resume an invalidated search");
+  DAGSFC_CHECK(g.num_nodes() == dist.size());
+  TreeLabels labels{dist.data(), links_.data()};
+  const std::size_t settled = settle_masked(g, labels, heap_, mask, stop);
+  if (complete()) heap_.release();
+  return settled;
+}
+
+std::size_t LazyTree::settle(const Graph& g, NodeId target,
+                             const EdgeMask* mask) {
+  DAGSFC_CHECK(target < dist.size());
+  if (is_final(target)) return 0;
+  return resume(g, mask, [this, target](SearchHeap::Item top) {
+    return top.key >= dist[target];  // is_final(target)
+  });
+}
+
+std::size_t LazyTree::settle_all(const Graph& g, const EdgeMask* mask) {
+  if (complete()) return 0;
+  return resume(g, mask, [](SearchHeap::Item) { return false; });
+}
+
+std::optional<Path> LazyTree::path_to(NodeId target) const {
+  DAGSFC_ASSERT(is_final(target));
+  if (!reached(target)) return std::nullopt;
+  Path p;
+  p.cost = dist[target];
+  append_path_to(target, p.nodes, p.edges);
+  return p;
+}
+
+void LazyTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
+                              std::vector<EdgeId>& edges) const {
+  DAGSFC_CHECK(reached(target));
+  DAGSFC_ASSERT(is_final(target));
+  append_chain(
+      source, target, [this](NodeId v) { return links_[v]; }, nodes, edges);
+}
+
+// --- legacy tier -----------------------------------------------------------
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,
                           const EdgeFilter& filter) {

@@ -4,12 +4,16 @@
 /// by MBBE's strategy (2) (meta-path instantiation via minimum-cost paths on
 /// the real-time network), and as the relaxation inside Yen's algorithm.
 ///
-/// Two API tiers:
+/// Three API tiers:
 ///   * Flat tier — dijkstra_into() and friends run over the graph's CSR view
 ///     with a caller-owned SearchWorkspace and an optional EdgeMask. Warm
 ///     calls are allocation-free; results live in the workspace until the
 ///     next search and can be exported on demand. This is what PathOracle
-///     and the embedders use.
+///     and the embedders use for one-shot searches.
+///   * Resumable tier — LazyTree owns its labels and frontier, so a search
+///     can stop at one target and later resume toward a farther one. It
+///     runs the flat tier's relaxation loop and heap; PathCache entries are
+///     LazyTrees.
 ///   * Legacy tier — the original EdgeFilter signatures, kept for callers
 ///     that don't carry a workspace (ILP bound generation, one-off tests).
 ///     They dispatch to the flat kernels through a per-thread workspace, or
@@ -50,12 +54,14 @@ struct ShortestPathTree {
 
 /// Dijkstra from \p source into \p ws. A null \p mask means all edges are
 /// usable; \p stop_at = kInvalidNode means exhaust the graph, otherwise the
-/// search stops once \p stop_at is settled (same early exit as the seed's
-/// point-to-point query). On a warm workspace this performs no heap
-/// allocation. The mask (when given) must cover g.num_edges() bits.
-void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                   const EdgeMask* mask = nullptr,
-                   NodeId stop_at = kInvalidNode);
+/// search stops once \p stop_at is the next node to settle, its label final
+/// (same early exit as the seed's point-to-point query). On a warm
+/// workspace this performs no heap allocation. The mask (when given) must
+/// cover g.num_edges() bits. Returns the number of nodes settled (rows
+/// scanned).
+std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
+                          const EdgeMask* mask = nullptr,
+                          NodeId stop_at = kInvalidNode);
 
 /// Copies the last search out of \p ws into an owning tree over \p n nodes
 /// (pass g.num_nodes(); unreached slots get the kInfCost/kInvalid fill the
@@ -89,9 +95,11 @@ void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
 /// unpruned kernel's (proof sketch above run_flat_alt in dijkstra.cpp).
 /// alt.seed_ub must be kInfCost when \p mask is non-null: a landmark-routed
 /// upper bound may use masked edges. An inactive alt (active == 0) falls
-/// back to the plain kernel.
-void dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                   const EdgeMask* mask, NodeId stop_at, const AltQuery& alt);
+/// back to the plain kernel. Returns the number of nodes settled (popped
+/// and not pruned).
+std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
+                          const EdgeMask* mask, NodeId stop_at,
+                          const AltQuery& alt);
 
 /// Point-to-point query through the pruned kernel.
 [[nodiscard]] std::optional<Path> min_cost_path(const Graph& g, NodeId source,
@@ -160,10 +168,94 @@ class MultiSourceView {
 /// |targets| early-exit runs. Each extract_path(ws, t) afterwards is
 /// bitwise identical to its individual min_cost_path: targets are finalized
 /// when popped, and continuing past an earlier target cannot rewrite
-/// anything already settled. Duplicate target entries are fine.
-void dijkstra_into_targets(const Graph& g, NodeId source,
-                           std::span<const NodeId> targets,
-                           SearchWorkspace& ws, const EdgeMask* mask = nullptr);
+/// anything already settled. Duplicate target entries are fine. Returns the
+/// number of nodes settled.
+std::size_t dijkstra_into_targets(const Graph& g, NodeId source,
+                                  std::span<const NodeId> targets,
+                                  SearchWorkspace& ws,
+                                  const EdgeMask* mask = nullptr);
+
+// --- resumable tier ------------------------------------------------------
+
+/// A single-source Dijkstra search that settles nodes on demand: the
+/// graph::PathCache's tree entry. It runs the flat tier's relaxation loop
+/// and heap, popping in the same strict (dist, node) order, but it stops as
+/// soon as the queried target's distance is final and keeps its frontier
+/// (tentative labels plus heap), so a later query for a farther node
+/// resumes where the last one stopped instead of starting over.
+///
+/// The settled nodes are always a prefix of the full search's pop sequence,
+/// with the same dist/parent bits: a popped node's label never changes
+/// again, and every call continues the one pop sequence. So each answer
+/// equals a fresh full dijkstra() bit for bit. Each call takes the
+/// usable-edge mask in force now; the owner guarantees it differs from the
+/// mask the search started under only by edges whose loss cannot change the
+/// settled prefix or the frontier (path_cache.hpp's footprint contract),
+/// and an entry it has invalidated refuses to resume.
+///
+/// Per-node state is `dist` plus one fused parent link per node; the heap
+/// is reserved for one entry per node and freed when the search runs out
+/// of frontier. Not thread-safe.
+class LazyTree {
+ public:
+  /// Seeds a search from \p source over \p g; nothing is settled yet.
+  LazyTree(const Graph& g, NodeId source);
+  /// Adopts an already complete search (the reference tier's full trees).
+  explicit LazyTree(const ShortestPathTree& full);
+
+  LazyTree(const LazyTree&) = delete;
+  LazyTree& operator=(const LazyTree&) = delete;
+
+  /// Settles until \p target's distance is final or the frontier runs out,
+  /// scanning edges allowed by \p mask (null ⇒ all). Returns the number of
+  /// nodes this call settled — 0 when the answer was already final.
+  std::size_t settle(const Graph& g, NodeId target, const EdgeMask* mask);
+  /// Settles every reachable node.
+  std::size_t settle_all(const Graph& g, const EdgeMask* mask);
+
+  /// Whether \p v's label is final: the smallest key left on the heap is
+  /// at least dist[v], so no later relaxation can improve it. True for
+  /// every settled node, and for a tentative one no pending pop can
+  /// undercut. O(1).
+  [[nodiscard]] bool is_final(NodeId v) const;
+  /// Whether the frontier is exhausted — every reachable node settled.
+  [[nodiscard]] bool complete() const noexcept { return heap_.empty(); }
+
+  [[nodiscard]] bool reached(NodeId v) const {
+    return v < dist.size() && dist[v] < kInfCost;
+  }
+  /// Parent links, tentative on the frontier and final where settled;
+  /// kInvalidNode / kInvalidEdge at the source and beyond the frontier.
+  [[nodiscard]] NodeId parent(NodeId v) const { return links_[v].parent; }
+  [[nodiscard]] EdgeId parent_edge(NodeId v) const { return links_[v].edge; }
+
+  /// The min-cost path source → \p target (as ShortestPathTree::path_to
+  /// builds it); nullopt if unreachable. Requires is_final(target).
+  [[nodiscard]] std::optional<Path> path_to(NodeId target) const;
+  /// Appends that path's node and edge ids to the caller's buffers.
+  /// Requires reached(target) and is_final(target).
+  void append_path_to(NodeId target, std::vector<NodeId>& nodes,
+                      std::vector<EdgeId>& edges) const;
+
+  /// Marks the entry stale: its owner's network changed under it. Reads of
+  /// what it already settled stay allowed; resuming fails a DAGSFC_CHECK.
+  void invalidate() noexcept { invalidated_ = true; }
+  [[nodiscard]] bool invalidated() const noexcept { return invalidated_; }
+
+  /// The search's root. Read-only, like `dist`: only the search writes.
+  NodeId source;
+  /// Distance labels: final where settled, tentative on the frontier,
+  /// kInfCost beyond it.
+  std::vector<double> dist;
+
+ private:
+  template <typename Stop>
+  std::size_t resume(const Graph& g, const EdgeMask* mask, const Stop& stop);
+
+  std::vector<ParentLink> links_;
+  SearchHeap heap_;
+  bool invalidated_ = false;
+};
 
 // --- legacy tier ---------------------------------------------------------
 

@@ -48,9 +48,9 @@ void PathCache::make_room(Store& store, ContextIndex& index,
   index.clear();
 }
 
-std::shared_ptr<const ShortestPathTree> PathCache::tree(
-    const Graph& g, NodeId source, std::uint64_t context,
-    const EdgeFilter& filter, PathQueryCounters& c) {
+std::shared_ptr<LazyTree> PathCache::search(const Graph& g, NodeId source,
+                                            std::uint64_t context,
+                                            PathQueryCounters& c) {
   const TreeKey key{context, source};
   if (auto it = trees_.find(key); it != trees_.end()) {
     ++c.cache_hits;
@@ -58,29 +58,19 @@ std::shared_ptr<const ShortestPathTree> PathCache::tree(
   }
   ++c.cache_misses;
   ++c.dijkstra_calls;
-  auto entry = std::make_shared<const ShortestPathTree>(
-      dijkstra(g, source, filter));
+  auto entry = std::make_shared<LazyTree>(g, source);
   make_room(trees_, tree_contexts_, c);
   trees_.emplace(key, entry);
   index_add(tree_contexts_, context);
   return entry;
 }
 
-std::shared_ptr<const ShortestPathTree> PathCache::tree(
-    const Graph& g, NodeId source, std::uint64_t context,
-    const EdgeMask* mask, SearchWorkspace& ws, PathQueryCounters& c) {
-  const TreeKey key{context, source};
-  if (auto it = trees_.find(key); it != trees_.end()) {
-    ++c.cache_hits;
-    return it->second;
-  }
-  ++c.cache_misses;
-  ++c.dijkstra_calls;
-  auto entry =
-      std::make_shared<const ShortestPathTree>(dijkstra(g, source, ws, mask));
-  make_room(trees_, tree_contexts_, c);
-  trees_.emplace(key, entry);
-  index_add(tree_contexts_, context);
+std::shared_ptr<const LazyTree> PathCache::tree(const Graph& g, NodeId source,
+                                                std::uint64_t context,
+                                                const EdgeMask* mask,
+                                                PathQueryCounters& c) {
+  auto entry = search(g, source, context, c);
+  c.nodes_settled += entry->settle_all(g, mask);
   return entry;
 }
 
@@ -121,10 +111,19 @@ std::shared_ptr<const std::vector<Path>> PathCache::k_paths(
   return entry;
 }
 
+void PathCache::clear() {
+  for (auto& [key, entry] : trees_) entry->invalidate();
+  trees_.clear();
+  yens_.clear();
+  tree_contexts_.clear();
+  yen_contexts_.clear();
+}
+
 void PathCache::evict_tree_context(std::uint64_t context) {
   auto it = trees_.lower_bound(TreeKey{context, 0});
   std::size_t n = 0;
   while (it != trees_.end() && it->first.context == context) {
+    it->second->invalidate();
     it = trees_.erase(it);
     ++n;
   }
@@ -158,11 +157,13 @@ void PathCache::on_link_debit(EdgeId e, NodeId u, NodeId v, double before,
   inval_.flips += flipped.size();
 
   for (const std::uint64_t context : flipped) {
-    // Trees: only entries whose parent-edge footprint contains e can change
-    // (exact — see the file comment); walk just this context's range.
+    // Trees: only entries whose parent-edge footprint (final or tentative)
+    // contains e can change (exact — see the file comment); walk just this
+    // context's range.
     auto it = trees_.lower_bound(TreeKey{context, 0});
     while (it != trees_.end() && it->first.context == context) {
       if (in_footprint(*it->second, e, u, v)) {
+        it->second->invalidate();
         it = trees_.erase(it);
         ++inval_.trees_evicted;
         index_remove(tree_contexts_, context, 1);

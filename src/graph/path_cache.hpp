@@ -4,12 +4,22 @@
 ///
 /// The embedders spend most of their time re-running Dijkstra and Yen
 /// between the same endpoints while the residual network has not changed:
-/// BBE/MBBE re-derive the min-cost tree of a sub-solution's end node once
+/// BBE/MBBE re-derive the min-cost paths of a sub-solution's end node once
 /// per parent, the exact solver re-runs per-merger Dijkstra for every DP
 /// cell, and the baselines route every meta-path from scratch. A PathCache
 /// memoizes those results keyed by (context, endpoints, k), where context
 /// is the flow rate bit-cast to uint64 — the one extra input the usability
 /// filter depends on — so flows of different rates never share entries.
+///
+/// ## Resumable tree entries
+///
+/// A tree entry is a graph::LazyTree: a Dijkstra search from its source
+/// that settles only as far as its queries have needed. A miss starts one
+/// with nothing settled; each query settles it until its target's distance
+/// is final and keeps the frontier, so a later query for a farther node
+/// resumes it. The settled nodes are a prefix of the full search's pop
+/// sequence with the same dist/parent bits, so a point-to-point answer read
+/// from an entry equals the full tree's (and the early-exit search's).
 ///
 /// ## Invalidation contract
 ///
@@ -23,15 +33,19 @@
 ///
 /// When a debit DOES flip an edge e = (u, v) unusable at rate r:
 ///   * Tree entries at rate r whose parent-edge footprint avoids e are
-///     kept; the rest are evicted. This is exact, not heuristic: Dijkstra's
-///     effective pops happen in (final-dist, node) order and the final
-///     parent of each node is the first relaxation to reach its final
-///     distance, so a recompute without e — an edge no surviving tree
-///     parent uses — reproduces every dist/parent/parent_edge bitwise.
-///     A tree edge joins a node to its parent, so e is in a tree's
-///     footprint exactly when it is the parent edge of u or of v: the
-///     owner passes the endpoints with the debit and the test is two
-///     lookups, with no per-entry footprint stored or sorted on insert.
+///     kept; the rest are evicted. The footprint is every node's parent
+///     edge — final on settled nodes, tentative on the frontier — and e is
+///     in it exactly when it is the parent edge of u or of v (the owner
+///     passes the endpoints; the test is two lookups). This is exact, not
+///     heuristic: pops happen in (dist, node) order and a node's parent is
+///     the first relaxation to reach its current distance. Without e, every
+///     relaxation the search ran except those through e happens alike, and
+///     a relaxation through e that is nobody's parent either never improved
+///     a label or was superseded by a strict improvement. So a fresh search
+///     without e pops the same prefix with the same dist/parent bits and
+///     ends with the same frontier labels; only stale heap entries differ,
+///     and those are skipped. Resuming the kept entry under the new mask is
+///     therefore a fresh search, bit for bit.
 ///   * Yen entries at rate r are evicted wholesale. Intersection-only
 ///     eviction would be wrong for k-paths: a spur path using e can mask
 ///     an equal-cost e-free alternative from the candidate pool, so a
@@ -41,8 +55,12 @@
 /// anywhere. Instance-capacity changes never reach the cache; edge
 /// usability depends only on link residuals.
 ///
-/// Entries are shared_ptr-owned so callers can hold results across later
-/// cache calls without being invalidated by eviction. The cache is NOT
+/// Entries are shared_ptr-owned so callers can hold them across later cache
+/// calls. An entry evicted by a hook (or by clear()) is marked invalidated:
+/// what it settled stays readable, but resuming it fails a DAGSFC_CHECK —
+/// its frontier no longer matches the network. An entry dropped only to
+/// make room is not invalidated: it is still exact until the next residual
+/// change, which is all a holder within one solve needs. The cache is NOT
 /// thread-safe; it is owned per-CapacityLedger, and ledgers are not shared
 /// across threads.
 
@@ -58,8 +76,10 @@
 namespace dagsfc::graph {
 
 /// Observability counters for the solver path queries. The `*_calls`
-/// fields count actual computations (cache misses included, hits
-/// excluded); hits/misses/evictions count cache events only. `bfs_calls`
+/// fields count computations started (cache misses included, hits and
+/// resumed searches excluded); hits/misses/evictions count cache events
+/// only. `nodes_settled` is the Dijkstra work those searches did, summed
+/// over first runs and resumes: nodes settled (rows scanned). `bfs_calls`
 /// tallies the backtracking engine's ring searches and `steiner_calls` the
 /// exact solver's multicast pricing, so the inter-layer path work is
 /// visible alongside the Dijkstra/Yen unicast work.
@@ -77,6 +97,8 @@ struct PathQueryCounters {
   // attached.
   std::size_t oracle_tested = 0;
   std::size_t oracle_pruned = 0;
+  // Flat-tier Dijkstra searches only; the reference tier reports 0.
+  std::size_t nodes_settled = 0;
 
   PathQueryCounters& operator+=(const PathQueryCounters& o) {
     dijkstra_calls += o.dijkstra_calls;
@@ -88,6 +110,7 @@ struct PathQueryCounters {
     evictions += o.evictions;
     oracle_tested += o.oracle_tested;
     oracle_pruned += o.oracle_pruned;
+    nodes_settled += o.nodes_settled;
     return *this;
   }
 
@@ -118,20 +141,22 @@ class PathCache {
   explicit PathCache(std::size_t max_entries = 1024)
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
-  /// Full Dijkstra tree from \p source under \p filter. Computes on miss.
-  /// \p context must be the flow rate bit-cast to uint64 — the invalidation
-  /// hooks decode it to evaluate usability flips.
-  [[nodiscard]] std::shared_ptr<const ShortestPathTree> tree(
-      const Graph& g, NodeId source, std::uint64_t context,
-      const EdgeFilter& filter, PathQueryCounters& c);
+  /// The cached search from \p source, started on a miss with nothing
+  /// settled. Callers settle it toward their targets (LazyTree::settle)
+  /// under the current usable-edge mask at this rate. \p context must be
+  /// the flow rate bit-cast to uint64 — the invalidation hooks decode it to
+  /// evaluate usability flips. A miss counts one dijkstra call.
+  [[nodiscard]] std::shared_ptr<LazyTree> search(const Graph& g,
+                                                 NodeId source,
+                                                 std::uint64_t context,
+                                                 PathQueryCounters& c);
 
-  /// Flat-tier variant: misses compute through \p ws with \p mask (null ⇒
-  /// all edges). The caller guarantees the mask matches the current
-  /// residual state and that every later residual change is forwarded via
-  /// the on_link_* hooks — exactly what CapacityLedger does.
-  [[nodiscard]] std::shared_ptr<const ShortestPathTree> tree(
-      const Graph& g, NodeId source, std::uint64_t context,
-      const EdgeMask* mask, SearchWorkspace& ws, PathQueryCounters& c);
+  /// search() settled to completion under \p mask (null ⇒ all edges).
+  [[nodiscard]] std::shared_ptr<const LazyTree> tree(const Graph& g,
+                                                     NodeId source,
+                                                     std::uint64_t context,
+                                                     const EdgeMask* mask,
+                                                     PathQueryCounters& c);
 
   /// Yen's k cheapest loopless paths source → target under \p filter.
   [[nodiscard]] std::shared_ptr<const std::vector<Path>> k_paths(
@@ -163,12 +188,9 @@ class PathCache {
     return inval_;
   }
 
-  void clear() {
-    trees_.clear();
-    yens_.clear();
-    tree_contexts_.clear();
-    yen_contexts_.clear();
-  }
+  /// Drops every entry, invalidating the trees (the owner can no longer
+  /// say which residuals changed).
+  void clear();
 
  private:
   struct TreeKey {
@@ -186,11 +208,11 @@ class PathCache {
   static bool usable(double residual, double rate, double eps) noexcept {
     return residual >= rate - eps;
   }
-  /// Whether edge \p e = (u, v) is some node's parent edge in \p t.
-  static bool in_footprint(const ShortestPathTree& t, EdgeId e, NodeId u,
+  /// Whether edge \p e = (u, v) is some node's final or tentative parent
+  /// edge in \p t.
+  static bool in_footprint(const LazyTree& t, EdgeId e, NodeId u,
                            NodeId v) noexcept {
-    return (t.parent[u] != kInvalidNode && t.parent_edge[u] == e) ||
-           (t.parent[v] != kInvalidNode && t.parent_edge[v] == e);
+    return t.parent_edge(u) == e || t.parent_edge(v) == e;
   }
 
   /// Refcounted index of the distinct contexts present in one store,
@@ -211,17 +233,18 @@ class PathCache {
                                double after, double eps, bool debit,
                                std::vector<std::uint64_t>& out);
 
-  /// Evicts every tree / k-path entry cached under \p context.
+  /// Evicts (and invalidates) every tree / k-path entry cached under
+  /// \p context.
   void evict_tree_context(std::uint64_t context);
   void evict_yen_context(std::uint64_t context);
 
   /// Clears \p store (and its context index) if one more insert would not
-  /// fit under max_entries_.
+  /// fit under max_entries_. Dropped trees are not invalidated.
   template <typename Store>
   void make_room(Store& store, ContextIndex& index, PathQueryCounters& c);
 
   std::size_t max_entries_;
-  std::map<TreeKey, std::shared_ptr<const ShortestPathTree>> trees_;
+  std::map<TreeKey, std::shared_ptr<LazyTree>> trees_;
   std::map<YenKey, std::shared_ptr<const std::vector<Path>>> yens_;
   ContextIndex tree_contexts_;
   ContextIndex yen_contexts_;

@@ -58,16 +58,122 @@ class SearchWorkspace;
 /// explicit and measurable.
 [[nodiscard]] SearchWorkspace& thread_local_workspace();
 
-class SearchWorkspace {
+/// Parent pointer + the edge it came through, fused for one 8-byte store
+/// per relaxation.
+struct ParentLink {
+  NodeId parent;
+  EdgeId edge;
+};
+
+/// The search kernels' min-heap over (key, node), shared by the workspace's
+/// one-shot searches and the path cache's resumable trees (LazyTree in
+/// dijkstra.hpp).
+///
+/// Pops are strictly in (key, node) lexicographic order — the order a
+/// std::priority_queue over pair<double, NodeId> pops in, which is what
+/// keeps tie-breaks (and therefore parents and paths) bit-identical to the
+/// seed binary heap. Keys are stored as their IEEE-754 bit patterns: all
+/// keys the kernels produce are non-negative, non-NaN doubles (sums of edge
+/// weights >= 0, or +inf), and for those the unsigned integer order of the
+/// bit pattern equals numeric order — so every sift comparison is one
+/// integer compare instead of two double compares plus a tie-break branch.
+///
+/// pop() walks the hole down to a leaf taking the smaller child (one
+/// comparison per level), then bubbles the detached tail entry back up —
+/// on Dijkstra's pop-heavy workload the tail is usually among the largest
+/// keys, so it sinks (almost) all the way and the classic sift-down's
+/// second comparison per level is pure overhead.
+class SearchHeap {
  public:
-  /// Min-heap entry ordered by (key, node) — the same lexicographic order a
-  /// std::priority_queue over pair<double, NodeId> pops in, which is what
-  /// keeps tie-breaks (and therefore parents and paths) bit-identical to
-  /// the seed binary heap.
-  struct HeapItem {
+  struct Item {
     double key;
     NodeId node;
   };
+
+  void clear() noexcept { heap_.clear(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return heap_.capacity();
+  }
+  void reserve(std::size_t n) { heap_.reserve(n); }
+  /// Frees the storage (an exhausted search keeps no frontier).
+  void release() noexcept { std::vector<Entry>().swap(heap_); }
+
+  void push(double key, NodeId node) {
+    const std::uint64_t kb = encode_key(key);
+    std::size_t i = heap_.size();
+    heap_.push_back(Entry{kb, node, 0});
+    while (i > 0) {
+      const std::size_t up = (i - 1) >> 1;
+      const Entry p = heap_[up];
+      if (p.key_bits < kb || (p.key_bits == kb && p.node <= node)) break;
+      heap_[i] = p;
+      i = up;
+    }
+    heap_[i] = Entry{kb, node, 0};
+  }
+
+  /// The minimum entry, left in place. Requires !empty().
+  [[nodiscard]] Item top() const {
+    return Item{std::bit_cast<double>(heap_.front().key_bits),
+                heap_.front().node};
+  }
+
+  Item pop() {
+    const Entry top = heap_.front();
+    const Entry tail = heap_.back();
+    heap_.pop_back();
+    const std::size_t size = heap_.size();
+    if (size > 0) {
+      Entry* const h = heap_.data();
+      std::size_t i = 0;
+      for (;;) {
+        std::size_t c = 2 * i + 1;
+        if (c >= size) break;
+        c += static_cast<std::size_t>(c + 1 < size &&
+                                      entry_less(h[c + 1], h[c]));
+        h[i] = h[c];
+        i = c;
+      }
+      while (i > 0) {
+        const std::size_t up = (i - 1) >> 1;
+        if (!entry_less(tail, h[up])) break;
+        h[i] = h[up];
+        i = up;
+      }
+      h[i] = tail;
+    }
+    return Item{std::bit_cast<double>(top.key_bits), top.node};
+  }
+
+ private:
+  /// The key's bit pattern plus the node.
+  struct Entry {
+    std::uint64_t key_bits;
+    NodeId node;
+    std::uint32_t pad;
+  };
+
+  /// Non-negative non-NaN doubles order identically to their bit patterns
+  /// compared as unsigned integers (sign bit 0 ⇒ bigger exponent/mantissa
+  /// ⇒ bigger value, and +inf sorts after every finite). Negative keys
+  /// cannot arise: edge weights are checked >= 0 at add_edge/set_weight.
+  static std::uint64_t encode_key(double key) {
+    DAGSFC_ASSERT(key >= 0.0);
+    return std::bit_cast<std::uint64_t>(key);
+  }
+  static bool entry_less(const Entry& a, const Entry& b) {
+    return a.key_bits != b.key_bits ? a.key_bits < b.key_bits
+                                    : a.node < b.node;
+  }
+
+  std::vector<Entry> heap_;
+};
+
+class SearchWorkspace {
+ public:
+  /// Min-heap entry ordered by (key, node); see SearchHeap.
+  using HeapItem = SearchHeap::Item;
 
   SearchWorkspace() = default;
   SearchWorkspace(const SearchWorkspace&) = delete;
@@ -132,63 +238,12 @@ class SearchWorkspace {
   }
 
   // --- min-heap (kernel API) ---------------------------------------------
-  // Bottom-up binary heap over (key, node), with the key stored as its
-  // IEEE-754 bit pattern: all keys the kernels produce are non-negative,
-  // non-NaN doubles (sums of edge weights >= 0, or +inf), and for those the
-  // unsigned integer order of the bit pattern equals numeric order — so
-  // every sift comparison is one integer compare instead of two double
-  // compares plus a tie-break branch. Pops are strictly in (key, node)
-  // order (see HeapItem), so none of this can change a pop sequence.
-  //
-  // pop() walks the hole down to a leaf taking the smaller child (one
-  // comparison per level), then bubbles the detached tail entry back up —
-  // on Dijkstra's pop-heavy workload the tail is usually among the largest
-  // keys, so it sinks (almost) all the way and the classic sift-down's
-  // second comparison per level is pure overhead.
 
+  [[nodiscard]] SearchHeap& heap() noexcept { return heap_; }
   void heap_clear() noexcept { heap_.clear(); }
   [[nodiscard]] bool heap_empty() const noexcept { return heap_.empty(); }
-
-  void heap_push(double key, NodeId node) {
-    const std::uint64_t kb = encode_key(key);
-    std::size_t i = heap_.size();
-    heap_.push_back(HeapEntry{kb, node, 0});
-    while (i > 0) {
-      const std::size_t up = (i - 1) >> 1;
-      const HeapEntry p = heap_[up];
-      if (p.key_bits < kb || (p.key_bits == kb && p.node <= node)) break;
-      heap_[i] = p;
-      i = up;
-    }
-    heap_[i] = HeapEntry{kb, node, 0};
-  }
-
-  HeapItem heap_pop() {
-    const HeapEntry top = heap_.front();
-    const HeapEntry tail = heap_.back();
-    heap_.pop_back();
-    const std::size_t size = heap_.size();
-    if (size > 0) {
-      HeapEntry* const h = heap_.data();
-      std::size_t i = 0;
-      for (;;) {
-        std::size_t c = 2 * i + 1;
-        if (c >= size) break;
-        c += static_cast<std::size_t>(c + 1 < size &&
-                                      entry_less(h[c + 1], h[c]));
-        h[i] = h[c];
-        i = c;
-      }
-      while (i > 0) {
-        const std::size_t up = (i - 1) >> 1;
-        if (!entry_less(tail, h[up])) break;
-        h[i] = h[up];
-        i = up;
-      }
-      h[i] = tail;
-    }
-    return HeapItem{std::bit_cast<double>(top.key_bits), top.node};
-  }
+  void heap_push(double key, NodeId node) { heap_.push(key, node); }
+  HeapItem heap_pop() { return heap_.pop(); }
 
   // --- BFS state (ring searches) ----------------------------------------
 
@@ -264,39 +319,13 @@ class SearchWorkspace {
     std::uint32_t stamp;
     std::uint32_t pad;
   };
-  /// Parent pointer + the edge it came through, fused for one 8-byte store
-  /// per relaxation.
-  struct ParentLink {
-    NodeId parent;
-    EdgeId edge;
-  };
-  /// Internal heap entry: the key's bit pattern plus the node.
-  struct HeapEntry {
-    std::uint64_t key_bits;
-    NodeId node;
-    std::uint32_t pad;
-  };
-
-  /// Non-negative non-NaN doubles order identically to their bit patterns
-  /// compared as unsigned integers (sign bit 0 ⇒ bigger exponent/mantissa
-  /// ⇒ bigger value, and +inf sorts after every finite). Negative keys
-  /// cannot arise: edge weights are checked >= 0 at add_edge/set_weight.
-  static std::uint64_t encode_key(double key) {
-    DAGSFC_ASSERT(key >= 0.0);
-    return std::bit_cast<std::uint64_t>(key);
-  }
-  static bool entry_less(const HeapEntry& a, const HeapEntry& b) {
-    return a.key_bits != b.key_bits ? a.key_bits < b.key_bits
-                                    : a.node < b.node;
-  }
-
   // Dijkstra state, valid where a slot's stamp matches generation_.
   std::vector<Slot> slots_;
   std::vector<ParentLink> parents_;
   std::uint32_t generation_ = 0;
   NodeId source_ = kInvalidNode;
 
-  std::vector<HeapEntry> heap_;
+  SearchHeap heap_;
 
   // BFS arrays, independently stamped.
   std::vector<NodeId> bfs_parent_;

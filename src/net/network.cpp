@@ -8,7 +8,8 @@ Network::Network(graph::Graph g, VnfCatalog catalog,
       catalog_(std::move(catalog)),
       link_capacity_(g_.num_edges(), default_link_capacity),
       node_instances_(g_.num_nodes()),
-      type_nodes_(catalog_.num_types()) {
+      type_nodes_(catalog_.num_types()),
+      instance_at_(g_.num_nodes() * catalog_.num_types(), kInvalidInstance) {
   DAGSFC_CHECK(default_link_capacity >= 0.0);
 }
 
@@ -30,6 +31,7 @@ InstanceId Network::deploy(NodeId node, VnfTypeId type, double price,
   instances_.push_back(VnfInstance{node, type, price, capacity});
   node_instances_[node].push_back(id);
   type_nodes_[type].push_back(node);
+  instance_at_[slot(node, type)] = id;
   return id;
 }
 
@@ -37,10 +39,9 @@ std::optional<InstanceId> Network::find_instance(NodeId node,
                                                  VnfTypeId type) const {
   DAGSFC_CHECK(g_.has_node(node));
   DAGSFC_CHECK(catalog_.valid(type));
-  for (InstanceId id : node_instances_[node]) {
-    if (instances_[id].type == type) return id;
-  }
-  return std::nullopt;
+  const InstanceId id = instance_at_[slot(node, type)];
+  if (id == kInvalidInstance) return std::nullopt;
+  return id;
 }
 
 std::span<const InstanceId> Network::instances_on(NodeId node) const {

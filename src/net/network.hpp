@@ -10,7 +10,9 @@
 ///
 /// Instances get dense ids so residual-capacity tracking (ledger.hpp) is two
 /// flat arrays. Per-type node sets V_i are maintained incrementally because
-/// every embedding algorithm iterates them.
+/// every embedding algorithm iterates them, and a dense node × type table
+/// answers find_instance() with one load: the solvers ask it per candidate
+/// host and per cost term.
 
 #include <optional>
 #include <span>
@@ -87,7 +89,7 @@ class Network {
     instances_[id].price = price;
   }
 
-  /// Instance of \p type on \p node, if deployed.
+  /// Instance of \p type on \p node, if deployed. O(1).
   [[nodiscard]] std::optional<InstanceId> find_instance(NodeId node,
                                                         VnfTypeId type) const;
 
@@ -107,12 +109,18 @@ class Network {
   [[nodiscard]] double mean_vnf_price() const;
 
  private:
+  [[nodiscard]] std::size_t slot(NodeId node, VnfTypeId type) const noexcept {
+    return static_cast<std::size_t>(node) * catalog_.num_types() + type;
+  }
+
   graph::Graph g_;
   VnfCatalog catalog_;
   std::vector<double> link_capacity_;
   std::vector<VnfInstance> instances_;
   std::vector<std::vector<InstanceId>> node_instances_;  // by node
   std::vector<std::vector<NodeId>> type_nodes_;          // V_i by type
+  // node · num_types + type → instance (kInvalidInstance where none).
+  std::vector<InstanceId> instance_at_;
 };
 
 }  // namespace dagsfc::net

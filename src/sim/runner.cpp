@@ -113,6 +113,8 @@ void fill_registry(const std::vector<AlgorithmStats>& stats,
     const graph::PathQueryCounters& q = s.path_queries;
     registry.counter("dagsfc_path_dijkstra_calls_total", labels)
         .inc(q.dijkstra_calls);
+    registry.counter("dagsfc_path_nodes_settled_total", labels)
+        .inc(q.nodes_settled);
     registry.counter("dagsfc_path_yen_calls_total", labels).inc(q.yen_calls);
     registry.counter("dagsfc_path_bfs_calls_total", labels).inc(q.bfs_calls);
     registry.counter("dagsfc_path_steiner_calls_total", labels)

@@ -190,14 +190,16 @@ TEST(Mbbe, TinyXmaxFallsBackToUncappedSearch) {
 }
 
 TEST(Mbbe, InvalidOptionsRejected) {
-  EXPECT_THROW(MbbeEmbedder(MbbeOptions{0, 4}), ContractViolation);
-  EXPECT_THROW(MbbeEmbedder(MbbeOptions{50, 0}), ContractViolation);
+  EXPECT_THROW(MbbeEmbedder(MbbeOptions{0, 4, std::nullopt, {}}),
+               ContractViolation);
+  EXPECT_THROW(MbbeEmbedder(MbbeOptions{50, 0, std::nullopt, {}}),
+               ContractViolation);
 }
 
 TEST(Mbbe, ExpandsFewerSubSolutionsThanBbe) {
   auto fx = test::canonical_fixture();
   const BbeEmbedder bbe;
-  const MbbeEmbedder mbbe(MbbeOptions{50, 1});
+  const MbbeEmbedder mbbe(MbbeOptions{50, 1, std::nullopt, {}});
   Rng rng(10);
   const auto rb = bbe.solve_fresh(*fx->index, rng);
   const auto rm = mbbe.solve_fresh(*fx->index, rng);

@@ -87,7 +87,9 @@ TEST_P(Corpus, GoldenCostsHold) {
   } else {
     ASSERT_TRUE(re.ok()) << re.failure_reason;
     EXPECT_NEAR(re.cost, g.exact_cost, 1e-2);
-    if (rm.ok()) EXPECT_GE(rm.cost + 1e-9, re.cost);
+    if (rm.ok()) {
+      EXPECT_GE(rm.cost + 1e-9, re.cost);
+    }
   }
 }
 
@@ -100,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
         // Exact refuses: its uncapacitated optimum reuses the cheap f1
         // instance beyond its capacity; MBBE packs feasibly at 82.
         Golden{"tightline5", 82.0, -1.0}),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<Golden>& param_info) {
+      return param_info.param.name;
     });
 
 // ---------------------------------------------------------------------------

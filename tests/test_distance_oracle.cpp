@@ -546,7 +546,9 @@ TEST_P(OracleCorpusDifferential, OracleOnOffIdentical) {
 INSTANTIATE_TEST_SUITE_P(Instances, OracleCorpusDifferential,
                          ::testing::Values("ring12", "leafspine14", "waxman20",
                                            "tightline5"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(OracleDifferential, TwoHundredRandomInstancesOracleOnOffIdentical) {
   const FlagGuard guard;

@@ -99,7 +99,9 @@ TEST(Integration, RunnerAggregatesAllAlgorithms) {
   for (const auto& s : stats) {
     SCOPED_TRACE(s.name);
     EXPECT_EQ(s.successes + s.failures, cfg.trials);
-    if (s.successes > 0) EXPECT_GT(s.cost.mean(), 0.0);
+    if (s.successes > 0) {
+      EXPECT_GT(s.cost.mean(), 0.0);
+    }
   }
   // MBBE should be no worse on average than random placement.
   EXPECT_LE(stats[2].cost.mean(), stats[0].cost.mean());

@@ -130,7 +130,9 @@ TEST_P(LayeredCorpus, MatchesExactBeatsHeuristics) {
 INSTANTIATE_TEST_SUITE_P(Instances, LayeredCorpus,
                          ::testing::Values("ring12", "leafspine14", "waxman20",
                                            "tightline5"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 // ---------------------------------------------------------------------------
 // 200 seeded random instances.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace dagsfc::net {
 namespace {
 
@@ -91,6 +93,41 @@ TEST(Network, InvalidArgumentsRejected) {
   EXPECT_THROW((void)n.deploy(0, 99, 1.0, 1.0), ContractViolation);
   EXPECT_THROW((void)n.deploy(0, 1, -1.0, 1.0), ContractViolation);
   EXPECT_THROW((void)n.deploy(0, 1, 1.0, -1.0), ContractViolation);
+}
+
+/// find_instance answers from a dense node × type table; it must agree with
+/// a scan of the node's instance list for every (node, type) pair, deployed
+/// or not, whatever order the deployments came in.
+TEST(Network, FindInstanceAgreesWithInstanceScanOnRandomNetworks) {
+  Rng rng(0x1257a9ce);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t n = 1 + rng.index(25);
+    const std::size_t regular = 1 + rng.index(8);
+    graph::Graph g(n);
+    for (graph::NodeId v = 1; v < n; ++v) {
+      (void)g.add_edge(static_cast<graph::NodeId>(rng.index(v)), v, 1.0);
+    }
+    Network net(std::move(g), VnfCatalog(regular));
+    const auto types = static_cast<VnfTypeId>(net.catalog().num_types());
+    for (graph::NodeId v = 0; v < n; ++v) {
+      for (VnfTypeId t = 1; t < types; ++t) {  // regular types and merger
+        if (rng.bernoulli(0.4)) (void)net.deploy(v, t, 1.0, 1.0);
+      }
+    }
+    for (graph::NodeId v = 0; v < n; ++v) {
+      for (VnfTypeId t = 0; t < types; ++t) {
+        std::optional<InstanceId> scanned;
+        for (const InstanceId id : net.instances_on(v)) {
+          if (net.instance(id).type == t) scanned = id;
+        }
+        EXPECT_EQ(net.find_instance(v, t), scanned) << v << " " << t;
+      }
+    }
+    EXPECT_THROW((void)net.find_instance(static_cast<graph::NodeId>(n), 1),
+                 ContractViolation);
+    EXPECT_THROW((void)net.find_instance(0, types), ContractViolation);
+  }
 }
 
 }  // namespace

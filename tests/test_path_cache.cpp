@@ -1,9 +1,11 @@
 /// Tests for the footprint-invalidated shortest-path cache: PathCache unit
 /// behavior (flip-gated eviction through the on_link_* hooks), ledger
-/// integration, and the differential harness required by the cache's core
+/// integration, the differential harness required by the cache's core
 /// contract — every embedder produces bit-identical solutions with the
 /// cache on and off, across the serialized corpus and 200 random seeded
-/// instances.
+/// instances — and the resumable tree entries (graph::LazyTree): partial
+/// searches resumed in any order, across residual changes, answer like a
+/// fresh full dijkstra().
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 #include "core/baselines.hpp"
 #include "core/exact.hpp"
 #include "core/layered.hpp"
+#include "core/path_oracle.hpp"
 #include "core/validator.hpp"
+#include "graph/generator.hpp"
 #include "graph/path_cache.hpp"
 #include "net/io.hpp"
 #include "sfc/io.hpp"
@@ -312,7 +316,9 @@ TEST_P(CorpusDifferential, CacheOnOffIdentical) {
 INSTANTIATE_TEST_SUITE_P(Instances, CorpusDifferential,
                          ::testing::Values("ring12", "leafspine14", "waxman20",
                                            "tightline5"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(PathCacheDifferential, TwoHundredRandomInstances) {
   sim::ExperimentConfig cfg;
@@ -474,6 +480,314 @@ TEST(LedgerPathCache, CachingReducesDijkstraComputations) {
   expect_identical(on, off);
   EXPECT_GT(on.path_queries.cache_hits, 0u);
   EXPECT_LT(on.path_queries.dijkstra_calls, off.path_queries.dijkstra_calls);
+}
+
+// ---------------------------------------------------------------------------
+// Resumable entries: a tree entry settles only as far as its queries need
+// and resumes on demand. Every answer must equal a fresh full dijkstra()
+// bit for bit, whatever the interleaving of queries and residual changes.
+
+/// Random connected graph. Half the time the weights are coarse integers,
+/// zero included, so distance ties — where the pop order alone decides
+/// parents — are common.
+graph::Graph random_graph(Rng& rng, std::size_t n, double degree) {
+  graph::RandomGraphOptions opts;
+  opts.num_nodes = n;
+  opts.average_degree = degree;
+  graph::Graph g = graph::random_connected_graph(rng, opts);
+  const bool coarse = rng.bernoulli(0.5);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    g.set_weight(e, coarse ? static_cast<double>(rng.index(4))
+                           : rng.uniform_real(1.0, 10.0));
+  }
+  return g;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// \p t's answer for \p v — distance bits, nodes and edges — equals the
+/// full tree's. Requires v final in t.
+void expect_answer(const graph::LazyTree& t,
+                   const graph::ShortestPathTree& full, graph::NodeId v) {
+  ASSERT_TRUE(t.is_final(v)) << "node " << v;
+  EXPECT_EQ(bits(t.dist[v]), bits(full.dist[v])) << "node " << v;
+  const auto got = t.path_to(v);
+  const auto want = full.path_to(v);
+  ASSERT_EQ(got.has_value(), want.has_value()) << "node " << v;
+  if (got) expect_same_path(*got, *want);
+}
+
+/// Every node \p t reports final answers like the full tree, parent links
+/// included.
+void expect_final_prefix(const graph::LazyTree& t,
+                         const graph::ShortestPathTree& full) {
+  for (graph::NodeId v = 0; v < full.dist.size(); ++v) {
+    if (!t.is_final(v)) continue;
+    EXPECT_EQ(bits(t.dist[v]), bits(full.dist[v])) << "node " << v;
+    EXPECT_EQ(t.parent(v), full.parent[v]) << "node " << v;
+    EXPECT_EQ(t.parent_edge(v), full.parent_edge[v]) << "node " << v;
+  }
+}
+
+TEST(ResumableEntry, InterleavedQueriesMatchFreshDijkstra) {
+  Rng rng(0x1a2e7ee5);
+  graph::SearchWorkspace ws;
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t n = 2 + rng.index(60);
+    const graph::Graph g = random_graph(rng, n, 2.0 + rng.uniform_real(0, 4));
+    // A random ~85%-permissive usable set, half the rounds.
+    graph::EdgeMaskBuffer buf;
+    buf.assign(g.num_edges(), true);
+    const bool masked = rng.bernoulli(0.5);
+    if (masked) {
+      for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+        if (rng.bernoulli(0.15)) buf.clear(e);
+      }
+    }
+    const graph::EdgeMask view = buf.view();
+    const graph::EdgeMask* mask = masked ? &view : nullptr;
+
+    const auto source = static_cast<graph::NodeId>(rng.index(n));
+    const graph::ShortestPathTree full = graph::dijkstra(g, source, ws, mask);
+    graph::PathCache cache;
+    graph::PathQueryCounters c;
+    for (int q = 0; q < 12; ++q) {
+      const auto entry = cache.search(g, source, ctx(1.0), c);
+      switch (rng.index(3)) {
+        case 0: {  // point to point
+          const auto t = static_cast<graph::NodeId>(rng.index(n));
+          c.nodes_settled += entry->settle(g, t, mask);
+          expect_answer(*entry, full, t);
+          break;
+        }
+        case 1: {  // a multi-target fan-out, one target at a time
+          const std::size_t k = 1 + rng.index(4);
+          for (std::size_t i = 0; i < k; ++i) {
+            const auto t = static_cast<graph::NodeId>(rng.index(n));
+            c.nodes_settled += entry->settle(g, t, mask);
+            expect_answer(*entry, full, t);
+          }
+          break;
+        }
+        default:  // the whole tree
+          c.nodes_settled += entry->settle_all(g, mask);
+          EXPECT_TRUE(entry->complete());
+          for (graph::NodeId v = 0; v < n; ++v) expect_answer(*entry, full, v);
+          break;
+      }
+      expect_final_prefix(*entry, full);
+      if (::testing::Test::HasFailure()) return;
+    }
+    // One search started; every later query resumed it.
+    EXPECT_EQ(c.dijkstra_calls, 1u);
+    EXPECT_EQ(c.cache_misses, 1u);
+    EXPECT_EQ(c.cache_hits, 11u);
+    // No node is settled twice.
+    std::size_t reachable = 0;
+    for (graph::NodeId v = 0; v < n; ++v) reachable += full.reached(v);
+    EXPECT_LE(c.nodes_settled, reachable);
+  }
+}
+
+/// 0 —1— 1 —1— 2 —1— 3, plus the long way 0 —10— 3 and a spur 1 —1— 4.
+graph::Graph line_with_shortcut() {
+  graph::Graph g(5);
+  g.add_edge(0, 1, 1.0);   // e0
+  g.add_edge(1, 2, 1.0);   // e1
+  g.add_edge(2, 3, 1.0);   // e2
+  g.add_edge(0, 3, 10.0);  // e3
+  g.add_edge(1, 4, 1.0);   // e4
+  return g;
+}
+
+TEST(ResumableEntry, DebitOnATentativeParentEvicts) {
+  const graph::Graph g = line_with_shortcut();
+  graph::PathCache cache;
+  graph::PathQueryCounters c;
+  const auto entry = cache.search(g, 0, ctx(1.0), c);
+  // Settling node 1 scans node 0 only: node 3 is on the frontier at 10,
+  // its tentative parent edge e3.
+  EXPECT_EQ(entry->settle(g, 1, nullptr), 1u);
+  ASSERT_FALSE(entry->is_final(3));
+  ASSERT_EQ(entry->parent_edge(3), 3u);
+  ASSERT_EQ(bits(entry->dist[3]), bits(10.0));
+
+  // e3 flips unusable: no settled node routes over it, but resuming would
+  // pop node 3 at the stale 10 instead of 3 — so the entry must go.
+  cache.on_link_debit(3, 0, 3, 1.0, 0.0, kEps);
+  EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
+  EXPECT_EQ(cache.num_trees(), 0u);
+  EXPECT_TRUE(entry->invalidated());
+
+  graph::EdgeMaskBuffer buf;
+  buf.assign(g.num_edges(), true);
+  buf.clear(3);
+  const graph::EdgeMask mask = buf.view();
+  const auto fresh = cache.search(g, 0, ctx(1.0), c);
+  EXPECT_EQ(c.cache_misses, 2u);
+  fresh->settle(g, 3, &mask);
+  EXPECT_EQ(bits(fresh->dist[3]), bits(3.0));
+}
+
+TEST(ResumableEntry, DebitOnAScannedNonParentEdgeKeepsAndResumesExactly) {
+  graph::Graph g(5);
+  g.add_edge(0, 1, 1.0);  // e0
+  g.add_edge(0, 2, 5.0);  // e1: relaxes node 2 to 5, later superseded
+  g.add_edge(1, 2, 1.0);  // e2
+  g.add_edge(2, 3, 1.0);  // e3
+  g.add_edge(1, 4, 3.0);  // e4
+  graph::PathCache cache;
+  graph::PathQueryCounters c;
+  const auto entry = cache.search(g, 0, ctx(1.0), c);
+  // Nodes 0 and 1 settle; node 2 (dist 2 via e2) is next, node 4 waits.
+  EXPECT_EQ(entry->settle(g, 2, nullptr), 2u);
+  ASSERT_EQ(entry->parent_edge(2), 2u);
+
+  // e1 was scanned (from node 0) but is nobody's parent: the kept entry,
+  // resumed under the new usable set, is a fresh search on that set.
+  cache.on_link_debit(1, 0, 2, 1.0, 0.0, kEps);
+  EXPECT_EQ(cache.invalidation_stats().flips, 1u);
+  EXPECT_EQ(cache.invalidation_stats().trees_evicted, 0u);
+  EXPECT_FALSE(entry->invalidated());
+
+  graph::EdgeMaskBuffer buf;
+  buf.assign(g.num_edges(), true);
+  buf.clear(1);
+  const graph::EdgeMask mask = buf.view();
+  graph::SearchWorkspace ws;
+  const graph::ShortestPathTree full = graph::dijkstra(g, 0, ws, &mask);
+  const auto again = cache.search(g, 0, ctx(1.0), c);
+  EXPECT_EQ(again.get(), entry.get());
+  again->settle(g, 3, &mask);
+  expect_answer(*again, full, 3);
+  again->settle_all(g, &mask);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    expect_answer(*again, full, v);
+  }
+  EXPECT_EQ(c.dijkstra_calls, 1u);
+}
+
+/// Random debits flip random edges under partially settled entries. Every
+/// entry the footprint test keeps must resume into exactly the fresh
+/// search over the shrunken usable set; every evicted one is invalidated.
+TEST(ResumableEntry, KeptEntriesResumeLikeFreshSearchesAfterRandomDebits) {
+  Rng rng(0xdeb175);
+  graph::SearchWorkspace ws;
+  std::size_t kept = 0;
+  std::size_t evicted = 0;
+  for (int round = 0; round < 80; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t n = 4 + rng.index(40);
+    const graph::Graph g = random_graph(rng, n, 2.0 + rng.uniform_real(0, 3));
+    graph::EdgeMaskBuffer buf;
+    buf.assign(g.num_edges(), true);
+    graph::PathCache cache;
+    graph::PathQueryCounters c;
+    const auto source = static_cast<graph::NodeId>(rng.index(n));
+    for (int step = 0; step < 6; ++step) {
+      const graph::EdgeMask mask = buf.view();
+      const auto entry = cache.search(g, source, ctx(1.0), c);
+      entry->settle(g, static_cast<graph::NodeId>(rng.index(n)), &mask);
+      const auto e = static_cast<graph::EdgeId>(rng.index(g.num_edges()));
+      if (!mask.allows(e)) continue;
+      buf.clear(e);
+      const graph::Edge& ed = g.edge(e);
+      cache.on_link_debit(e, ed.u, ed.v, 1.0, 0.0, kEps);
+      const graph::EdgeMask after = buf.view();
+      const graph::ShortestPathTree full =
+          graph::dijkstra(g, source, ws, &after);
+      if (cache.num_trees() == 1) {
+        ++kept;
+        EXPECT_FALSE(entry->invalidated());
+        entry->settle_all(g, &after);
+        for (graph::NodeId v = 0; v < n; ++v) expect_answer(*entry, full, v);
+        // Start over from a partial entry for the next step.
+        cache.clear();
+      } else {
+        ++evicted;
+        EXPECT_TRUE(entry->invalidated());
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Not vacuous: both rules fired.
+  EXPECT_GT(kept, 20u);
+  EXPECT_GT(evicted, 20u);
+}
+
+TEST(ResumableEntry, CreditFlipEvictsTheRate) {
+  const graph::Graph g = line_with_shortcut();
+  graph::PathCache cache;
+  graph::PathQueryCounters c;
+  const auto at1 = cache.search(g, 0, ctx(1.0), c);
+  const auto at2 = cache.search(g, 0, ctx(2.0), c);
+  at1->settle(g, 1, nullptr);
+  at2->settle(g, 1, nullptr);
+  // 0.5 → 1.5 makes the edge usable at rate 1.0 but not at 2.0.
+  cache.on_link_credit(4, 0.5, 1.5, kEps);
+  EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
+  EXPECT_TRUE(at1->invalidated());
+  EXPECT_FALSE(at2->invalidated());
+  EXPECT_EQ(cache.num_trees(), 1u);
+}
+
+TEST(ResumableEntry, InvalidatedHeldEntryRefusesToResume) {
+  const graph::Graph g = line_with_shortcut();
+  graph::PathCache cache;
+  graph::PathQueryCounters c;
+  const auto held = cache.search(g, 0, ctx(1.0), c);
+  held->settle(g, 1, nullptr);
+  cache.on_link_debit(0, 0, 1, 1.0, 0.0, kEps);  // e0: node 1's parent
+  ASSERT_TRUE(held->invalidated());
+  // What it settled stays readable; going further does not.
+  EXPECT_EQ(bits(held->dist[1]), bits(1.0));
+  EXPECT_EQ(held->settle(g, 1, nullptr), 0u);
+  EXPECT_THROW((void)held->settle(g, 3, nullptr), ContractViolation);
+  EXPECT_THROW((void)held->settle_all(g, nullptr), ContractViolation);
+
+  // clear() (the owner lost track of residuals) invalidates too.
+  const auto other = cache.search(g, 2, ctx(1.0), c);
+  cache.clear();
+  EXPECT_THROW((void)other->settle(g, 4, nullptr), ContractViolation);
+}
+
+TEST(ResumableEntry, CapacityClearDoesNotInvalidate) {
+  const graph::Graph g = line_with_shortcut();
+  graph::PathCache cache(/*max_entries=*/1);
+  graph::PathQueryCounters c;
+  const auto held = cache.search(g, 0, ctx(1.0), c);
+  held->settle(g, 1, nullptr);
+  (void)cache.search(g, 2, ctx(1.0), c);  // make_room drops `held`
+  EXPECT_EQ(c.evictions, 1u);
+  EXPECT_FALSE(held->invalidated());
+  held->settle(g, 3, nullptr);
+  EXPECT_EQ(bits(held->dist[3]), bits(3.0));
+}
+
+TEST(ResumableEntry, OracleCountsSearchesStartedNotResumes) {
+  Rng rng(0x5e771ed);
+  net::Network network(random_graph(rng, 80, 4.0), net::VnfCatalog(1));
+  net::CapacityLedger ledger(network);
+  ledger.set_cache_enabled(true);
+  core::PathOracle oracle(network.topology(), ledger, 1.0);
+
+  const std::vector<graph::NodeId> targets{5, 17, 42};
+  (void)oracle.min_cost_path(0, 1);
+  (void)oracle.min_cost_paths(0, targets);
+  (void)oracle.min_cost_path(0, 79);
+  EXPECT_EQ(oracle.counters().dijkstra_calls, 1u);
+  EXPECT_EQ(oracle.counters().cache_misses, 1u);
+  EXPECT_EQ(oracle.counters().cache_hits, 2u);
+  const std::size_t partial = oracle.counters().nodes_settled;
+  EXPECT_GT(partial, 0u);
+  EXPECT_LE(partial, 80u);
+
+  (void)oracle.tree(0);
+  EXPECT_EQ(oracle.counters().dijkstra_calls, 1u);
+  EXPECT_EQ(oracle.counters().nodes_settled, 80u);  // connected: all of them
+  (void)oracle.tree(0);
+  EXPECT_EQ(oracle.counters().nodes_settled, 80u);  // nothing left to settle
 }
 
 }  // namespace

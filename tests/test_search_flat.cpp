@@ -377,7 +377,9 @@ TEST_P(FlatCorpusDifferential, FlatVsReferenceIdentical) {
 INSTANTIATE_TEST_SUITE_P(Instances, FlatCorpusDifferential,
                          ::testing::Values("ring12", "leafspine14", "waxman20",
                                            "tightline5"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(FlatDifferential, TwoHundredRandomInstances) {
   const FlagGuard guard;
