@@ -14,8 +14,6 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "graph/workspace.hpp"
-#include "net/ledger.hpp"
 #include "sim/sweep.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
@@ -54,11 +52,6 @@ inline std::unique_ptr<BenchSetup> setup(int argc, const char* const* argv,
       .define_int("xmax", 50, "MBBE forward-search node cap X_max")
       .define_int("xd", 4, "MBBE children kept per sub-solution X_d")
       .define_bool("no-bbe", false, "exclude plain BBE from the comparison")
-      .define_bool("no-path-cache", false,
-                   "disable the epoch-keyed shortest-path cache (A/B timing)")
-      .define_bool("reference-search", false,
-                   "route searches through the frozen seed implementations "
-                   "instead of the CSR/workspace tier (A/B timing)")
       .define_bool("trace", false,
                    "collect structured solve traces and report the aggregate "
                    "counts in the JSON line")
@@ -73,21 +66,24 @@ inline std::unique_ptr<BenchSetup> setup(int argc, const char* const* argv,
     std::cout << description << "\n\n" << s->flags.usage(argv[0]);
     return nullptr;
   }
-  s->base.trials = static_cast<std::size_t>(s->flags.get_int("trials"));
+  core::MbbeOptions mopts;
+  try {
+    s->base.trials = s->flags.get_count("trials");
+    s->run_opts.threads = s->flags.get_count("threads");
+    mopts.x_max = s->flags.get_count("xmax");
+    mopts.x_d = s->flags.get_count("xd");
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n\n" << s->flags.usage(argv[0]);
+    return nullptr;
+  }
   s->base.seed = static_cast<std::uint64_t>(s->flags.get_int("seed"));
-  s->run_opts.threads = static_cast<std::size_t>(s->flags.get_int("threads"));
   s->run_opts.collect_traces = s->flags.get_bool("trace");
   s->csv = s->flags.get_bool("csv");
   s->with_bbe = !s->flags.get_bool("no-bbe");
-  net::CapacityLedger::set_cache_default(!s->flags.get_bool("no-path-cache"));
-  graph::set_flat_search_default(!s->flags.get_bool("reference-search"));
 
   s->ranv = std::make_unique<core::RanvEmbedder>();
   s->minv = std::make_unique<core::MinvEmbedder>();
   s->bbe = std::make_unique<core::BbeEmbedder>();
-  core::MbbeOptions mopts;
-  mopts.x_max = static_cast<std::size_t>(s->flags.get_int("xmax"));
-  mopts.x_d = static_cast<std::size_t>(s->flags.get_int("xd"));
   s->mbbe = std::make_unique<core::MbbeEmbedder>(mopts);
   return s;
 }

@@ -74,11 +74,16 @@ int main(int argc, char** argv) {
   }
 
   sim::ExperimentConfig base;
-  base.network_size = static_cast<std::size_t>(flags.get_int("network-size"));
+  try {
+    base.network_size = flags.get_count("network-size");
+    base.sfc_size = flags.get_count("sfc-size");
+    base.trials = flags.get_count("trials");
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   base.network_connectivity = flags.get_double("connectivity");
-  base.sfc_size = static_cast<std::size_t>(flags.get_int("sfc-size"));
   base.catalog_size = 6;
-  base.trials = static_cast<std::size_t>(flags.get_int("trials"));
   base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   const core::BbeEmbedder bbe;

@@ -1,18 +1,18 @@
 /// Before/after kernel suite for the flattened path-search hot path.
 ///
 /// Every kernel runs twice on the same inputs: a `ref` arm through the
-/// frozen seed implementations (graph::reference::*, std::function filters,
-/// per-call allocations) and a `flat` arm through the CSR + workspace +
-/// edge-mask tier. Both arms accumulate a checksum in the same order; the
-/// checksums must match bitwise — the flat tier claims bit-identical
-/// results, and this harness enforces the claim on every run.
+/// frozen seed implementations (graph::reference::*, the test-and-bench-only
+/// dagsfc::reference library: std::function filters, per-call allocations)
+/// and a `flat` arm through the CSR + workspace + edge-mask tier. Both arms
+/// accumulate a checksum in the same order; the checksums must match
+/// bitwise — the flat tier claims bit-identical results, and this harness
+/// enforces the claim on every run.
 ///
-/// The *_alt and multi_source rows measure the goal-directed tier instead:
-/// there the `ref` arm is the plain flat kernel (the previous PR's hot
-/// path) and the `flat` arm is the same kernel with ALT landmark pruning
-/// (--landmarks, see graph/oracle.hpp) or the batched one-pass variant —
-/// so their speedup column reads "oracle/batching over flat", not "flat
-/// over seed". Bit-identity is enforced the same way.
+/// The multi_source row measures the batched tier instead: there the `ref`
+/// arm is the plain flat kernel run once per source and the `flat` arm is
+/// the one-pass multi-source variant — so its speedup column reads
+/// "batching over flat", not "flat over seed". Bit-identity is enforced the
+/// same way.
 ///
 /// Timing: per (kernel, arm) the loop body runs `iters` times per rep and
 /// the best-of-`reps` wall time is reported, which filters scheduler noise
@@ -21,22 +21,24 @@
 /// The topology is the paper's fig6b point (network-size sweep) at
 /// --network-size nodes (default 200), so the reported SSSP speedup is the
 /// one the embedders see on the figure-reproduction workload. The final
-/// "JSON: " line is what scripts/bench_graph.sh records as
+/// "JSON: " line, which also carries the host's hardware thread count and
+/// the build flags, is what scripts/bench_graph.sh records as
 /// BENCH_micro_graph.json.
 
 #include <cstdio>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
-#include "graph/oracle.hpp"
 #include "graph/reference.hpp"
 #include "graph/steiner.hpp"
 #include "graph/workspace.hpp"
 #include "graph/yen.hpp"
 #include "sim/scenario.hpp"
+#include "util/build_info.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"
 
@@ -103,7 +105,6 @@ int main(int argc, char** argv) {
   flags.define_int("network-size", 200,
                    "substrate size (fig6b sweep point; paper uses 200)")
       .define_int("reps", 5, "timing repetitions; best-of-reps is reported")
-      .define_int("landmarks", 16, "ALT landmark budget for the *_alt rows")
       .define_int("seed", 0x5fcdaa11, "scenario RNG seed");
   try {
     flags.parse(argc, argv);
@@ -117,8 +118,15 @@ int main(int argc, char** argv) {
               << flags.usage(argv[0]);
     return 0;
   }
-  const auto n = static_cast<std::size_t>(flags.get_int("network-size"));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps"));
+  std::size_t n = 0;
+  std::size_t reps = 0;
+  try {
+    n = flags.get_count("network-size");
+    reps = flags.get_count("reps");
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   sim::ExperimentConfig cfg;
   cfg.network_size = n;
@@ -141,19 +149,6 @@ int main(int argc, char** argv) {
 
   graph::SearchWorkspace ws;
   (void)g.csr();  // build once up front; every embedder solve amortizes this
-
-  // ALT oracle for the goal-directed rows: built once (the epoch-keyed
-  // steady state — the serve plane and the bench loops both reuse tables
-  // across queries), outside every timed region.
-  graph::DistanceOracle::Options oracle_opts;
-  oracle_opts.landmarks =
-      static_cast<std::size_t>(flags.get_int("landmarks"));
-  const graph::DistanceOracle oracle(g, oracle_opts);
-  if (!oracle.active()) {
-    std::cerr << "FATAL: scenario topology is disconnected; the *_alt rows "
-                 "would silently measure the unpruned kernel\n";
-    return 1;
-  }
 
   std::vector<KernelResult> results;
 
@@ -202,31 +197,6 @@ int main(int argc, char** argv) {
         return sum;
       }));
 
-  // Goal-directed point-to-point: plain flat kernel vs the same kernel
-  // pruned by ALT landmark bounds (seeded upper bound — unmasked query).
-  results.push_back(run_kernel(
-      "p2p_alt", reps, 1000,
-      [&](std::size_t iters) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < iters; ++i) {
-          const auto p =
-              graph::min_cost_path(g, sources[i % sources.size()], dst, ws);
-          if (p) sum += p->cost + static_cast<double>(p->nodes.size());
-        }
-        return sum;
-      },
-      [&](std::size_t iters) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < iters; ++i) {
-          const graph::AltQuery alt = oracle.query(
-              sources[i % sources.size()], dst, /*seed_upper_bound=*/true);
-          const auto p = graph::min_cost_path(
-              g, sources[i % sources.size()], dst, ws, nullptr, alt);
-          if (p) sum += p->cost + static_cast<double>(p->nodes.size());
-        }
-        return sum;
-      }));
-
   // Yen k-shortest: spur searches dominate; the flat arm reuses one spur
   // mask where the seed built a closure + two std::sets per candidate.
   results.push_back(run_kernel(
@@ -246,34 +216,6 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < iters; ++i) {
           for (const auto& p :
                graph::k_shortest_paths(g, src, dst, 4, nullptr, ws)) {
-            sum += p.cost + static_cast<double>(p.nodes.size());
-          }
-        }
-        return sum;
-      }));
-
-  // Goal-directed Yen: every inner search (first path + spurs) pruned
-  // through the same landmark tables (spurs drop the seed — they run
-  // masked).
-  results.push_back(run_kernel(
-      "yen_alt_k4", reps, 50,
-      [&](std::size_t iters) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < iters; ++i) {
-          for (const auto& p :
-               graph::k_shortest_paths(g, src, dst, 4, nullptr, ws)) {
-            sum += p.cost + static_cast<double>(p.nodes.size());
-          }
-        }
-        return sum;
-      },
-      [&](std::size_t iters) {
-        double sum = 0.0;
-        const graph::AltQuery alt =
-            oracle.query(src, dst, /*seed_upper_bound=*/true);
-        for (std::size_t i = 0; i < iters; ++i) {
-          for (const auto& p :
-               graph::k_shortest_paths(g, src, dst, 4, nullptr, ws, alt)) {
             sum += p.cost + static_cast<double>(p.nodes.size());
           }
         }
@@ -372,7 +314,9 @@ int main(int argc, char** argv) {
   std::printf("\nall checksums bit-identical between arms\n");
 
   std::ostringstream os;
-  os << "{\"bench\":\"micro_graph\",\"network_size\":" << g.num_nodes()
+  os << "{\"bench\":\"micro_graph\",\"hw_threads\":"
+     << std::thread::hardware_concurrency() << ",\"build_flags\":\""
+     << util::build_info().flags << "\",\"network_size\":" << g.num_nodes()
      << ",\"num_edges\":" << g.num_edges() << ",\"reps\":" << reps
      << ",\"kernels\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {

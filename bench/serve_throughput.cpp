@@ -88,14 +88,21 @@ int main(int argc, char** argv) {
   }
 
   sim::DynamicConfig cfg;
-  cfg.base.network_size =
-      static_cast<std::size_t>(flags.get_int("network-size"));
+  std::size_t producers = 0, retries = 0;
+  try {
+    cfg.base.network_size = flags.get_count("network-size");
+    cfg.base.sfc_size = flags.get_count("sfc-size");
+    cfg.num_arrivals = flags.get_count("arrivals");
+    producers = std::max<std::size_t>(1, flags.get_count("producers"));
+    retries = flags.get_count("retries");
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   cfg.base.catalog_size = 8;
-  cfg.base.sfc_size = static_cast<std::size_t>(flags.get_int("sfc-size"));
   cfg.base.vnf_capacity = flags.get_double("vnf-capacity");
   cfg.base.link_capacity = flags.get_double("link-capacity");
   cfg.base.trials = 1;
-  cfg.num_arrivals = static_cast<std::size_t>(flags.get_int("arrivals"));
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const serve::Workload workload = serve::make_workload(cfg, seed);
@@ -115,13 +122,11 @@ int main(int argc, char** argv) {
       for (std::size_t workers : worker_counts) {
         serve::OpenLoopConfig open;
         open.workers = workers;
-        open.producers = std::max<std::size_t>(
-            1, static_cast<std::size_t>(flags.get_int("producers")));
+        open.producers = producers;
         open.target_load = load;
         open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
         open.admission.queue_capacity = cfg.num_arrivals;  // no queue rejects
-        open.admission.max_retries =
-            static_cast<std::uint32_t>(flags.get_int("retries"));
+        open.admission.max_retries = static_cast<std::uint32_t>(retries);
         open.admission.retry_backoff = std::chrono::microseconds(20);
         open.seed = seed;
         open.tuning.pipeline = pipeline;

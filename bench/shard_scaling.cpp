@@ -81,19 +81,32 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> shard_counts =
       parse_list(flags.get("shard-counts"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const auto total_nodes =
-      static_cast<std::size_t>(flags.get_int("total-nodes"));
+  std::size_t total_nodes = 0, sfc_size = 0, arrivals = 0, retries = 0;
+  std::size_t producers = 0, hier_paths = 0, gap_regions = 0, gap_trials = 0;
+  try {
+    total_nodes = flags.get_count("total-nodes");
+    sfc_size = flags.get_count("sfc-size");
+    arrivals = flags.get_count("arrivals");
+    retries = flags.get_count("retries");
+    producers = std::max<std::size_t>(1, flags.get_count("producers"));
+    hier_paths = flags.get_count("hier-paths");
+    gap_regions = std::max<std::size_t>(1, flags.get_count("gap-regions"));
+    gap_trials = flags.get_count("gap-trials");
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
 
   sim::ExperimentConfig base;
   base.catalog_size = 8;
-  base.sfc_size = static_cast<std::size_t>(flags.get_int("sfc-size"));
+  base.sfc_size = sfc_size;
   base.vnf_capacity = flags.get_double("vnf-capacity");
   base.link_capacity = flags.get_double("link-capacity");
   base.trials = 1;
 
   std::ostringstream json;
   json << "{\"bench\":\"shard_scaling\",\"arrivals\":"
-       << flags.get_int("arrivals") << ",\"total_nodes\":" << total_nodes
+       << arrivals << ",\"total_nodes\":" << total_nodes
        << ",\"hw_threads\":" << std::thread::hardware_concurrency()
        << ",\"scaling\":[";
 
@@ -107,17 +120,14 @@ int main(int argc, char** argv) {
     scfg.regional.regions.regions = std::max<std::size_t>(1, shards);
     scfg.regional.regions.nodes_per_region =
         std::max<std::size_t>(2, total_nodes / scfg.regional.regions.regions);
-    scfg.num_arrivals = static_cast<std::size_t>(flags.get_int("arrivals"));
+    scfg.num_arrivals = arrivals;
     const shard::ShardWorkload workload =
         shard::make_shard_workload(scfg, seed);
 
     serve::AdmissionPolicy admission;
     admission.queue_capacity = scfg.num_arrivals;  // no queue rejects
-    admission.max_retries =
-        static_cast<std::uint32_t>(flags.get_int("retries"));
+    admission.max_retries = static_cast<std::uint32_t>(retries);
     admission.retry_backoff = std::chrono::microseconds(20);
-    const auto producers = std::max<std::size_t>(
-        1, static_cast<std::size_t>(flags.get_int("producers")));
     const auto target_load =
         static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
 
@@ -176,8 +186,7 @@ int main(int argc, char** argv) {
       open.window = std::max<std::size_t>(4, 2 * shards / producers);
       open.service.workers_per_shard = 1;
       open.service.admission = admission;
-      open.service.hier.region_paths =
-          static_cast<std::size_t>(flags.get_int("hier-paths"));
+      open.service.hier.region_paths = hier_paths;
       open.service.seed = seed;
       const shard::ShardOpenLoopResult r =
           shard::run_sharded_open_loop(workload, substrate, open);
@@ -209,15 +218,12 @@ int main(int argc, char** argv) {
   // ---- part B: the price of hierarchy ------------------------------------
   Table gap_table({"request", "flat cost", "hier cost", "gap%", "valid"});
   {
-    const auto gap_regions = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, flags.get_int("gap-regions")));
     shard::ShardWorkloadConfig gcfg;
     gcfg.regional.base = base;
     gcfg.regional.regions.regions = gap_regions;
     gcfg.regional.regions.nodes_per_region =
         std::max<std::size_t>(2, total_nodes / gap_regions);
-    gcfg.num_arrivals =
-        static_cast<std::size_t>(flags.get_int("gap-trials"));
+    gcfg.num_arrivals = gap_trials;
     const shard::ShardWorkload workload =
         shard::make_shard_workload(gcfg, seed ^ 0x9e37ULL);
     const shard::ShardedSubstrate substrate(
@@ -227,8 +233,7 @@ int main(int argc, char** argv) {
                               workload.scenario.region_of));
     core::MbbeEmbedder flat;
     shard::HierOptions hopts;
-    hopts.region_paths =
-        static_cast<std::size_t>(flags.get_int("hier-paths"));
+    hopts.region_paths = hier_paths;
     const shard::HierarchicalEmbedder hier(substrate, hopts);
 
     std::size_t both = 0, clean = 0, hier_only_fail = 0;

@@ -18,7 +18,6 @@
 #include "core/ilp.hpp"
 #include "core/layered.hpp"
 #include "core/report.hpp"
-#include "graph/oracle.hpp"
 #include "net/io.hpp"
 #include "sfc/io.hpp"
 #include "shard/hier.hpp"
@@ -90,10 +89,9 @@ std::unique_ptr<core::Embedder> make_algorithm(
           "network files carry no region labels; use --partition stripe "
           "or --partition bfs");
     }
-    const auto shards = static_cast<std::size_t>(flags.get_int("shards"));
+    const std::size_t shards = flags.get_count("shards");
     shard::HierOptions opts;
-    opts.region_paths =
-        static_cast<std::size_t>(flags.get_int("hier-paths"));
+    opts.region_paths = flags.get_count("hier-paths");
     opts.inner = shard::inner_algorithm_from_string(flags.get("hier-inner"));
     opts.flat_fallback = flags.get_bool("hier-flat-fallback");
     substrate = std::make_unique<shard::ShardedSubstrate>(
@@ -124,10 +122,6 @@ int main(int argc, char** argv) {
       .define_double("delay-budget", 0.0,
                      "end-to-end delay budget in ms (layered algorithm "
                      "only); 0 disables")
-      .define("oracle", "off",
-              "goal-directed path queries: off, or alt (epoch-keyed ALT "
-              "landmark distance oracle; identical results, pruned search)")
-      .define_int("landmarks", 16, "ALT landmark budget for --oracle=alt")
       .define_int("seed", 42, "RNG seed (randomized algorithms)")
       .define_bool("demo", false, "write demo input files before running")
       .define_bool("delay", true, "also report the end-to-end delay model")
@@ -193,31 +187,6 @@ int main(int argc, char** argv) {
     const auto algo = make_algorithm(flags, network, substrate);
     Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
 
-    // Optional ALT oracle: built once over the loaded topology, attached to
-    // a lent workspace so every path query the solve runs is goal-directed.
-    // Results are bit-identical with or without it.
-    std::unique_ptr<graph::DistanceOracle> oracle;
-    graph::SearchWorkspace lent_ws;
-    graph::SearchWorkspace* ws = nullptr;
-    const std::string oracle_mode = flags.get("oracle");
-    if (oracle_mode == "alt") {
-      graph::DistanceOracle::Options oopts;
-      oopts.landmarks =
-          static_cast<std::size_t>(flags.get_int("landmarks"));
-      oracle = std::make_unique<graph::DistanceOracle>(network.topology(),
-                                                       oopts);
-      lent_ws.set_distance_oracle(oracle.get());
-      ws = &lent_ws;
-      std::cout << "oracle: alt, " << oracle->num_landmarks() << " landmarks"
-                << (oracle->active()
-                        ? ""
-                        : " (inactive: disconnected topology, no pruning)")
-                << "\n";
-    } else if (oracle_mode != "off") {
-      throw std::invalid_argument("unknown --oracle '" + oracle_mode +
-                                  "' (expected off|alt)");
-    }
-
     std::cout << "DAG-SFC: " << file.dag.to_string(network.catalog())
               << "\nalgorithm: " << algo->name() << "\n";
     if (substrate != nullptr) {
@@ -230,7 +199,7 @@ int main(int argc, char** argv) {
     const std::string trace_path = flags.get("trace");
     core::EmbeddingTrace trace;
     core::TraceSink* sink = trace_path.empty() ? nullptr : &trace;
-    const core::SolveResult r = algo->solve_fresh(index, rng, sink, ws);
+    const core::SolveResult r = algo->solve_fresh(index, rng, sink);
     if (sink != nullptr) {
       write_file(trace_path, trace.to_chrome_json());
       std::cout << trace.summary() << "trace written to " << trace_path

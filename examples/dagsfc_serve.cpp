@@ -33,7 +33,6 @@
 #include "core/baselines.hpp"
 #include "core/exact.hpp"
 #include "core/layered.hpp"
-#include "graph/oracle.hpp"
 #include "serve/driver.hpp"
 #include "serve/http.hpp"
 #include "serve/trace.hpp"
@@ -127,11 +126,6 @@ int main(int argc, char** argv) {
       .define("pipeline", "mvcc",
               "commit pipeline: mvcc (replica sync + stamp validation + "
               "group commit) or mutex (legacy full-copy baseline)")
-      .define("oracle", "off",
-              "goal-directed path queries in the workers: off, or alt "
-              "(epoch-keyed ALT landmark oracle over the workload network; "
-              "identical results, pruned searches; flat algorithms only)")
-      .define_int("landmarks", 16, "ALT landmark budget for --oracle=alt")
       .define_int("metrics-port", 0,
                   "serve GET /metrics (Prometheus) and /metrics.json on "
                   "127.0.0.1:<port> for the duration of the run; 0 disables")
@@ -168,24 +162,31 @@ int main(int argc, char** argv) {
   }
 
   sim::DynamicConfig cfg;
-  cfg.base.network_size =
-      static_cast<std::size_t>(flags.get_int("network-size"));
+  serve::AdmissionPolicy admission;
+  std::size_t workers = 0, producers = 0, shards = 0, hier_paths = 0;
+  try {
+    cfg.base.network_size = flags.get_count("network-size");
+    cfg.base.sfc_size = flags.get_count("sfc-size");
+    cfg.num_arrivals = flags.get_count("arrivals");
+    workers = flags.get_workers();
+    producers = std::max<std::size_t>(1, flags.get_count("producers"));
+    shards = std::max<std::size_t>(1, flags.get_count("shards"));
+    hier_paths = std::max<std::size_t>(1, flags.get_count("hier-paths"));
+    admission.queue_capacity = flags.get_count("queue-cap");
+    admission.max_retries =
+        static_cast<std::uint32_t>(flags.get_count("retries"));
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   cfg.base.catalog_size = 8;
-  cfg.base.sfc_size = static_cast<std::size_t>(flags.get_int("sfc-size"));
   cfg.base.vnf_capacity = flags.get_double("vnf-capacity");
   cfg.base.link_capacity = flags.get_double("link-capacity");
   cfg.base.trials = 1;
   cfg.arrival_rate =
       std::max(0.1, flags.get_double("load")) / cfg.mean_holding_time;
-  cfg.num_arrivals = static_cast<std::size_t>(flags.get_int("arrivals"));
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const std::size_t workers = flags.get_workers();
-
-  serve::AdmissionPolicy admission;
-  admission.queue_capacity =
-      static_cast<std::size_t>(flags.get_int("queue-cap"));
-  admission.max_retries = static_cast<std::uint32_t>(flags.get_int("retries"));
   admission.retry_backoff = flags.get_duration("backoff");
 
   // Process identity on the default registry (dagsfc_build_info +
@@ -203,24 +204,11 @@ int main(int argc, char** argv) {
   SignalPoller poller;
   if (tracing.enabled) poller.start();
 
-  const std::string oracle_mode = flags.get("oracle");
-  if (oracle_mode != "off" && oracle_mode != "alt") {
-    std::cerr << "unknown oracle '" << oracle_mode << "' (off|alt)\n";
-    return 1;
-  }
-  if (oracle_mode == "alt" && flags.get("algorithm") == "hier") {
-    std::cerr << "--oracle=alt applies to the flat service only; the "
-                 "sharded plane runs its own per-region summaries\n";
-    return 1;
-  }
-
   // --- sharded mode: --algorithm hier routes through the shard plane ------
   if (flags.get("algorithm") == "hier") {
     std::unique_ptr<serve::MetricsHttpServer> endpoint;
     std::unique_ptr<util::ProcessMetrics> scrape_identity;
     const int metrics_port = flags.get_int("metrics-port");
-    const auto shards = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, flags.get_int("shards")));
     shard::ShardWorkloadConfig scfg;
     scfg.regional.base = cfg.base;
     scfg.regional.regions.regions = shards;
@@ -245,8 +233,7 @@ int main(int argc, char** argv) {
     shard::ShardedEmbeddingService::Options sopts;
     sopts.workers_per_shard = workers;  // --workers is per shard here
     sopts.admission = admission;
-    sopts.hier.region_paths =
-        static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("hier-paths")));
+    sopts.hier.region_paths = hier_paths;
     sopts.hier.inner =
         shard::inner_algorithm_from_string(flags.get("hier-inner"));
     sopts.seed = seed;
@@ -296,8 +283,7 @@ int main(int argc, char** argv) {
     }
 
     shard::ShardOpenLoopConfig open;
-    open.producers = std::max<std::size_t>(
-        1, static_cast<std::size_t>(flags.get_int("producers")));
+    open.producers = producers;
     open.target_load =
         static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
     open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
@@ -364,20 +350,6 @@ int main(int argc, char** argv) {
   // lives in `endpoint` out here so it serves for the whole run).
   serve::ServiceTuning tuning;
   tuning.slow_solve_threshold = flags.get_duration("slow-solve-threshold");
-  // Optional ALT oracle: one immutable table set over the workload's
-  // (static) topology, shared read-only by every worker. Results are
-  // bit-identical to --oracle=off.
-  std::unique_ptr<graph::DistanceOracle> oracle;
-  if (oracle_mode == "alt") {
-    graph::DistanceOracle::Options oopts;
-    oopts.landmarks = static_cast<std::size_t>(flags.get_int("landmarks"));
-    oracle = std::make_unique<graph::DistanceOracle>(
-        workload.scenario.network.topology(), oopts);
-    tuning.distance_oracle = oracle.get();
-    std::cerr << "oracle: alt, " << oracle->num_landmarks() << " landmarks"
-              << (oracle->active() ? "" : " (inactive: disconnected topology)")
-              << "\n";
-  }
   const std::string pipeline_name = flags.get("pipeline");
   if (pipeline_name == "mutex") {
     tuning.pipeline = serve::CommitPipeline::kMutex;
@@ -434,8 +406,7 @@ int main(int argc, char** argv) {
 
   serve::OpenLoopConfig open;
   open.workers = workers;
-  open.producers = std::max<std::size_t>(
-      1, static_cast<std::size_t>(flags.get_int("producers")));
+  open.producers = producers;
   open.target_load =
       static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
   open.window = std::max<std::size_t>(4, 2 * workers / open.producers);

@@ -27,12 +27,7 @@
 # 8-thread cross-shard commit battery and the per-shard worker pools,
 # whose multi-mutex ascending-lock commits are exactly what TSan's
 # lock-order analysis is for.
-# An eighth pass runs the distance-oracle suite (ctest -R 'oracle') under
-# both trees: ASan/UBSan for the bank indexing and the differential
-# battery's workspace reuse, TSan because the oracle is shared immutable
-# across the serve worker pool — every query() walks the same bank the
-# build path last wrote, exactly the publish/consume edge TSan checks.
-# A ninth pass runs the observability plane (ctest -R
+# An eighth pass runs the observability plane (ctest -R
 # 'lifecycle|flight|http') under both trees: ASan/UBSan for the span-ring
 # index arithmetic and the HTTP error paths, TSan because the span ring is
 # the one deliberately lock-free single-writer/any-reader structure in the
@@ -41,7 +36,9 @@
 # survive.
 # Every full pass also runs the flat-vs-reference search differential suite
 # (test_search_flat), so the bit-identity contract of the CSR/workspace
-# tier is checked under ASan/UBSan as well as in the plain build.
+# tier is checked under ASan/UBSan as well as in the plain build, together
+# with the embedder golden rows (recorded through the seed kernels with the
+# path cache off) and the live PathOracle battery.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,6 +85,18 @@ require_test "${BUILD_DIR:-build-asan}" \
 # Resumable path-cache entries: differential, invalidation and counter
 # tests, and the dense instance table's agreement with a scan.
 require_test "${BUILD_DIR:-build-asan}" 'test_path_cache\.ResumableEntry\.'
+# Production search against the embedder golden rows: the corpus and both
+# 200-instance batteries.
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_search_flat\..*FlatCorpusDifferential\.FlatVsReferenceIdentical/'
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_search_flat\.FlatDifferential\.TwoHundredRandomInstances'
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_path_cache\..*CorpusDifferential\.CacheOnOffIdentical/'
+require_test "${BUILD_DIR:-build-asan}" \
+  'test_path_cache\.PathCacheDifferential\.TwoHundredRandomInstances'
+# Every PathOracle query kind on one long-lived ledger vs the seed kernels.
+require_test "${BUILD_DIR:-build-asan}" 'test_path_cache\.LivePathOracle\.'
 require_test "${BUILD_DIR:-build-asan}" \
   'test_network\.Network\.FindInstanceAgreesWithInstanceScan'
 run_pass "${TRACE_BUILD_DIR:-build-asan-trace}" "" -DDAGSFC_SANITIZE=ON \
@@ -104,6 +113,7 @@ ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_mvcc'
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_path_cache'
 require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_path_cache\.ResumableEntry\.'
+require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_path_cache\.LivePathOracle\.'
 ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
   -j "$(nproc)" -R 'mvcc|serve|path_cache'
 # Layered-embedder pass: same TSan tree; the cross-embedder battery, the
@@ -127,13 +137,6 @@ require_test "${BUILD_DIR:-build-asan}" \
   'test_shard\.ShardLedger\.ComposeCopiesResidualsJustBelowZeroBitwise'
 ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
   -j "$(nproc)" -R 'shard'
-# Oracle pass: the epoch-keyed ALT oracle suite under both sanitizer trees
-# (the ASan tree already ran it in the full first pass; the guards keep it
-# from silently dropping out of either build).
-require_test "${BUILD_DIR:-build-asan}" 'test_distance_oracle'
-require_test "${TSAN_BUILD_DIR:-build-tsan}" 'test_distance_oracle'
-ctest --test-dir "${TSAN_BUILD_DIR:-build-tsan}" --output-on-failure \
-  -j "$(nproc)" -R 'oracle'
 # Observability pass: request-lifecycle tracing + flight recorder + HTTP
 # endpoint suites under both trees. The ASan tree already ran them in the
 # full first pass; the guards keep all three suites pinned in both builds,

@@ -3,38 +3,31 @@
 /// The one gateway through which embedders ask shortest-path questions.
 ///
 /// A PathOracle binds the topology, the residual ledger and the flow rate,
-/// exposes the residual-capacity edge filter every solver uses, and routes
-/// each query through the ledger's graph::PathCache when one is enabled —
-/// falling back to direct computation otherwise. Either way it tallies
+/// exposes the residual-capacity edge filter every solver uses, and answers
+/// each query through the ledger's graph::PathCache, tallying
 /// graph::PathQueryCounters, which the embedders surface on SolveResult.
 ///
-/// Under the flat search layer (the default) the oracle also owns the
-/// per-solve machinery the kernels want: a SearchWorkspace (caller-supplied
-/// so a worker thread can reuse one across solves, or embedded as a
-/// fallback) and an epoch-keyed usable-edge mask — link_can_carry is
-/// re-evaluated per edge only when the ledger epoch moves, not per probe.
-/// set_flat_search_default(false) routes every query through the preserved
-/// seed implementations instead (sampled at construction, like the ledger's
-/// cache default).
+/// The oracle also owns the per-solve machinery the kernels want: a
+/// SearchWorkspace (caller-supplied so a worker thread can reuse one across
+/// solves, or embedded as a fallback) and an epoch-keyed usable-edge mask —
+/// link_can_carry is re-evaluated per edge only when the ledger epoch
+/// moves, not per probe.
 ///
 /// Min-cost questions go through resumable searches (graph::LazyTree):
-/// search() hands out the search from a source — the ledger's cached entry,
-/// shared across queries and solves, or a fresh one without a cache — and
-/// settle() runs it only until the asked-for target's distance is final.
-/// With a cache, min_cost_path(s) settle the cached search only up to
-/// their targets; without one they run one-shot early-exit searches on the
-/// workspace. tree() settles everything (EXACT and LAYERED read whole
-/// trees).
+/// search() hands out the ledger's cached search from a source, shared
+/// across queries and solves, and settle() runs it only until the
+/// asked-for target's distance is final. min_cost_path(s) settle it up to
+/// their targets; tree() settles everything (EXACT and LAYERED read whole
+/// trees). Yen results are cached per (rate, endpoints, k).
 ///
-/// Cached and uncached answers are bit-identical by construction: a
-/// search's settled nodes are a prefix of the full Dijkstra pop sequence
-/// with the same dist/parent bits, so the parent chain of a settled target
-/// equals the early-exit run's and the full tree's (targets are finalized
-/// when popped; later relaxations cannot improve them), and cached Yen
-/// results are the same deterministic k_shortest_paths() output. Flat and
-/// reference answers are bit-identical too — tests/test_search_flat.cpp
-/// holds every embedder to that. The reference tier computes every query
-/// from scratch with the seed code and caches only Yen.
+/// Every answer is bit-identical to the seed kernels run from scratch with
+/// usable() as the filter: a search's settled nodes are a prefix of the
+/// full Dijkstra pop sequence with the same dist/parent bits, so the
+/// parent chain of a settled target equals the early-exit run's and the
+/// full tree's (targets are finalized when popped; later relaxations cannot
+/// improve them), and cached Yen results are the same deterministic
+/// k_shortest_paths() output. tests/test_path_cache.cpp holds every query
+/// kind to that across debits and credits of one long-lived ledger.
 
 #include <bit>
 #include <cstdint>
@@ -67,8 +60,7 @@ class PathOracle {
         usable_([this](graph::EdgeId e) {
           return ledger_->link_can_carry(e, rate_);
         }),
-        ws_(ws != nullptr ? ws : &own_ws_),
-        flat_(graph::flat_search_default()) {}
+        ws_(ws != nullptr ? ws : &own_ws_) {}
 
   PathOracle(const PathOracle&) = delete;
   PathOracle& operator=(const PathOracle&) = delete;
@@ -83,9 +75,9 @@ class PathOracle {
   /// share the oracle's buffers.
   [[nodiscard]] graph::SearchWorkspace& workspace() noexcept { return *ws_; }
 
-  /// The min-cost search from \p source over usable links: the cached
-  /// entry (a hit, or a miss that starts it) when the ledger caches, a
-  /// fresh search otherwise. Settle it toward each target with settle().
+  /// The min-cost search from \p source over usable links: the ledger's
+  /// cached entry (a hit, or a miss that starts it). Settle it toward each
+  /// target with settle().
   [[nodiscard]] std::shared_ptr<graph::LazyTree> search(NodeId source);
 
   /// Settles \p t until \p target's distance is final; true iff the
@@ -100,10 +92,8 @@ class PathOracle {
 
   /// Batched: min-cost paths a → targets[i], element i of the result
   /// matching target i (nullopt where unreachable). Bit-identical to
-  /// calling min_cost_path per target — with a cache it settles one search
-  /// up to the farthest target, without one it runs a single multi-target
-  /// pass (dijkstra_into_targets) whose settled parents equal each
-  /// early-exit run's. The baselines route all meta-paths sharing a source
+  /// calling min_cost_path per target: it settles one search up to the
+  /// farthest target. The baselines route all meta-paths sharing a source
   /// through this.
   [[nodiscard]] std::vector<std::optional<graph::Path>> min_cost_paths(
       NodeId a, std::span<const NodeId> targets);
@@ -141,19 +131,13 @@ class PathOracle {
   }
 
   /// The usable-links mask, rebuilt from link_can_carry only when the
-  /// ledger epoch has moved since the last query. Flat mode only.
+  /// ledger epoch has moved since the last query.
   [[nodiscard]] const graph::EdgeMask* usable_mask();
 
   /// usable_mask(), except it returns nullptr when no edge is currently
-  /// masked out — the kernels then skip the per-arc bit test, and (more
-  /// importantly) a goal-directed query may seed its landmark upper bound,
-  /// which is only valid unmasked. Same admissible edge set either way.
+  /// masked out — the kernels then skip the per-arc bit test. Same
+  /// admissible edge set either way.
   [[nodiscard]] const graph::EdgeMask* effective_mask();
-
-  /// The attached DistanceOracle if it may prune queries on g_ right now
-  /// (matches() gate: same graph, active, revisions current); null
-  /// otherwise. Stale or absent oracles degrade to unpruned searches.
-  [[nodiscard]] const graph::DistanceOracle* pruning_oracle() const;
 
   const graph::Graph* g_;
   const net::CapacityLedger* ledger_;
@@ -163,7 +147,6 @@ class PathOracle {
 
   graph::SearchWorkspace own_ws_;
   graph::SearchWorkspace* ws_;
-  const bool flat_;
 
   graph::EdgeMaskBuffer usable_mask_;
   graph::EdgeMask usable_view_;

@@ -1,7 +1,5 @@
 #include "graph/dijkstra.hpp"
 
-#include "graph/reference.hpp"
-
 namespace dagsfc::graph {
 
 namespace {
@@ -49,14 +47,13 @@ void ShortestPathTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
 
 namespace {
 
-/// The flat relaxation loop. Every unpruned search runs it: one-shot and
-/// multi-target searches over a SearchWorkspace, each layer of the
-/// multi-source bank, and the path cache's resumable LazyTrees. Templated
-/// on the label store, on the edge-admission test (so the unfiltered
-/// instantiation carries no per-edge branch on a mask pointer) and on the
-/// stop test. The scan streams the CSR incidence and weight arrays in
-/// lockstep — the only random access left per arc is the neighbor's dist
-/// slot.
+/// The flat relaxation loop. Every search runs it: one-shot searches over a
+/// SearchWorkspace, each layer of the multi-source bank, and the path
+/// cache's resumable LazyTrees. Templated on the label store, on the
+/// edge-admission test (so the unfiltered instantiation carries no per-edge
+/// branch on a mask pointer) and on the stop test. The scan streams the
+/// CSR incidence and weight arrays in lockstep — the only random access
+/// left per arc is the neighbor's dist slot.
 ///
 /// Before settling the next final node — the heap's top once stale entries
 /// are dropped — the loop asks stop(top). On true it returns with that node
@@ -120,87 +117,6 @@ std::size_t settle_masked(const Graph& g, Labels& labels, SearchHeap& heap,
       g, labels, heap, [m](EdgeId e) { return m.allows(e); }, stop);
 }
 
-/// settle_loop with ALT pruning toward stop_at, as a pop-then-stop loop of
-/// its own (one-shot only). Its structure is settle_loop's, plus a
-/// guard: candidates whose settled-or-tentative cost d plus the landmark
-/// lower bound lb(v) = max_l |d(l,t) − d(l,v)| exceeds prune_guard(ub) are
-/// skipped — a pop skips the row scan, a relaxation skips the write and
-/// push. ub starts at alt.seed_ub (kInfCost when unseeded) and tightens to
-/// the best tentative distance of stop_at each time it improves.
-///
-/// Why the surviving run is bitwise identical to settle_loop's:
-///   * Nothing is reordered. Keys, pushes, and the (key, node) pop order
-///     are untouched; pruning only removes entries, and the relative order
-///     of the survivors is the order settle_loop would pop them in.
-///   * The target's final parent chain survives intact. For any node w on
-///     the eventual chain, its final write has value D(s,w) and
-///     lb(w) ≤ d(w,t) ≤ (chain cost w→t), so value + lb(w) ≤ dist(t) ≤ ub
-///     at every moment (ub is always ≥ the true distance D(t)); the 1e-9
-///     relative slack in prune_guard absorbs the ulp-level difference
-///     between the chain's summed doubles and the bound arithmetic. The
-///     same holds for the pops expanding those writes.
-///   * Dropped work stays dropped. The bound is consistent
-///     (|lb(v) − lb(w)| ≤ w(v,w)), so every write derived from a pruned
-///     candidate would itself fail the test — a pruned subtree cannot
-///     resurface and influence a surviving slot.
-/// Together: identical pops and writes along everything that can reach the
-/// target at optimal cost, so extract_path(ws, stop_at) — nodes, edges, and
-/// the summed cost — matches the unpruned kernel bit for bit (the
-/// differential battery in tests/test_distance_oracle.cpp checks this over
-/// every embedder).
-template <typename Allow>
-std::size_t run_flat_alt(const Graph& g, NodeId source, SearchWorkspace& ws,
-                         const Allow& allow, NodeId stop_at,
-                         const AltQuery& alt) {
-  DAGSFC_CHECK(g.has_node(source) && g.has_node(stop_at));
-  DAGSFC_ASSERT(stop_at == alt.target);
-  const CsrView csr = g.csr();
-  const std::uint32_t* const off = csr.offsets.data();
-  const Incidence* const inc = csr.incidence.data();
-  const double* const wt = csr.weights.data();
-  ws.prepare(g);
-  ws.start(source);
-  double guard = prune_guard(alt.seed_ub);  // inf-safe: stays +inf unseeded
-  std::uint64_t tested = 0;
-  std::uint64_t pruned = 0;
-  std::size_t settled = 0;
-  while (!ws.heap_empty()) {
-    const auto [d, v] = ws.heap_pop();
-    if (d > ws.dist_unchecked(v)) continue;  // stale entry
-    if (v == stop_at) break;
-    ++tested;
-    if (d + alt.lower_bound(v) > guard) {
-      ++pruned;
-      continue;
-    }
-    ++settled;
-    const std::uint32_t row_end = off[v + 1];
-    for (std::uint32_t s = off[v]; s != row_end; ++s) {
-      const Incidence in = inc[s];
-      if (!allow(in.edge)) continue;
-      const double nd = d + wt[s];
-      if (nd < ws.dist_if_live(in.neighbor)) {
-        ++tested;
-        if (nd + alt.lower_bound(in.neighbor) > guard) {
-          ++pruned;
-          continue;
-        }
-        ws.relax(in.neighbor, nd, v, in.edge);
-        ws.heap_push(nd, in.neighbor);
-        if (in.neighbor == stop_at) {
-          const double tightened = prune_guard(nd);
-          if (tightened < guard) guard = tightened;
-        }
-      }
-    }
-  }
-  if (alt.stats != nullptr) {
-    alt.stats->tested += tested;
-    alt.stats->pruned += pruned;
-  }
-  return settled;
-}
-
 }  // namespace
 
 std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
@@ -252,38 +168,6 @@ std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
   return extract_path(ws, target);
 }
 
-std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                          const EdgeMask* mask, NodeId stop_at,
-                          const AltQuery& alt) {
-  if (alt.active == 0 && alt.seed_ub == kInfCost) {
-    // Nothing to prune with — run the plain kernel (same results either
-    // way; this just skips the per-candidate bound arithmetic).
-    return dijkstra_into(g, source, ws, mask, stop_at);
-  }
-  // A landmark-routed upper bound is the cost of a real path that may use
-  // masked edges — seeding it under a mask would prune valid routes. The
-  // exception is a caller-declared threshold seed (alt.threshold): the
-  // caller promises to discard any result costlier than the seed, so
-  // over-pruning beyond it is unobservable (see AltQuery::seed_ub).
-  DAGSFC_CHECK(mask == nullptr || alt.seed_ub == kInfCost || alt.threshold);
-  if (mask == nullptr) {
-    return run_flat_alt(
-        g, source, ws, [](EdgeId) { return true; }, stop_at, alt);
-  }
-  DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
-  const EdgeMask m = *mask;
-  return run_flat_alt(
-      g, source, ws, [m](EdgeId e) { return m.allows(e); }, stop_at, alt);
-}
-
-std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
-                                  SearchWorkspace& ws, const EdgeMask* mask,
-                                  const AltQuery& alt) {
-  DAGSFC_CHECK(g.has_node(target));
-  dijkstra_into(g, source, ws, mask, target, alt);
-  return extract_path(ws, target);
-}
-
 namespace {
 
 /// One layer of the multi-source bank in settle_loop's label-store shape:
@@ -330,25 +214,6 @@ void multi_source_dijkstra_into(const Graph& g, std::span<const NodeId> sources,
   }
 }
 
-std::size_t dijkstra_into_targets(const Graph& g, NodeId source,
-                                  std::span<const NodeId> targets,
-                                  SearchWorkspace& ws, const EdgeMask* mask) {
-  DAGSFC_CHECK(g.has_node(source));
-  // Pending = targets not yet final. Small list, so the per-settle
-  // membership scan beats any indexed structure; erasing *all* matches of a
-  // node also makes duplicate target entries harmless.
-  std::vector<NodeId>& pending = ws.scratch_nodes();
-  pending.assign(targets.begin(), targets.end());
-  for (const NodeId t : pending) DAGSFC_CHECK(g.has_node(t));
-  ws.prepare(g);
-  ws.start(source);
-  return settle_masked(g, ws, ws.heap(), mask,
-                       [&pending](SearchHeap::Item top) {
-                         std::erase(pending, top.node);
-                         return pending.empty();  // the last one is final
-                       });
-}
-
 // --- resumable tier --------------------------------------------------------
 
 namespace {
@@ -382,13 +247,6 @@ LazyTree::LazyTree(const Graph& g, NodeId src)
   heap_.reserve(g.num_nodes() + 1);
   dist[src] = 0.0;
   heap_.push(0.0, src);
-}
-
-LazyTree::LazyTree(const ShortestPathTree& full)
-    : source(full.source), dist(full.dist), links_(full.dist.size()) {
-  for (NodeId v = 0; v < links_.size(); ++v) {
-    links_[v] = ParentLink{full.parent[v], full.parent_edge[v]};
-  }
 }
 
 bool LazyTree::is_final(NodeId v) const {
@@ -445,7 +303,6 @@ void LazyTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,
                           const EdgeFilter& filter) {
-  if (!flat_search_default()) return reference::dijkstra(g, source, filter);
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return dijkstra(g, source, ws);
   ws.scratch_mask().fill_from(g, filter);
@@ -455,9 +312,6 @@ ShortestPathTree dijkstra(const Graph& g, NodeId source,
 
 std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
                                   const EdgeFilter& filter) {
-  if (!flat_search_default()) {
-    return reference::min_cost_path(g, source, target, filter);
-  }
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return min_cost_path(g, source, target, ws);
   ws.scratch_mask().fill_from(g, filter);

@@ -8,24 +8,25 @@
 ///   * Flat tier — dijkstra_into() and friends run over the graph's CSR view
 ///     with a caller-owned SearchWorkspace and an optional EdgeMask. Warm
 ///     calls are allocation-free; results live in the workspace until the
-///     next search and can be exported on demand. This is what PathOracle
-///     and the embedders use for one-shot searches.
+///     next search and can be exported on demand. Yen's spur searches, the
+///     Steiner DP and the shard plane's border summaries run on it.
 ///   * Resumable tier — LazyTree owns its labels and frontier, so a search
 ///     can stop at one target and later resume toward a farther one. It
 ///     runs the flat tier's relaxation loop and heap; PathCache entries are
-///     LazyTrees.
+///     LazyTrees, and every PathOracle min-cost query reads one.
 ///   * Legacy tier — the original EdgeFilter signatures, kept for callers
-///     that don't carry a workspace (ILP bound generation, one-off tests).
-///     They dispatch to the flat kernels through a per-thread workspace, or
-///     to the frozen seed code in graph::reference when
-///     set_flat_search_default(false) is in effect. Either way the results
-///     are bit-identical.
+///     that don't carry a workspace (ILP bound generation, the shard
+///     substrate, one-off tests). They materialize the filter into a mask
+///     and run the flat kernels through a per-thread workspace.
+///
+/// Every tier is bit-identical to the frozen seed kernels, which live
+/// outside the production libraries as the tests' oracle (graph::reference,
+/// under reference/).
 
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "graph/alt_query.hpp"
 #include "graph/edge_mask.hpp"
 #include "graph/graph.hpp"
 #include "graph/workspace.hpp"
@@ -85,29 +86,6 @@ std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
                                                 SearchWorkspace& ws,
                                                 const EdgeMask* mask = nullptr);
 
-// --- goal-directed tier (ALT pruning, see oracle.hpp) --------------------
-
-/// Dijkstra with ALT pruning toward \p stop_at (required; must equal
-/// alt.target). Same pop order, same relaxations, minus the ones the
-/// landmark lower bound proves cannot lie on any path at most as cheap as
-/// the best known route to the target — so the settled region around the
-/// target, its distance and its parent chain are bitwise identical to the
-/// unpruned kernel's (proof sketch above run_flat_alt in dijkstra.cpp).
-/// alt.seed_ub must be kInfCost when \p mask is non-null: a landmark-routed
-/// upper bound may use masked edges. An inactive alt (active == 0) falls
-/// back to the plain kernel. Returns the number of nodes settled (popped
-/// and not pruned).
-std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
-                          const EdgeMask* mask, NodeId stop_at,
-                          const AltQuery& alt);
-
-/// Point-to-point query through the pruned kernel.
-[[nodiscard]] std::optional<Path> min_cost_path(const Graph& g, NodeId source,
-                                                NodeId target,
-                                                SearchWorkspace& ws,
-                                                const EdgeMask* mask,
-                                                const AltQuery& alt);
-
 // --- batched tier --------------------------------------------------------
 
 /// One prepared pass that runs |sources| independent SSSPs over a layered
@@ -162,19 +140,6 @@ class MultiSourceView {
   std::size_t layers_;
 };
 
-/// One search from \p source that stops as soon as *every* node in
-/// \p targets has been settled — the inter-layer multicast fan-outs route
-/// all meta-paths sharing a source with one heap pass instead of
-/// |targets| early-exit runs. Each extract_path(ws, t) afterwards is
-/// bitwise identical to its individual min_cost_path: targets are finalized
-/// when popped, and continuing past an earlier target cannot rewrite
-/// anything already settled. Duplicate target entries are fine. Returns the
-/// number of nodes settled.
-std::size_t dijkstra_into_targets(const Graph& g, NodeId source,
-                                  std::span<const NodeId> targets,
-                                  SearchWorkspace& ws,
-                                  const EdgeMask* mask = nullptr);
-
 // --- resumable tier ------------------------------------------------------
 
 /// A single-source Dijkstra search that settles nodes on demand: the
@@ -200,8 +165,6 @@ class LazyTree {
  public:
   /// Seeds a search from \p source over \p g; nothing is settled yet.
   LazyTree(const Graph& g, NodeId source);
-  /// Adopts an already complete search (the reference tier's full trees).
-  explicit LazyTree(const ShortestPathTree& full);
 
   LazyTree(const LazyTree&) = delete;
   LazyTree& operator=(const LazyTree&) = delete;

@@ -7,7 +7,6 @@ namespace dagsfc::graph {
 NodeId Graph::add_node() {
   adjacency_.emplace_back();
   csr_fresh_.store(false, std::memory_order_release);
-  structure_rev_.fetch_add(1, std::memory_order_relaxed);
   return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
@@ -22,9 +21,6 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, double weight) {
   adjacency_[u].push_back(Incidence{id, v});
   adjacency_[v].push_back(Incidence{id, u});
   csr_fresh_.store(false, std::memory_order_release);
-  structure_rev_.fetch_add(1, std::memory_order_relaxed);
-  // A new edge also introduces a new weight.
-  weight_rev_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
@@ -79,7 +75,6 @@ void Graph::set_weight(EdgeId e, double weight) {
     csr_weights_[slots[0]] = weight;
     csr_weights_[slots[1]] = weight;
   }
-  weight_rev_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<EdgeId> Graph::find_edge(NodeId u, NodeId v) const {

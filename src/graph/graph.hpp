@@ -108,21 +108,14 @@ class Graph {
   explicit Graph(std::size_t n) : adjacency_(n) {}
 
   // The CSR cache (atomic flag + build mutex) is not copyable; copies and
-  // moved-to graphs rebuild their view lazily on first use. Revision stamps
-  // transfer with the data they describe (a copy has the same structure and
-  // weights as its original, so carrying the stamps over keeps any oracle
-  // keyed on them honest either way — oracles additionally key on the graph's
-  // address, so cross-object collisions cannot happen).
+  // moved-to graphs rebuild their view lazily on first use.
   Graph(const Graph& other)
-      : edges_(other.edges_), adjacency_(other.adjacency_) {
-    copy_revisions_from(other);
-  }
+      : edges_(other.edges_), adjacency_(other.adjacency_) {}
   Graph& operator=(const Graph& other) {
     if (this != &other) {
       edges_ = other.edges_;
       adjacency_ = other.adjacency_;
       csr_fresh_.store(false, std::memory_order_release);
-      copy_revisions_from(other);
     }
     return *this;
   }
@@ -136,7 +129,6 @@ class Graph {
     csr_fresh_.store(other.csr_fresh_.load(std::memory_order_acquire),
                      std::memory_order_release);
     other.csr_fresh_.store(false, std::memory_order_release);
-    copy_revisions_from(other);
   }
   Graph& operator=(Graph&& other) noexcept {
     if (this != &other) {
@@ -149,7 +141,6 @@ class Graph {
       csr_fresh_.store(other.csr_fresh_.load(std::memory_order_acquire),
                        std::memory_order_release);
       other.csr_fresh_.store(false, std::memory_order_release);
-      copy_revisions_from(other);
     }
     return *this;
   }
@@ -218,22 +209,6 @@ class Graph {
     return v < adjacency_.size();
   }
 
-  /// Revision stamps for derived-data invalidation (e.g. the ALT distance
-  /// oracle in oracle.hpp). structure_revision() moves on add_node/add_edge
-  /// — anything keyed on the topology must be rebuilt; weight_revision()
-  /// moves on set_weight (and on structural mutation, since a new edge also
-  /// carries a new weight) — distance tables need a refresh but landmark
-  /// positions and the CSR view stay valid. Relaxed atomics so quiescent
-  /// concurrent readers (the usual build-then-search pattern) can poll them
-  /// without racing the flags themselves; mutating concurrently with
-  /// readers is undefined, same contract as every other mutator.
-  [[nodiscard]] std::uint64_t structure_revision() const noexcept {
-    return structure_rev_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t weight_revision() const noexcept {
-    return weight_rev_.load(std::memory_order_relaxed);
-  }
-
   /// 2·|E| / |V| — the "network connectivity" knob of the paper's §5.1.
   [[nodiscard]] double average_degree() const noexcept;
 
@@ -243,13 +218,6 @@ class Graph {
 
  private:
   void build_csr() const;
-
-  void copy_revisions_from(const Graph& other) noexcept {
-    structure_rev_.store(other.structure_rev_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    weight_rev_.store(other.weight_rev_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  }
 
   std::vector<Edge> edges_;
   std::vector<std::vector<Incidence>> adjacency_;
@@ -263,9 +231,6 @@ class Graph {
   mutable std::vector<std::array<std::uint32_t, 2>> csr_edge_slots_;
   mutable std::atomic<bool> csr_fresh_{false};
   mutable std::mutex csr_mu_;
-
-  std::atomic<std::uint64_t> structure_rev_{0};
-  std::atomic<std::uint64_t> weight_rev_{0};
 };
 
 /// True iff every node is reachable from node 0 (or the graph is empty).

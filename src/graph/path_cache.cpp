@@ -76,24 +76,6 @@ std::shared_ptr<const LazyTree> PathCache::tree(const Graph& g, NodeId source,
 
 std::shared_ptr<const std::vector<Path>> PathCache::k_paths(
     const Graph& g, NodeId source, NodeId target, std::size_t k,
-    std::uint64_t context, const EdgeFilter& filter, PathQueryCounters& c) {
-  const YenKey key{context, source, target, k};
-  if (auto it = yens_.find(key); it != yens_.end()) {
-    ++c.cache_hits;
-    return it->second;
-  }
-  ++c.cache_misses;
-  ++c.yen_calls;
-  auto entry = std::make_shared<const std::vector<Path>>(
-      k_shortest_paths(g, source, target, k, filter));
-  make_room(yens_, yen_contexts_, c);
-  yens_.emplace(key, entry);
-  index_add(yen_contexts_, context);
-  return entry;
-}
-
-std::shared_ptr<const std::vector<Path>> PathCache::k_paths(
-    const Graph& g, NodeId source, NodeId target, std::size_t k,
     std::uint64_t context, const EdgeMask* mask, SearchWorkspace& ws,
     PathQueryCounters& c) {
   const YenKey key{context, source, target, k};

@@ -91,13 +91,6 @@ struct PathQueryCounters {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t evictions = 0;
-  // ALT-oracle pruning work (goal-directed searches only): how many
-  // prune tests the kernels evaluated and how many fired. Their ratio is
-  // exported as dagsfc_oracle_pruned_ratio; both stay 0 with no oracle
-  // attached.
-  std::size_t oracle_tested = 0;
-  std::size_t oracle_pruned = 0;
-  // Flat-tier Dijkstra searches only; the reference tier reports 0.
   std::size_t nodes_settled = 0;
 
   PathQueryCounters& operator+=(const PathQueryCounters& o) {
@@ -108,8 +101,6 @@ struct PathQueryCounters {
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     evictions += o.evictions;
-    oracle_tested += o.oracle_tested;
-    oracle_pruned += o.oracle_pruned;
     nodes_settled += o.nodes_settled;
     return *this;
   }
@@ -158,12 +149,8 @@ class PathCache {
                                                      const EdgeMask* mask,
                                                      PathQueryCounters& c);
 
-  /// Yen's k cheapest loopless paths source → target under \p filter.
-  [[nodiscard]] std::shared_ptr<const std::vector<Path>> k_paths(
-      const Graph& g, NodeId source, NodeId target, std::size_t k,
-      std::uint64_t context, const EdgeFilter& filter, PathQueryCounters& c);
-
-  /// Flat-tier variant of k_paths, same contract as the flat tree().
+  /// Yen's k cheapest loopless paths source → target under \p mask (null
+  /// ⇒ all edges), searching through \p ws on a miss.
   [[nodiscard]] std::shared_ptr<const std::vector<Path>> k_paths(
       const Graph& g, NodeId source, NodeId target, std::size_t k,
       std::uint64_t context, const EdgeMask* mask, SearchWorkspace& ws,

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <set>
 
-#include "graph/reference.hpp"
-
 namespace dagsfc::graph {
 
 namespace {
@@ -31,12 +29,23 @@ constexpr std::uint32_t how_payload(std::uint64_t h) {
   return static_cast<std::uint32_t>(h);
 }
 
+/// The float-safety guard pruning compares against: a cell is dropped only
+/// when its cost plus its future cost exceeds ub by more than a 1e-9
+/// relative slack. The slack absorbs the last-ulp rounding differences
+/// between the bound arithmetic and the DP's own chained additions —
+/// accumulated double error is ~1e-13 relative, orders of magnitude under
+/// the slack — so a cell the unpruned DP needs can never be dropped, which
+/// is load-bearing for bit-identity.
+[[nodiscard]] inline double prune_guard(double ub) noexcept {
+  return ub + ub * 1e-9;
+}
+
 }  // namespace
 
-// The seed Dreyfus–Wagner DP (see reference.cpp) with two accelerations on
-// top of the flat kernels; both leave the returned tree bit-identical to
-// the seed's (checked by the cross-kernel battery in
-// tests/test_distance_oracle.cpp):
+// The seed Dreyfus–Wagner DP (see reference/graph/reference.cpp) with two
+// accelerations on top of the flat kernels; both leave the returned tree
+// bit-identical to the seed's (checked by the differentials in
+// tests/test_search_flat.cpp):
 //
 //   1. Batched base case. The k single-terminal rows dp[{i}][·] used to be
 //      k independent Dijkstra exhaustions; they are now one
@@ -317,9 +326,6 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
 std::optional<SteinerTree> steiner_tree(const Graph& g,
                                         const std::vector<NodeId>& terminals,
                                         const EdgeFilter& filter) {
-  if (!flat_search_default()) {
-    return reference::steiner_tree(g, terminals, filter);
-  }
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return steiner_tree(g, terminals, nullptr, ws);
   ws.scratch_mask().fill_from(g, filter);

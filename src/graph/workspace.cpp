@@ -1,20 +1,8 @@
 #include "graph/workspace.hpp"
 
-#include <atomic>
+#include <algorithm>
 
 namespace dagsfc::graph {
-
-namespace {
-std::atomic<bool> g_flat_search_default{true};
-}  // namespace
-
-void set_flat_search_default(bool enabled) noexcept {
-  g_flat_search_default.store(enabled, std::memory_order_relaxed);
-}
-
-bool flat_search_default() noexcept {
-  return g_flat_search_default.load(std::memory_order_relaxed);
-}
 
 SearchWorkspace& thread_local_workspace() {
   static thread_local SearchWorkspace ws;

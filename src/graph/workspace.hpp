@@ -24,7 +24,7 @@
 /// never shared concurrently. Reusing a workspace never changes results:
 /// every kernel fully re-initializes the slots it reads (that is the whole
 /// point of the stamps), which is what keeps flat search bit-identical to
-/// the seed implementation.
+/// the seed implementation (graph::reference, under reference/).
 ///
 /// A warm call on a prepared workspace performs zero heap allocations
 /// (asserted by tests/test_search_workspace.cpp via a counting operator
@@ -39,16 +39,6 @@
 #include "graph/graph.hpp"
 
 namespace dagsfc::graph {
-
-class DistanceOracle;
-
-/// Process-wide switch between the flat search kernels (CSR + workspace +
-/// edge mask; the default) and the preserved seed implementations in
-/// graph::reference. Exists for the differential tests and before/after
-/// benches — results are bit-identical either way. Like
-/// CapacityLedger::set_cache_default: flip before spawning worker threads.
-void set_flat_search_default(bool enabled) noexcept;
-[[nodiscard]] bool flat_search_default() noexcept;
 
 class SearchWorkspace;
 
@@ -276,31 +266,14 @@ class SearchWorkspace {
 
   // --- scratch vectors (kernel API) -------------------------------------
   // Typed spare buffers for kernels that need more than the per-node slots:
-  // the multi-target pass keeps its pending list in scratch_nodes(), the
-  // Steiner DP lays its cost table in scratch_f64() and its packed
-  // backtrack table in scratch_u64(). Each kernel owns them only for the
-  // duration of one call (same non-reentrancy contract as the heap).
+  // the Steiner DP keeps its tree-node list in scratch_nodes(), lays its
+  // cost table in scratch_f64() and its packed backtrack table in
+  // scratch_u64(). Each kernel owns them only for the duration of one call
+  // (same non-reentrancy contract as the heap).
 
   std::vector<NodeId>& scratch_nodes() noexcept { return scratch_nodes_; }
   std::vector<double>& scratch_f64() noexcept { return scratch_f64_; }
   std::vector<std::uint64_t>& scratch_u64() noexcept { return scratch_u64_; }
-
-  // --- distance oracle attachment ---------------------------------------
-  // An optional per-workspace pointer to a DistanceOracle (oracle.hpp). The
-  // workspace is the one object already threaded through every search
-  // consumer (PathOracle, the embedders, the serve workers), so attaching
-  // the oracle here lets all of them opt into goal-directed pruning without
-  // touching a single solver signature. Null (the default) means every
-  // search runs the plain kernels — the pre-oracle code paths, bit for bit.
-  // Consumers gate each use on oracle->matches(graph), so a stale or
-  // wrong-graph pointer degrades to "no pruning", never to wrong paths.
-
-  void set_distance_oracle(const DistanceOracle* oracle) noexcept {
-    oracle_ = oracle;
-  }
-  [[nodiscard]] const DistanceOracle* distance_oracle() const noexcept {
-    return oracle_;
-  }
 
   // --- test hooks --------------------------------------------------------
 
@@ -342,8 +315,6 @@ class SearchWorkspace {
   std::vector<NodeId> scratch_nodes_;
   std::vector<double> scratch_f64_;
   std::vector<std::uint64_t> scratch_u64_;
-
-  const DistanceOracle* oracle_ = nullptr;
 };
 
 }  // namespace dagsfc::graph

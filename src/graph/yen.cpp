@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/reference.hpp"
-
 namespace dagsfc::graph {
 
 namespace {
@@ -19,54 +17,19 @@ struct PathLess {
 
 }  // namespace
 
-// Structurally the seed algorithm (see reference.cpp) with one change: the
-// per-spur closure over fresh std::sets of banned edges/nodes becomes a
-// word-copy of the base mask with the banned bits cleared. "Edge incident to
-// a banned node" and "banned edge id" carve out exactly the edges the seed
-// filter rejected, so every spur search sees the same admissible subgraph
-// and the accepted paths are bit-identical.
-namespace {
-
-/// Shared body: \p alt == nullptr runs the plain kernels; otherwise every
-/// inner point-to-point search goes through the goal-directed tier. The
-/// spur searches always run masked, so the landmark-routed upper bound is
-/// unusable there (it prices a path that may use masked edges); the
-/// landmark lower bounds remain admissible under any mask.
-///
-/// What makes the spur searches prunable anyway is a Lawler-style bound.
-/// Let need = k − |result|. Once the candidate set holds ≥ need entries,
-/// any new path costlier than the need-th best candidate B can never be
-/// selected: selection always takes the global minimum, so before such a
-/// path could surface, the need cheaper candidates would already have been
-/// taken and the algorithm would be done (candidates are never removed
-/// except by selection, and later inserts only push it further back; a tie
-/// with B is kept, so the PathLess node-sequence tie-break still sees it).
-/// Hence B − prefix_cost is a valid *threshold* for the spur search: seed
-/// it via AltQuery::threshold semantics, and discard any returned total
-/// costlier than B. The kernel guarantees bit-identical results whenever
-/// the true spur cost is within the threshold, and every over-threshold
-/// result is discarded here — exactly the set the unpruned run could have
-/// inserted but never selected — so the k returned paths are bitwise
-/// identical to the oracle-off run's. The drop test compares the same
-/// g.path_cost(total) doubles against the same candidate-cost doubles in
-/// both arms, so no float slack is needed on it.
-std::vector<Path> yen_flat(const Graph& g, NodeId source, NodeId target,
-                           std::size_t k, const EdgeMask* mask,
-                           SearchWorkspace& ws, const AltQuery* alt) {
+// Structurally the seed algorithm (see reference/graph/reference.cpp) with
+// one change: the per-spur closure over fresh std::sets of banned
+// edges/nodes becomes a word-copy of the base mask with the banned bits
+// cleared. "Edge incident to a banned node" and "banned edge id" carve out
+// exactly the edges the seed filter rejected, so every spur search sees the
+// same admissible subgraph and the accepted paths are bit-identical.
+std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
+                                   NodeId target, std::size_t k,
+                                   const EdgeMask* mask, SearchWorkspace& ws) {
   std::vector<Path> result;
   if (k == 0) return result;
 
-  AltQuery spur_alt;
-  if (alt != nullptr) {
-    DAGSFC_CHECK(alt->target == target);
-    spur_alt = *alt;
-    spur_alt.seed_ub = kInfCost;
-    spur_alt.threshold = true;
-  }
-
-  auto first = alt != nullptr
-                   ? min_cost_path(g, source, target, ws, mask, *alt)
-                   : min_cost_path(g, source, target, ws, mask);
+  auto first = min_cost_path(g, source, target, ws, mask);
   if (!first) return result;
   result.push_back(std::move(*first));
 
@@ -83,35 +46,11 @@ std::vector<Path> yen_flat(const Graph& g, NodeId source, NodeId target,
   std::set<std::vector<NodeId>> known;  // dedupe by node sequence
   known.insert(result.front().nodes);
 
-  std::vector<double> prefix_cost;  // prefix_cost[i] = cost of prev[0..i]
   while (result.size() < k) {
     const Path& prev = result.back();
-    if (alt != nullptr) {
-      prefix_cost.resize(prev.nodes.size());
-      prefix_cost[0] = 0.0;
-      for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-        prefix_cost[i + 1] = prefix_cost[i] + g.edge(prev.edges[i]).weight;
-      }
-    }
     // Each node of the previous path (except the last) spawns a spur.
     for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
       const NodeId spur_node = prev.nodes[i];
-
-      // Lawler bound (see the function comment): the need-th best candidate
-      // caps every total still worth generating. Recomputed per spur — the
-      // set grows as the round progresses, and the bound only tightens.
-      double bound = kInfCost;
-      if (alt != nullptr) {
-        const std::size_t need = k - result.size();
-        if (candidates.size() >= need) {
-          bound = std::next(candidates.begin(),
-                            static_cast<std::ptrdiff_t>(need) - 1)
-                      ->cost;
-          if (prefix_cost[i] > bound) continue;  // no spur can qualify
-        }
-        spur_alt.seed_ub =
-            bound == kInfCost ? kInfCost : bound - prefix_cost[i];
-      }
 
       // Edges removed for this spur: (a) the i-th edge of every accepted
       // path sharing the root prefix, (b) edges internal to the root path so
@@ -133,10 +72,7 @@ std::vector<Path> yen_flat(const Graph& g, NodeId source, NodeId target,
       }
 
       const EdgeMask spur_mask = spur.view();
-      auto spur_path =
-          alt != nullptr
-              ? min_cost_path(g, spur_node, target, ws, &spur_mask, spur_alt)
-              : min_cost_path(g, spur_node, target, ws, &spur_mask);
+      auto spur_path = min_cost_path(g, spur_node, target, ws, &spur_mask);
       if (!spur_path) continue;
 
       Path total;
@@ -147,9 +83,6 @@ std::vector<Path> yen_flat(const Graph& g, NodeId source, NodeId target,
       total.edges.insert(total.edges.end(), spur_path->edges.begin(),
                          spur_path->edges.end());
       total.cost = g.path_cost(total);
-      // Over-threshold results are unreliable under a threshold seed and
-      // unselectable regardless — drop before they touch known/candidates.
-      if (total.cost > bound) continue;
       if (known.insert(total.nodes).second) {
         candidates.insert(std::move(total));
       }
@@ -161,27 +94,9 @@ std::vector<Path> yen_flat(const Graph& g, NodeId source, NodeId target,
   return result;
 }
 
-}  // namespace
-
-std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
-                                   NodeId target, std::size_t k,
-                                   const EdgeMask* mask, SearchWorkspace& ws) {
-  return yen_flat(g, source, target, k, mask, ws, nullptr);
-}
-
-std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
-                                   NodeId target, std::size_t k,
-                                   const EdgeMask* mask, SearchWorkspace& ws,
-                                   const AltQuery& alt) {
-  return yen_flat(g, source, target, k, mask, ws, &alt);
-}
-
 std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
                                    NodeId target, std::size_t k,
                                    const EdgeFilter& filter) {
-  if (!flat_search_default()) {
-    return reference::k_shortest_paths(g, source, target, k, filter);
-  }
   SearchWorkspace& ws = thread_local_workspace();
   if (!filter) return k_shortest_paths(g, source, target, k, nullptr, ws);
   ws.scratch_mask().fill_from(g, filter);

@@ -22,17 +22,6 @@ namespace dagsfc::graph {
                                                  const EdgeMask* mask,
                                                  SearchWorkspace& ws);
 
-/// Goal-directed tier: same results, with every inner search (the first
-/// path and all spur searches) pruned through \p alt (which must target
-/// \p target; see alt_query.hpp). The spur searches run under masks, so
-/// they use a copy of \p alt with the upper-bound seed stripped — the
-/// landmark lower bounds stay admissible under any mask, the seed does not.
-[[nodiscard]] std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
-                                                 NodeId target, std::size_t k,
-                                                 const EdgeMask* mask,
-                                                 SearchWorkspace& ws,
-                                                 const AltQuery& alt);
-
 /// Legacy tier: up to \p k cheapest simple paths source→target in ascending
 /// cost order. Honors \p filter the same way dijkstra() does. Returns fewer
 /// than k paths when the graph does not contain them.

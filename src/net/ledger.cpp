@@ -2,16 +2,6 @@
 
 namespace dagsfc::net {
 
-namespace {
-bool g_cache_default = true;
-}  // namespace
-
-void CapacityLedger::set_cache_default(bool enabled) noexcept {
-  g_cache_default = enabled;
-}
-
-bool CapacityLedger::cache_default() noexcept { return g_cache_default; }
-
 CapacityLedger::CapacityLedger(const Network& network) : net_(&network) {
   link_residual_.reserve(network.num_links());
   for (EdgeId e = 0; e < network.num_links(); ++e) {
@@ -31,8 +21,7 @@ CapacityLedger::CapacityLedger(const CapacityLedger& other)
       instance_residual_(other.instance_residual_),
       link_stamp_(other.link_stamp_),
       instance_stamp_(other.instance_stamp_),
-      epoch_(other.epoch_),
-      cache_enabled_(other.cache_enabled_) {}
+      epoch_(other.epoch_) {}
 
 CapacityLedger& CapacityLedger::operator=(const CapacityLedger& other) {
   if (this != &other) {
@@ -42,7 +31,6 @@ CapacityLedger& CapacityLedger::operator=(const CapacityLedger& other) {
     link_stamp_ = other.link_stamp_;
     instance_stamp_ = other.instance_stamp_;
     epoch_ = other.epoch_;
-    cache_enabled_ = other.cache_enabled_;
     cache_.reset();  // caches are per-instance, never shared
     journal_.clear();  // journals too: copies start un-journaled
     journal_capacity_ = 0;
@@ -51,15 +39,9 @@ CapacityLedger& CapacityLedger::operator=(const CapacityLedger& other) {
   return *this;
 }
 
-graph::PathCache* CapacityLedger::path_cache() const {
-  if (!cache_enabled_) return nullptr;
+graph::PathCache& CapacityLedger::path_cache() const {
   if (!cache_) cache_ = std::make_unique<graph::PathCache>();
-  return cache_.get();
-}
-
-void CapacityLedger::set_cache_enabled(bool enabled) {
-  cache_enabled_ = enabled;
-  if (!enabled) cache_.reset();
+  return *cache_;
 }
 
 bool CapacityLedger::node_offers(NodeId node, VnfTypeId type,

@@ -33,13 +33,15 @@
 ///
 /// ## Path-cache coupling
 ///
-/// The ledger owns a per-instance graph::PathCache. Link debits and
+/// The ledger owns a per-instance graph::PathCache, created on the first
+/// path_cache() call: a ledger that is never searched (a shard's) never
+/// builds one, and a copy builds none until its first query. Link debits and
 /// credits forward (edge, residual-before/after, kEps) to the cache, which
 /// evicts exactly the entries whose results a usability flip could change;
 /// instance mutations never touch the cache (edge usability depends only
 /// on link residuals). Copies inherit residuals, stamps and epoch but
-/// start with a fresh, empty cache and no journal (caches are never shared
-/// — they are not thread-safe).
+/// start with no cache and no journal (caches are never shared — they are
+/// not thread-safe).
 
 #include <cstdint>
 #include <memory>
@@ -174,19 +176,10 @@ class CapacityLedger {
   /// Either way the replica ends bit-equal to the master's residual state.
   bool sync_from(const CapacityLedger& master);
 
-  /// The ledger's shortest-path cache, lazily created; nullptr when caching
-  /// is disabled for this ledger. The cache is logically state — it never
-  /// changes observable results — hence usable through const ledgers.
-  [[nodiscard]] graph::PathCache* path_cache() const;
-
-  /// Per-ledger override of the process-wide default (set_cache_default).
-  void set_cache_enabled(bool enabled);
-  [[nodiscard]] bool cache_enabled() const noexcept { return cache_enabled_; }
-
-  /// Process-wide default for newly constructed ledgers (on out of the
-  /// box). Flip before spawning worker threads; reads are unsynchronized.
-  static void set_cache_default(bool enabled) noexcept;
-  [[nodiscard]] static bool cache_default() noexcept;
+  /// The ledger's shortest-path cache, created on first access. The cache
+  /// is logically state — it never changes observable results — hence
+  /// usable through const ledgers.
+  [[nodiscard]] graph::PathCache& path_cache() const;
 
  private:
   static constexpr double kEps = 1e-9;
@@ -220,7 +213,6 @@ class CapacityLedger {
   std::size_t journal_capacity_ = 0;
   std::uint64_t journal_start_ = 0;
 
-  bool cache_enabled_ = cache_default();
   mutable std::unique_ptr<graph::PathCache> cache_;
 };
 

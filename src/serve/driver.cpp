@@ -83,7 +83,6 @@ DriverResult run_closed_loop(const Workload& workload,
   opts.pipeline = tuning.pipeline;
   opts.slow_solve_threshold = tuning.slow_solve_threshold;
   opts.watchdog_period = tuning.watchdog_period;
-  opts.distance_oracle = tuning.distance_oracle;
   opts.tracing = tuning.tracing;
   EmbeddingService service(workload.scenario.network, embedder, opts);
   if (tuning.on_start) tuning.on_start(service);
@@ -132,7 +131,6 @@ OpenLoopResult run_open_loop(const Workload& workload,
   opts.pipeline = cfg.tuning.pipeline;
   opts.slow_solve_threshold = cfg.tuning.slow_solve_threshold;
   opts.watchdog_period = cfg.tuning.watchdog_period;
-  opts.distance_oracle = cfg.tuning.distance_oracle;
   opts.tracing = cfg.tuning.tracing;
   EmbeddingService service(workload.scenario.network, embedder, opts);
   if (cfg.tuning.on_start) cfg.tuning.on_start(service);

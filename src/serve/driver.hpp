@@ -59,10 +59,6 @@ struct ServiceTuning {
   /// Commit machinery of the service under test; kMutex is the legacy
   /// baseline the bench A/Bs against.
   CommitPipeline pipeline = CommitPipeline::kMvcc;
-  /// Forwarded to EmbeddingService::Options::distance_oracle: an ALT oracle
-  /// over the workload's network topology, attached to every worker's
-  /// search workspace. Caller-owned; must outlive the run. Null = off.
-  const graph::DistanceOracle* distance_oracle = nullptr;
   /// Forwarded to EmbeddingService::Options::tracing — request-lifecycle
   /// spans + tail-sampled flight recorder. Reach the recorders through the
   /// service in on_start/on_finish.

@@ -98,11 +98,8 @@ void EmbeddingService::finish(Job&& job, Response&& resp) {
 void EmbeddingService::worker_loop(std::size_t slot) {
   // Per-worker solver state: solves run outside the commit lock, so each
   // worker warms its own search buffers — and, under MVCC, its ledger
-  // replica's path cache — for the life of the thread. The shared distance
-  // oracle (if any) rides along on the workspace; it is immutable while
-  // solves run, so all workers may read it concurrently.
+  // replica's path cache — for the life of the thread.
   WorkerState state;
-  state.ws.set_distance_oracle(opts_.distance_oracle);
   const bool watched = opts_.slow_solve_threshold.count() > 0;
   while (auto job = queue_.pop()) {
     metrics_.set_queue_depth(queue_.size());

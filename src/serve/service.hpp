@@ -109,15 +109,6 @@ class EmbeddingService {
     /// Sampling period of the watchdog thread. Zero means threshold/4,
     /// clamped to [1ms, 250ms].
     std::chrono::nanoseconds watchdog_period{0};
-    /// Optional ALT distance oracle over the serving network's topology
-    /// (graph/oracle.hpp), attached to every worker's search workspace so
-    /// solves run goal-directed path queries. The caller owns it, must keep
-    /// it alive for the service's lifetime, and must only ensure_current()
-    /// it while no solves are in flight (the per-query matches() gate makes
-    /// a stale oracle fall back to unpruned searches, so forgetting costs
-    /// speed, not correctness). Null means no pruning — the pre-oracle
-    /// behaviour, bit for bit.
-    const graph::DistanceOracle* distance_oracle = nullptr;
     /// Request-lifecycle tracing (serve/trace.hpp): when enabled, every
     /// request gets queue-wait / per-attempt solve / per-attempt commit /
     /// outcome spans in a per-worker ring, and trigger-matching requests

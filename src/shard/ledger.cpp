@@ -8,12 +8,11 @@ namespace dagsfc::shard {
 ShardedLedger::ShardedLedger(const ShardedSubstrate& substrate)
     : substrate_(&substrate) {
   shards_.reserve(substrate.num_regions());
+  // Shard ledgers are mutated only under their mutex and never searched
+  // against directly (solvers run on composed scratch views), so their
+  // lazily created path caches are never built.
   for (std::size_t r = 0; r < substrate.num_regions(); ++r) {
     shards_.push_back(std::make_unique<Shard>(substrate.network()));
-    // Shard ledgers are mutated only under their mutex and never searched
-    // against directly (solvers run on composed scratch views), so a path
-    // cache here would only accumulate dead weight.
-    shards_.back()->ledger.set_cache_enabled(false);
   }
 }
 

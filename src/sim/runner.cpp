@@ -126,14 +126,6 @@ void fill_registry(const std::vector<AlgorithmStats>& stats,
     registry.counter("dagsfc_path_cache_evictions_total", labels)
         .inc(q.evictions);
 
-    // Oracle pruning effectiveness, only when goal-directed searches ran —
-    // with no oracle attached the family is absent, not zero.
-    if (q.oracle_tested > 0) {
-      registry.gauge("dagsfc_oracle_pruned_ratio", labels)
-          .set(static_cast<double>(q.oracle_pruned) /
-               static_cast<double>(q.oracle_tested));
-    }
-
     registry.gauge("dagsfc_solver_success_ratio", labels)
         .set(s.success_rate());
     registry.gauge("dagsfc_path_cache_hit_ratio", labels)

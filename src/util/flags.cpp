@@ -206,12 +206,17 @@ std::chrono::nanoseconds Flags::get_duration(const std::string& name) const {
   }
 }
 
-std::size_t Flags::get_workers() const {
-  const std::int64_t n = get_int("workers");
+std::size_t Flags::get_count(const std::string& name) const {
+  const std::int64_t n = get_int(name);
   if (n < 0) {
-    throw std::invalid_argument("flag --workers must be >= 0");
+    throw std::invalid_argument("flag --" + name + " must be >= 0");
   }
-  if (n > 0) return static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(n);
+}
+
+std::size_t Flags::get_workers() const {
+  const std::size_t n = get_count("workers");
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -6,6 +6,7 @@
 /// --workers helper that resolves 0 to the hardware concurrency.
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,6 +52,10 @@ class Flags {
 
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// A non-negative integer flag (trials, threads, sizes, repetitions):
+  /// get_int() with negative values rejected by std::invalid_argument
+  /// ("flag --<name> must be >= 0") instead of wrapping to a huge size_t.
+  [[nodiscard]] std::size_t get_count(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] std::chrono::nanoseconds get_duration(

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -23,6 +21,7 @@
 #include "net/ledger.hpp"
 #include "sfc/io.hpp"
 #include "sim/scenario.hpp"
+#include "test_helpers.hpp"
 
 #ifndef DAGSFC_CORPUS_DIR
 #error "DAGSFC_CORPUS_DIR must be defined by the build"
@@ -30,6 +29,8 @@
 
 namespace dagsfc {
 namespace {
+
+using test::slurp;
 
 struct Golden {
   std::string name;
@@ -40,14 +41,6 @@ struct Golden {
 // Without it gtest prints the raw bytes, std::string's heap pointer
 // included, and the discovered test names change on every build.
 void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("missing corpus file " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 class Corpus : public ::testing::TestWithParam<Golden> {};
 
@@ -124,48 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
 // A case without a recorded row fails and prints the row it computed; that
 // output is how the file is re-recorded after a deliberate change.
 
-class Fnv {
- public:
-  void add(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (x >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
-  void add(const std::string& s) {
-    add(static_cast<std::uint64_t>(s.size()));
-    for (const char c : s) add(static_cast<std::uint64_t>(c));
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void add_path(Fnv& h, const graph::Path& p) {
-  h.add(static_cast<std::uint64_t>(p.nodes.size()));
-  for (const graph::NodeId v : p.nodes) h.add(static_cast<std::uint64_t>(v));
-  h.add(static_cast<std::uint64_t>(p.edges.size()));
-  for (const graph::EdgeId e : p.edges) h.add(static_cast<std::uint64_t>(e));
-  h.add(p.cost);
-}
-
-std::uint64_t solution_digest(const core::EmbeddingSolution& sol) {
-  Fnv h;
-  h.add(static_cast<std::uint64_t>(sol.placement.size()));
-  for (const graph::NodeId v : sol.placement) {
-    h.add(static_cast<std::uint64_t>(v));
-  }
-  h.add(static_cast<std::uint64_t>(sol.inter_paths.size()));
-  for (const graph::Path& p : sol.inter_paths) add_path(h, p);
-  h.add(static_cast<std::uint64_t>(sol.inner_paths.size()));
-  for (const graph::Path& p : sol.inner_paths) add_path(h, p);
-  return h.value();
-}
-
 std::uint64_t event_digest(const core::EmbeddingTrace& trace) {
-  Fnv h;
+  test::Fnv h;
   for (const core::SolveEvent& e : trace.events()) {
     if (core::category(e.kind) == core::TraceCategory::Cache) continue;
     h.add(static_cast<std::uint64_t>(e.kind));
@@ -177,13 +130,6 @@ std::uint64_t event_digest(const core::EmbeddingTrace& trace) {
     h.add(e.s0);
   }
   return h.value();
-}
-
-std::string hex(std::uint64_t x) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(x));
-  return buf;
 }
 
 /// A Table 2 instance (sim::make_scenario) or a tests/corpus/ instance.
@@ -203,7 +149,6 @@ struct GoldenSolve {
   core::BacktrackingOptions opts;
   double rate = 1.0;
   bool traced = false;
-  bool cache = true;
   /// When set, the delay budget is the unconstrained winner's critical-path
   /// delay plus this slack: 0 prunes every slower sub-solution but keeps
   /// the winner, a negative slack prunes the winner too.
@@ -354,13 +299,13 @@ std::vector<GoldenSolve> golden_solves() {
   out.back().rate = 0.7;
   out.back().traced = true;
 
-  // Path cache off: every query (final hops included) computes directly.
-  add("bbe_nocache_mid", mid, bbe_options()).cache = false;
-  add("mbbe_nocache_deep", deep, mbbe_options()).cache = false;
+  // Recorded with the path cache off (every query computed directly); the
+  // cached search must reproduce them.
+  add("bbe_nocache_mid", mid, bbe_options());
+  add("mbbe_nocache_deep", deep, mbbe_options());
   add("mbbe_paths2_nocache_wide", wide,
       with(mbbe_options(),
-           [](core::BacktrackingOptions& o) { o.paths_per_meta_path = 2; }))
-      .cache = false;
+           [](core::BacktrackingOptions& o) { o.paths_per_meta_path = 2; }));
 
   // The serialized corpus, traced.
   for (const char* name : {"ring12", "leafspine14", "waxman20", "tightline5"}) {
@@ -415,7 +360,6 @@ std::unique_ptr<GoldenProblem> golden_problem(const GoldenSolve& c) {
   p->problem.flow = flow;
   p->index = std::make_unique<core::ModelIndex>(p->problem);
   p->ledger = std::make_unique<net::CapacityLedger>(*p->network);
-  p->ledger->set_cache_enabled(c.cache);
   if (inst.consumed) {
     Rng crng(inst.seed ^ 0xc0ffeeULL);
     for (graph::EdgeId e = 0; e < p->network->num_links(); ++e) {
@@ -452,28 +396,14 @@ std::string golden_row(const GoldenSolve& c) {
   Rng rng(1);
   const auto r = engine.solve(*p->index, *p->ledger, rng,
                               c.traced ? &trace : nullptr);
-  std::ostringstream row;
-  row << c.name << " ok=" << (r.ok() ? 1 : 0)
-      << " cost=" << hex(std::bit_cast<std::uint64_t>(r.cost))
-      << " expanded=" << r.expanded_sub_solutions
-      << " candidates=" << r.candidate_solutions << " solution="
-      << (r.ok() ? hex(solution_digest(*r.solution)) : std::string("-"))
-      << " events=" << (c.traced ? hex(event_digest(trace)) : std::string("-"));
-  return row.str();
+  return test::golden_row(
+      c.name, r, c.traced ? test::hex(event_digest(trace)) : "-");
 }
 
 /// name → recorded row.
 const std::map<std::string, std::string>& golden_rows() {
-  static const std::map<std::string, std::string> rows = [] {
-    std::map<std::string, std::string> m;
-    std::istringstream in(slurp(std::string(DAGSFC_CORPUS_DIR) +
-                                "/backtracking_golden.txt"));
-    for (std::string line; std::getline(in, line);) {
-      if (line.empty() || line[0] == '#') continue;
-      m.emplace(line.substr(0, line.find(' ')), line);
-    }
-    return m;
-  }();
+  static const std::map<std::string, std::string> rows = test::load_golden(
+      std::string(DAGSFC_CORPUS_DIR) + "/backtracking_golden.txt");
   return rows;
 }
 

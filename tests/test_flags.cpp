@@ -184,5 +184,47 @@ TEST(Flags, WorkersResolvesZeroToHardwareConcurrency) {
   EXPECT_THROW((void)h.get_workers(), std::invalid_argument);
 }
 
+TEST(Flags, CountReadsNonNegativeIntegers) {
+  Flags f = standard_flags();
+  const auto argv = argv_of({});
+  f.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(f.get_count("count"), 10u);
+
+  Flags g = standard_flags();
+  const auto zero = argv_of({"--count=0"});
+  g.parse(static_cast<int>(zero.size()), zero.data());
+  EXPECT_EQ(g.get_count("count"), 0u);
+}
+
+TEST(Flags, NegativeCountIsATypedErrorNamingTheFlag) {
+  // A negative count must not wrap to a huge size_t (a --trials=-1 run
+  // would otherwise die in std::vector's length check).
+  for (const char* value : {"--count=-1", "--count=-9223372036854775808"}) {
+    SCOPED_TRACE(value);
+    Flags f = standard_flags();
+    const auto argv = argv_of({value});
+    f.parse(static_cast<int>(argv.size()), argv.data());
+    try {
+      (void)f.get_count("count");
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "flag --count must be >= 0");
+    }
+    // The plain integer read still sees the value (seeds wrap on purpose).
+    EXPECT_LT(f.get_int("count"), 0);
+  }
+
+  Flags w;
+  w.define_workers();
+  const auto neg = argv_of({"--workers=-3"});
+  w.parse(static_cast<int>(neg.size()), neg.data());
+  try {
+    (void)w.get_workers();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --workers must be >= 0");
+  }
+}
+
 }  // namespace
 }  // namespace dagsfc

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 
 #include "core/backtracking.hpp"
 #include "core/delay.hpp"
@@ -39,14 +37,6 @@
 
 namespace dagsfc {
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("missing corpus file " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 core::SolveResult solve_fresh(const core::Embedder& algo,
                               const core::ModelIndex& index,
@@ -111,20 +101,8 @@ bool run_cross_embedder(const core::ModelIndex& index, std::uint64_t seed) {
 class LayeredCorpus : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LayeredCorpus, MatchesExactBeatsHeuristics) {
-  const std::string dir = std::string(DAGSFC_CORPUS_DIR) + "/";
-  net::Network network =
-      net::network_from_text(slurp(dir + GetParam() + std::string(".net.txt")));
-  const sfc::SfcFile file =
-      sfc::sfc_from_text(slurp(dir + GetParam() + std::string(".sfc.txt")));
-  ASSERT_TRUE(file.flow.has_value());
-
-  core::EmbeddingProblem problem;
-  problem.network = &network;
-  problem.sfc = &file.dag;
-  problem.flow = core::Flow{file.flow->source, file.flow->destination,
-                            file.flow->rate, file.flow->size};
-  const core::ModelIndex index(problem);
-  run_cross_embedder(index, /*seed=*/1);
+  const test::CorpusInstance inst(DAGSFC_CORPUS_DIR, GetParam());
+  run_cross_embedder(*inst.index, /*seed=*/1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, LayeredCorpus,

@@ -101,21 +101,12 @@ TEST(Ledger, CopyCarriesEpochButNotTheCache) {
   const Network n = small();
   CapacityLedger a(n);
   a.consume_link(0, 1.0);
-  ASSERT_NE(a.path_cache(), nullptr);  // lazily created on first access
+  graph::PathCache& cache = a.path_cache();  // lazily created on first access
+  EXPECT_EQ(&a.path_cache(), &cache);
   const CapacityLedger b(a);
   EXPECT_EQ(b.epoch(), a.epoch());
-  EXPECT_EQ(b.cache_enabled(), a.cache_enabled());
   // The copy gets its own (empty) cache object, not a shared one.
-  EXPECT_NE(b.path_cache(), a.path_cache());
-}
-
-TEST(Ledger, DisablingTheCacheDropsIt) {
-  const Network n = small();
-  CapacityLedger l(n);
-  l.set_cache_enabled(false);
-  EXPECT_EQ(l.path_cache(), nullptr);
-  l.set_cache_enabled(true);
-  EXPECT_NE(l.path_cache(), nullptr);
+  EXPECT_NE(&b.path_cache(), &a.path_cache());
 }
 
 TEST(Ledger, TotalsTrackConsumption) {

@@ -73,23 +73,6 @@ void scale_all_prices(net::Network& net, double k) {
   }
 }
 
-struct EmbedderSet {
-  core::RanvEmbedder ranv;
-  core::MinvEmbedder minv;
-  core::BbeEmbedder bbe;
-  core::MbbeEmbedder mbbe;
-  core::ExactEmbedder exact{core::ExactOptions{50'000'000}};
-  core::LayeredEmbedder layered{core::LayeredOptions{
-      .delay_budget_ms = std::nullopt,
-      .delay_model = {},
-      .max_work = 50'000'000,
-      .max_labels = 2'000'000}};
-
-  [[nodiscard]] std::vector<const core::Embedder*> all() const {
-    return {&ranv, &minv, &bbe, &mbbe, &exact, &layered};
-  }
-};
-
 /// Doubling every price must scale the objective bitwise: every term is
 /// uses · price · z, multiplication by 2 is exact, and scaling by a power
 /// of two commutes with every intermediate rounding of the sum. It also
@@ -98,7 +81,7 @@ struct EmbedderSet {
 void expect_scale_invariance(const core::ModelIndex& base,
                              const core::ModelIndex& scaled,
                              std::uint64_t solve_seed) {
-  const EmbedderSet set;
+  const test::EmbedderSet set;
   for (const core::Embedder* algo : set.all()) {
     const SolveResult b = solve_checked(*algo, base, solve_seed);
     const SolveResult s = solve_checked(*algo, scaled, solve_seed);

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/backtracking.hpp"
-#include "graph/oracle.hpp"
 #include "serve/http.hpp"
 #include "serve/service.hpp"
 #include "shard/metrics.hpp"
@@ -336,24 +335,8 @@ TEST(Metrics, AllRegisteredNamesMatchConvention) {
   stats.successes = 3;
   stats.failures = 1;
   stats.trace.decision_events = 5;  // force the trace family in too
-  stats.path_queries.oracle_tested = 4;  // ...and the pruned-ratio gauge
-  stats.path_queries.oracle_pruned = 1;
   sim::fill_registry({stats}, sim_registry, "n=10");
   snapshots.push_back(sim_registry.snapshot());
-
-  // The distance-oracle family: one build at construction, one refresh
-  // after repricing — counted into an injected registry.
-  MetricRegistry oracle_registry;
-  graph::Graph oracle_graph(3);
-  oracle_graph.add_edge(0, 1, 1.0);
-  oracle_graph.add_edge(1, 2, 1.0);
-  graph::DistanceOracle::Options oracle_opts;
-  oracle_opts.landmarks = 2;
-  oracle_opts.registry = &oracle_registry;
-  graph::DistanceOracle oracle(oracle_graph, oracle_opts);
-  oracle_graph.set_weight(0, 2.0);
-  oracle.ensure_current();
-  snapshots.push_back(oracle_registry.snapshot());
 
   MetricRegistry phase_registry;
   {
@@ -392,9 +375,7 @@ TEST(Metrics, AllRegisteredNamesMatchConvention) {
   }
   EXPECT_GE(checked, 25u);  // the serve layer alone registers 17
 
-  // The oracle family must actually be in what was linted — builds and
-  // refreshes from the injected registry, the pruned ratio from the sim
-  // roll-up (emitted only because oracle_tested > 0 above).
+  // The process identity must actually be in what was linted.
   const auto linted = [&](const char* name) {
     for (const RegistrySnapshot& snap : snapshots) {
       for (const MetricSample& s : snap.samples) {
@@ -403,9 +384,6 @@ TEST(Metrics, AllRegisteredNamesMatchConvention) {
     }
     return false;
   };
-  EXPECT_TRUE(linted("dagsfc_oracle_builds_total"));
-  EXPECT_TRUE(linted("dagsfc_oracle_refreshes_total"));
-  EXPECT_TRUE(linted("dagsfc_oracle_pruned_ratio"));
   EXPECT_TRUE(linted("dagsfc_build_info"));
   EXPECT_TRUE(linted("dagsfc_uptime_seconds"));
 }

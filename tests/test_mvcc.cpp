@@ -186,7 +186,6 @@ net::Network fuzz_network() {
 TEST(MvccFuzz, RandomFootprintInterleavingsAgreeWithAShadowOracle) {
   const net::Network network = fuzz_network();
   net::CapacityLedger led(network);
-  led.set_cache_enabled(false);  // pure ledger semantics under test
   ShadowLedger shadow(network);
   Rng rng(0xfeedface);
 

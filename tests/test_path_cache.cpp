@@ -1,28 +1,23 @@
 /// Tests for the footprint-invalidated shortest-path cache: PathCache unit
 /// behavior (flip-gated eviction through the on_link_* hooks), ledger
 /// integration, the differential harness required by the cache's core
-/// contract — every embedder produces bit-identical solutions with the
-/// cache on and off, across the serialized corpus and 200 random seeded
-/// instances — and the resumable tree entries (graph::LazyTree): partial
-/// searches resumed in any order, across residual changes, answer like a
-/// fresh full dijkstra().
+/// contract — every embedder, solving through the cache, reproduces the
+/// golden rows recorded with the cache off through the seed kernels, across
+/// the serialized corpus and 200 random seeded instances — the resumable
+/// tree entries (graph::LazyTree): partial searches resumed in any order,
+/// across residual changes, answer like a fresh full dijkstra() — and the
+/// live PathOracle battery: every query kind on one long-lived ledger under
+/// random debits and credits equals the seed kernels run from scratch.
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <fstream>
-#include <sstream>
 
 #include "core/backtracking.hpp"
-#include "core/baselines.hpp"
-#include "core/exact.hpp"
-#include "core/layered.hpp"
 #include "core/path_oracle.hpp"
-#include "core/validator.hpp"
 #include "graph/generator.hpp"
 #include "graph/path_cache.hpp"
-#include "net/io.hpp"
-#include "sfc/io.hpp"
+#include "graph/reference.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 
@@ -32,6 +27,10 @@
 
 namespace dagsfc {
 namespace {
+
+using test::expect_identical;
+using test::expect_same_opt_path;
+using test::expect_same_path;
 
 graph::Graph diamond() {
   graph::Graph g(4);
@@ -122,13 +121,15 @@ TEST(PathCache, KPathsCachedPerEndpointAndK) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  const auto p1 = cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  graph::SearchWorkspace ws;
+  const auto p1 = cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   ASSERT_EQ(p1->size(), 2u);
   EXPECT_EQ(c.yen_calls, 1u);
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.cache_hits, 1u);
   EXPECT_EQ(c.yen_calls, 1u);
-  (void)cache.k_paths(g, 0, 3, 3, ctx(1.0), {}, c);  // different k ⇒ miss
+  // Different k ⇒ miss.
+  (void)cache.k_paths(g, 0, 3, 3, ctx(1.0), nullptr, ws, c);
   EXPECT_EQ(c.yen_calls, 2u);
 }
 
@@ -136,7 +137,8 @@ TEST(PathCache, DebitFlipEvictsAllKPathListsAtThatRate) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  graph::SearchWorkspace ws;
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   // Yen entries are evicted wholesale on a flip even when their paths avoid
   // the edge: a vanished edge can unmask equal-cost candidates, so keeping
   // "non-intersecting" lists would not be bit-exact.
@@ -144,7 +146,7 @@ TEST(PathCache, DebitFlipEvictsAllKPathListsAtThatRate) {
   EXPECT_EQ(cache.invalidation_stats().yens_evicted, 1u);
   EXPECT_EQ(cache.num_k_paths(), 0u);
   // A non-flip debit, by contrast, spares them.
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
   cache.on_link_debit(3, 2, 3, 10.0, 5.0, kEps);
   EXPECT_EQ(cache.num_k_paths(), 1u);
 }
@@ -153,8 +155,9 @@ TEST(PathCache, CreditFlipEvictsEverythingAtThatRate) {
   const graph::Graph g = diamond();
   graph::PathCache cache;
   graph::PathQueryCounters c;
+  graph::SearchWorkspace ws;
   (void)cache.tree(g, 0, ctx(1.0), {}, c);
-  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), {}, c);
+  (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
 
   // A credit that keeps the edge unusable flips nothing.
   cache.on_link_credit(0, 0.2, 0.6, kEps);
@@ -206,111 +209,15 @@ TEST(PathCache, CountersAggregateAndReportHitRate) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential harness: cache on vs cache off, identical results everywhere.
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("missing corpus file " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void expect_same_path(const graph::Path& a, const graph::Path& b) {
-  EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.edges, b.edges);
-  EXPECT_EQ(a.cost, b.cost);
-}
-
-/// Cache-on and cache-off solves must agree bit for bit: same outcome, same
-/// cost, same placements, same real-paths, same search effort.
-void expect_identical(const core::SolveResult& on,
-                      const core::SolveResult& off) {
-  ASSERT_EQ(on.ok(), off.ok()) << on.failure_reason << " vs "
-                               << off.failure_reason;
-  EXPECT_EQ(on.failure_reason, off.failure_reason);
-  EXPECT_EQ(on.expanded_sub_solutions, off.expanded_sub_solutions);
-  EXPECT_EQ(on.candidate_solutions, off.candidate_solutions);
-  if (!on.ok()) return;
-  EXPECT_EQ(on.cost, off.cost);  // bit-identical, not approximate
-  ASSERT_TRUE(off.solution.has_value());
-  EXPECT_EQ(on.solution->placement, off.solution->placement);
-  ASSERT_EQ(on.solution->inter_paths.size(), off.solution->inter_paths.size());
-  for (std::size_t i = 0; i < on.solution->inter_paths.size(); ++i) {
-    expect_same_path(on.solution->inter_paths[i], off.solution->inter_paths[i]);
-  }
-  ASSERT_EQ(on.solution->inner_paths.size(), off.solution->inner_paths.size());
-  for (std::size_t i = 0; i < on.solution->inner_paths.size(); ++i) {
-    expect_same_path(on.solution->inner_paths[i], off.solution->inner_paths[i]);
-  }
-}
-
-core::SolveResult solve_with(const core::Embedder& algo,
-                             const core::ModelIndex& index, bool cache_on,
-                             std::uint64_t rng_seed,
-                             graph::PathQueryCounters* tally = nullptr) {
-  net::CapacityLedger ledger(index.problem().net());
-  ledger.set_cache_enabled(cache_on);
-  Rng rng(rng_seed);
-  core::SolveResult r = algo.solve(index, ledger, rng);
-  if (tally != nullptr) *tally += r.path_queries;
-  return r;
-}
-
-struct EmbedderSet {
-  core::RanvEmbedder ranv;
-  core::MinvEmbedder minv;
-  core::BbeEmbedder bbe;
-  core::MbbeEmbedder mbbe;
-  core::ExactEmbedder exact{core::ExactOptions{50'000'000}};
-  core::LayeredEmbedder layered{core::LayeredOptions{
-      .delay_budget_ms = std::nullopt,
-      .delay_model = {},
-      .max_work = 50'000'000,
-      .max_labels = 2'000'000}};
-
-  [[nodiscard]] std::vector<const core::Embedder*> all() const {
-    return {&ranv, &minv, &bbe, &mbbe, &exact, &layered};
-  }
-};
-
-void run_differential(const core::ModelIndex& index, std::uint64_t seed,
-                      graph::PathQueryCounters* on_tally) {
-  const EmbedderSet set;
-  const core::SolutionValidator validator(index);
-  for (const core::Embedder* algo : set.all()) {
-    SCOPED_TRACE(algo->name());
-    const auto on = solve_with(*algo, index, true, seed, on_tally);
-    const auto off = solve_with(*algo, index, false, seed);
-    // The cache-off arm never touches the cache.
-    EXPECT_EQ(off.path_queries.cache_hits, 0u);
-    EXPECT_EQ(off.path_queries.cache_misses, 0u);
-    expect_identical(on, off);
-    // Independent admissibility oracle over the returned solution, with its
-    // bitwise cost recomputation.
-    const net::CapacityLedger fresh(index.problem().net());
-    const auto audit = validator.check(on, fresh);
-    EXPECT_TRUE(audit.ok()) << audit.to_string();
-  }
-}
+// Differential harness: every embedder, solving through the cache, must
+// reproduce the rows the seed kernels recorded with the cache off.
 
 class CorpusDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorpusDifferential, CacheOnOffIdentical) {
-  const std::string dir = std::string(DAGSFC_CORPUS_DIR) + "/";
-  net::Network network =
-      net::network_from_text(slurp(dir + GetParam() + std::string(".net.txt")));
-  const sfc::SfcFile file =
-      sfc::sfc_from_text(slurp(dir + GetParam() + std::string(".sfc.txt")));
-  ASSERT_TRUE(file.flow.has_value());
-
-  core::EmbeddingProblem problem;
-  problem.network = &network;
-  problem.sfc = &file.dag;
-  problem.flow = core::Flow{file.flow->source, file.flow->destination,
-                            file.flow->rate, file.flow->size};
-  const core::ModelIndex index(problem);
-  run_differential(index, /*seed=*/1, nullptr);
+  const test::CorpusInstance inst(DAGSFC_CORPUS_DIR, GetParam());
+  test::expect_golden_solves(*inst.index, /*seed=*/1,
+                             std::string("corpus_") + GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, CorpusDifferential,
@@ -340,7 +247,9 @@ TEST(PathCacheDifferential, TwoHundredRandomInstances) {
     problem.sfc = &dag;
     problem.flow = core::Flow{scenario.source, scenario.destination, 1.0, 1.0};
     const core::ModelIndex index(problem);
-    run_differential(index, /*seed=*/1000 + i, &on_tally);
+    char tag[16];
+    std::snprintf(tag, sizeof tag, "pathcache_%03d", i);
+    test::expect_golden_solves(index, /*seed=*/1000 + i, tag, &on_tally);
     if (::testing::Test::HasFailure()) break;  // one instance is enough
   }
   // The equivalence above must not be vacuous: the cached arm has to have
@@ -383,11 +292,11 @@ TEST(LedgerPathCache, CacheSurvivesNonFlipDebitsAndEvictsOnFlips) {
   EXPECT_GT(fourth.path_queries.cache_misses, 0u);
 }
 
-/// The MVCC-replica scenario: one long-lived cache-on ledger survives a
+/// The MVCC-replica scenario: one long-lived ledger's cache survives a
 /// random stream of committed footprints (applies) and departures
 /// (unapplies) between solves. After every mutation batch the next solve
-/// must be bit-identical to a cache-off solve over the same residuals —
-/// proving the event-driven invalidation evicted everything a mutation
+/// must be bit-identical to a solve on a cold copy over the same residuals
+/// — proving the event-driven invalidation evicted everything a mutation
 /// could have affected (soundness) while whatever survived is still valid.
 TEST(LedgerPathCache, InvalidationDifferentialAcrossCommitsAndDepartures) {
   sim::ExperimentConfig cfg;
@@ -400,7 +309,7 @@ TEST(LedgerPathCache, InvalidationDifferentialAcrossCommitsAndDepartures) {
   Rng rng(0xcafe);
   const sim::Scenario scenario = sim::make_scenario(rng, cfg);
 
-  net::CapacityLedger live(scenario.network);  // cache on, never reset
+  net::CapacityLedger live(scenario.network);  // its cache is never reset
   const core::MbbeEmbedder mbbe;
 
   struct Committed {
@@ -425,11 +334,10 @@ TEST(LedgerPathCache, InvalidationDifferentialAcrossCommitsAndDepartures) {
     problem.flow = core::Flow{src, dst, 1.0, 1.0};
     const core::ModelIndex index(problem);
 
-    // Reference arm: identical residuals (copied from the live ledger),
-    // cache off. The copy never shares the live cache, so the only thing
-    // under test is whether the survivors in the live cache are stale.
-    net::CapacityLedger fresh(live);
-    fresh.set_cache_enabled(false);
+    // Reference arm: identical residuals, copied from the live ledger.
+    // Copies never share a cache, so this one starts cold and the only
+    // thing under test is whether the survivors in the live cache are stale.
+    const net::CapacityLedger fresh(live);
 
     Rng on_rng(7000 + round);
     Rng off_rng(7000 + round);
@@ -475,11 +383,14 @@ TEST(LedgerPathCache, CachingReducesDijkstraComputations) {
   const core::ModelIndex index(problem);
 
   const core::MbbeEmbedder mbbe;
-  const auto on = solve_with(mbbe, index, true, 1);
-  const auto off = solve_with(mbbe, index, false, 1);
-  expect_identical(on, off);
-  EXPECT_GT(on.path_queries.cache_hits, 0u);
-  EXPECT_LT(on.path_queries.dijkstra_calls, off.path_queries.dijkstra_calls);
+  net::CapacityLedger ledger(scenario.network);
+  Rng solve_rng(1);
+  const auto r = mbbe.solve(index, ledger, solve_rng);
+  // Every query looks its entry up once, a hit or a miss; only the misses
+  // start a computation.
+  const graph::PathQueryCounters& q = r.path_queries;
+  EXPECT_GT(q.cache_hits, 0u);
+  EXPECT_LT(q.dijkstra_calls, q.cache_hits + q.cache_misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -769,7 +680,6 @@ TEST(ResumableEntry, OracleCountsSearchesStartedNotResumes) {
   Rng rng(0x5e771ed);
   net::Network network(random_graph(rng, 80, 4.0), net::VnfCatalog(1));
   net::CapacityLedger ledger(network);
-  ledger.set_cache_enabled(true);
   core::PathOracle oracle(network.topology(), ledger, 1.0);
 
   const std::vector<graph::NodeId> targets{5, 17, 42};
@@ -788,6 +698,217 @@ TEST(ResumableEntry, OracleCountsSearchesStartedNotResumes) {
   EXPECT_EQ(oracle.counters().nodes_settled, 80u);  // connected: all of them
   (void)oracle.tree(0);
   EXPECT_EQ(oracle.counters().nodes_settled, 80u);  // nothing left to settle
+}
+
+// ---------------------------------------------------------------------------
+// PathOracle-level batching: min_cost_paths == per-target queries, with one
+// search for the whole fan-out.
+
+TEST(Batched, PathOracleMinCostPathsMatchesPerTarget) {
+  auto fx = test::canonical_fixture();
+  net::CapacityLedger ledger(fx->network);
+  const net::CapacityLedger cold(ledger);  // copies never share a cache
+  graph::SearchWorkspace ws;
+  core::PathOracle batched(fx->network.topology(), ledger, 1.0, &ws);
+  core::PathOracle single(fx->network.topology(), cold, 1.0);
+
+  const std::vector<graph::NodeId> targets{4, 2, 4, 0, 5};
+  const auto got = batched.min_cost_paths(0, targets);
+  ASSERT_EQ(got.size(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    expect_same_opt_path(got[i], single.min_cost_path(0, targets[i]));
+    expect_same_opt_path(got[i],
+                         graph::reference::min_cost_path(
+                             fx->network.topology(), 0, targets[i],
+                             batched.usable()));
+  }
+  // One search settled toward every target, against one search per
+  // per-target query that later queries resume.
+  EXPECT_EQ(batched.counters().dijkstra_calls, 1u);
+  EXPECT_EQ(batched.counters().cache_hits, 0u);
+  EXPECT_EQ(single.counters().dijkstra_calls, 1u);
+  EXPECT_EQ(single.counters().cache_hits, targets.size() - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Live PathOracle battery: one long-lived ledger per graph takes random
+// debit/credit batches that flip link usability at the flow rate. After
+// every batch each query kind must equal the seed kernels
+// (graph::reference) run from scratch with oracle.usable() — distance and
+// cost bits, nodes and edges — whatever the cache kept, evicted or resumed.
+
+/// \p got equals \p want: nodes, edges and the cost's bit pattern.
+void expect_bitwise_path(const graph::Path& got, const graph::Path& want) {
+  expect_same_path(got, want);
+  EXPECT_EQ(bits(got.cost), bits(want.cost));
+}
+
+void expect_bitwise_opt_path(const std::optional<graph::Path>& got,
+                             const std::optional<graph::Path>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (got) expect_bitwise_path(*got, *want);
+}
+
+void expect_bitwise_paths(const std::vector<graph::Path>& got,
+                          const std::vector<graph::Path>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_bitwise_path(got[i], want[i]);
+  }
+}
+
+/// Totals across the battery, so it can prove it was not vacuous.
+struct LiveTally {
+  std::size_t hits = 0;
+  std::size_t resumes = 0;  ///< hits whose settle() had to settle more
+  std::size_t flips = 0;
+  std::size_t evictions = 0;
+};
+
+/// One round of every query kind against the seed kernels.
+void check_every_query(const graph::Graph& g, core::PathOracle& oracle,
+                       Rng& rng, LiveTally& tally) {
+  const std::size_t n = g.num_nodes();
+  const auto node = [&] { return static_cast<graph::NodeId>(rng.index(n)); };
+  const graph::EdgeFilter& usable = oracle.usable();
+  // Runs one point query; a cache hit that still had to settle nodes
+  // resumed a partial entry.
+  const auto counting_resumes = [&](const auto& query) {
+    const graph::PathQueryCounters before = oracle.counters();
+    query();
+    const graph::PathQueryCounters& after = oracle.counters();
+    if (after.cache_hits > before.cache_hits &&
+        after.nodes_settled > before.nodes_settled) {
+      ++tally.resumes;
+    }
+  };
+
+  for (int q = 0; q < 4; ++q) {
+    const graph::NodeId a = node();
+    const graph::NodeId b = node();
+    SCOPED_TRACE("query " + std::to_string(a) + " -> " + std::to_string(b));
+    const graph::ShortestPathTree full =
+        graph::reference::dijkstra(g, a, usable);
+
+    counting_resumes([&] {
+      const auto t = oracle.search(a);
+      const bool reachable = oracle.settle(*t, b);
+      EXPECT_EQ(reachable, full.reached(b));
+      EXPECT_EQ(bits(t->dist[b]), bits(full.dist[b]));
+      expect_bitwise_opt_path(t->path_to(b), full.path_to(b));
+    });
+
+    const graph::NodeId c = node();
+    counting_resumes([&] {
+      expect_bitwise_opt_path(
+          oracle.min_cost_path(a, c),
+          graph::reference::min_cost_path(g, a, c, usable));
+    });
+
+    std::vector<graph::NodeId> targets(1 + rng.index(4));
+    for (graph::NodeId& v : targets) v = node();
+    counting_resumes([&] {
+      const auto batch = oracle.min_cost_paths(a, targets);
+      ASSERT_EQ(batch.size(), targets.size());
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        expect_bitwise_opt_path(
+            batch[i],
+            graph::reference::min_cost_path(g, a, targets[i], usable));
+      }
+    });
+
+    // Whole trees from another source, so the point queries above keep
+    // meeting partial entries.
+    const graph::NodeId r = node();
+    const graph::ShortestPathTree full_r =
+        graph::reference::dijkstra(g, r, usable);
+    const auto tree = oracle.tree(r);
+    ASSERT_TRUE(tree->complete());
+    for (graph::NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(bits(tree->dist[v]), bits(full_r.dist[v])) << "node " << v;
+      EXPECT_EQ(tree->parent(v), full_r.parent[v]) << "node " << v;
+      EXPECT_EQ(tree->parent_edge(v), full_r.parent_edge[v]) << "node " << v;
+    }
+
+    const std::size_t k = 1 + rng.index(4);
+    expect_bitwise_paths(oracle.k_shortest(a, b, k),
+                         graph::reference::k_shortest_paths(g, a, b, k,
+                                                            usable));
+
+    // A caller filter: usable links restricted to a random ~80% subset.
+    std::vector<char> allow(g.num_edges());
+    for (char& bit : allow) bit = rng.bernoulli(0.8) ? 1 : 0;
+    const graph::EdgeFilter filter = [&](graph::EdgeId e) {
+      return allow[e] != 0 && usable(e);
+    };
+    expect_bitwise_paths(oracle.k_shortest_filtered(a, b, k, filter),
+                         graph::reference::k_shortest_paths(g, a, b, k,
+                                                            filter));
+
+    std::vector<graph::NodeId> terminals(1 + rng.index(4));
+    for (graph::NodeId& v : terminals) v = node();
+    const auto st = oracle.steiner(terminals);
+    const auto want = graph::reference::steiner_tree(g, terminals, usable);
+    ASSERT_EQ(st.has_value(), want.has_value());
+    if (st) {
+      EXPECT_EQ(bits(st->cost), bits(want->cost));
+      EXPECT_EQ(st->edges, want->edges);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(LivePathOracle, EveryQueryMatchesTheSeedKernelsAcrossDebitsAndCredits) {
+  constexpr double kRate = 1.0;
+  constexpr double kCapacity = 2.0;
+  Rng rng(0x11fe0ac1e);
+  LiveTally tally;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t n = 8 + rng.index(40);
+    net::Network network(random_graph(rng, n, 2.5 + rng.uniform_real(0, 2)),
+                         net::VnfCatalog(1), kCapacity);
+    const graph::Graph& g = network.topology();
+    net::CapacityLedger ledger(network);
+    // Long-lived, like a worker's: its usable mask follows the epoch.
+    core::PathOracle oracle(g, ledger, kRate);
+    std::vector<double> consumed(g.num_edges(), 0.0);
+
+    for (int batch = 0; batch < 16; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      check_every_query(g, oracle, rng, tally);
+      if (::testing::Test::HasFailure()) return;
+      // A random mix of debits (some drain a link below the rate) and
+      // credits (some bring it back).
+      const std::size_t mutations = 1 + rng.index(g.num_edges() / 3 + 1);
+      for (std::size_t m = 0; m < mutations; ++m) {
+        const auto e = static_cast<graph::EdgeId>(rng.index(g.num_edges()));
+        if (consumed[e] > 0.0 && rng.bernoulli(0.5)) {
+          const double amount = rng.bernoulli(0.5)
+                                    ? consumed[e]
+                                    : consumed[e] * rng.uniform_real(0.2, 0.9);
+          ledger.release_link(e, amount);
+          consumed[e] -= amount;
+        } else if (ledger.link_residual(e) > 0.0) {
+          const double amount =
+              ledger.link_residual(e) * rng.uniform_real(0.2, 1.0);
+          ledger.consume_link(e, amount);
+          consumed[e] += amount;
+        }
+      }
+    }
+    const graph::InvalidationStats& inval =
+        ledger.path_cache().invalidation_stats();
+    tally.hits += oracle.counters().cache_hits;
+    tally.flips += inval.flips;
+    tally.evictions += inval.trees_evicted + inval.yens_evicted;
+  }
+  // Not vacuous: entries were reused, resumed, and evicted by usability
+  // flips.
+  EXPECT_GT(tally.hits, 0u);
+  EXPECT_GT(tally.resumes, 0u);
+  EXPECT_GT(tally.flips, 0u);
+  EXPECT_GT(tally.evictions, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 /// Differential tests for the flat search tier (CSR + SearchWorkspace +
-/// EdgeMask) against the frozen seed implementations in graph::reference.
-/// The tier's core contract is bit-identity: same distances, same parents,
-/// same tie-breaks, same paths — for every primitive and for every
-/// embedder's end-to-end SolveResult. Mirrors tests/test_path_cache.cpp,
-/// which establishes the same contract for the cache layer.
+/// EdgeMask) against the frozen seed implementations in graph::reference
+/// (the test-only dagsfc::reference library). The tier's core contract is
+/// bit-identity: same distances, same parents, same tie-breaks, same paths
+/// — for every primitive, and for every embedder's end-to-end SolveResult,
+/// which must reproduce the golden rows recorded through the seed kernels
+/// (tests/corpus/embedder_golden.txt). Mirrors tests/test_path_cache.cpp,
+/// which holds the cache layer to the same rows.
 ///
 /// Also pins the CSR determinism contract (row order == insertion order)
 /// and exercises the lazy concurrent CSR build; the Csr suite runs under
@@ -11,23 +13,15 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <thread>
 
 #include "core/backtracking.hpp"
-#include "core/baselines.hpp"
-#include "core/exact.hpp"
-#include "core/layered.hpp"
-#include "core/validator.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/generator.hpp"
 #include "graph/reference.hpp"
 #include "graph/steiner.hpp"
 #include "graph/workspace.hpp"
 #include "graph/yen.hpp"
-#include "net/io.hpp"
-#include "sfc/io.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 
@@ -38,57 +32,11 @@
 namespace dagsfc {
 namespace {
 
-/// Pins the process-wide search-tier switch for one test and restores it.
-struct FlagGuard {
-  bool saved = graph::flat_search_default();
-  ~FlagGuard() { graph::set_flat_search_default(saved); }
-};
-
-graph::Graph random_weighted_graph(std::size_t n, double degree,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  graph::RandomGraphOptions opts;
-  opts.num_nodes = n;
-  opts.average_degree = degree;
-  graph::Graph g = random_connected_graph(rng, opts);
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    g.set_weight(e, rng.uniform_real(1.0, 10.0));
-  }
-  return g;
-}
-
-/// A random ~80%-permissive allow-set, expressed both ways: as the seed's
-/// EdgeFilter and as the flat tier's EdgeMask over the same bits.
-struct AllowSet {
-  std::vector<char> allow;
-  graph::EdgeMaskBuffer mask;
-  graph::EdgeMask view;
-
-  AllowSet(const graph::Graph& g, Rng& rng) {
-    allow.resize(g.num_edges());
-    mask.assign(g.num_edges(), false);
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      allow[e] = rng.uniform_real(0.0, 1.0) < 0.8 ? 1 : 0;
-      if (allow[e]) mask.set(e);
-    }
-    view = mask.view();
-  }
-  [[nodiscard]] graph::EdgeFilter filter() const {
-    return [this](graph::EdgeId e) { return allow[e] != 0; };
-  }
-};
-
-void expect_same_path(const graph::Path& a, const graph::Path& b) {
-  EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.edges, b.edges);
-  EXPECT_EQ(a.cost, b.cost);  // bit-identical, not approximate
-}
-
-void expect_same_opt_path(const std::optional<graph::Path>& a,
-                          const std::optional<graph::Path>& b) {
-  ASSERT_EQ(a.has_value(), b.has_value());
-  if (a) expect_same_path(*a, *b);
-}
+using test::AllowSet;
+using test::expect_identical;
+using test::expect_same_opt_path;
+using test::expect_same_path;
+using test::random_weighted_graph;
 
 // ---------------------------------------------------------------------------
 // Primitive-level differential: every kernel, random graphs, random masks.
@@ -198,6 +146,32 @@ TEST(FlatPrimitives, SteinerMatchesReferenceExactly) {
   }
 }
 
+TEST(Batched, SteinerMatchesReferenceUnderMasks) {
+  graph::SearchWorkspace ws;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const graph::Graph g = random_weighted_graph(24, 3.5, seed);
+    Rng rng(seed * 131);
+    const AllowSet set(g, rng);
+    for (std::size_t k = 1; k <= 5; ++k) {
+      std::vector<graph::NodeId> terms;
+      for (std::size_t i = 0; i < k; ++i) {
+        terms.push_back(static_cast<graph::NodeId>(rng.index(g.num_nodes())));
+      }
+      const auto flat = graph::steiner_tree(g, terms, &set.view, ws);
+      const auto ref = graph::reference::steiner_tree(g, terms, set.filter());
+      ASSERT_EQ(flat.has_value(), ref.has_value());
+      if (!flat) continue;
+      EXPECT_EQ(flat->cost, ref->cost);  // bit-identical, not approximate
+      auto fe = flat->edges;
+      auto re = ref->edges;
+      std::sort(fe.begin(), fe.end());
+      std::sort(re.begin(), re.end());
+      EXPECT_EQ(fe, re);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CSR determinism and the lazy concurrent build.
 
@@ -264,114 +238,16 @@ TEST(Csr, ConcurrentFirstUseBuildsOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Embedder-level differential: flat tier vs seed implementations, end to
-// end, mirroring the cache-on/off harness in test_path_cache.cpp.
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("missing corpus file " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void expect_identical(const core::SolveResult& flat,
-                      const core::SolveResult& ref) {
-  ASSERT_EQ(flat.ok(), ref.ok())
-      << flat.failure_reason << " vs " << ref.failure_reason;
-  EXPECT_EQ(flat.failure_reason, ref.failure_reason);
-  EXPECT_EQ(flat.expanded_sub_solutions, ref.expanded_sub_solutions);
-  EXPECT_EQ(flat.candidate_solutions, ref.candidate_solutions);
-  if (!flat.ok()) return;
-  EXPECT_EQ(flat.cost, ref.cost);  // bit-identical, not approximate
-  ASSERT_TRUE(ref.solution.has_value());
-  EXPECT_EQ(flat.solution->placement, ref.solution->placement);
-  ASSERT_EQ(flat.solution->inter_paths.size(),
-            ref.solution->inter_paths.size());
-  for (std::size_t i = 0; i < flat.solution->inter_paths.size(); ++i) {
-    expect_same_path(flat.solution->inter_paths[i],
-                     ref.solution->inter_paths[i]);
-  }
-  ASSERT_EQ(flat.solution->inner_paths.size(),
-            ref.solution->inner_paths.size());
-  for (std::size_t i = 0; i < flat.solution->inner_paths.size(); ++i) {
-    expect_same_path(flat.solution->inner_paths[i],
-                     ref.solution->inner_paths[i]);
-  }
-}
-
-core::SolveResult solve_with(const core::Embedder& algo,
-                             const core::ModelIndex& index, bool flat_on,
-                             bool cache_on, std::uint64_t rng_seed) {
-  graph::set_flat_search_default(flat_on);
-  net::CapacityLedger ledger(index.problem().net());
-  ledger.set_cache_enabled(cache_on);
-  Rng rng(rng_seed);
-  return algo.solve(index, ledger, rng);
-}
-
-struct EmbedderSet {
-  core::RanvEmbedder ranv;
-  core::MinvEmbedder minv;
-  core::BbeEmbedder bbe;
-  core::MbbeEmbedder mbbe;
-  core::ExactEmbedder exact{core::ExactOptions{50'000'000}};
-  core::LayeredEmbedder layered{core::LayeredOptions{
-      .delay_budget_ms = std::nullopt,
-      .delay_model = {},
-      .max_work = 50'000'000,
-      .max_labels = 2'000'000}};
-
-  [[nodiscard]] std::vector<const core::Embedder*> all() const {
-    return {&ranv, &minv, &bbe, &mbbe, &exact, &layered};
-  }
-};
-
-void run_differential(const core::ModelIndex& index, std::uint64_t seed,
-                      bool with_cache_arms) {
-  const EmbedderSet set;
-  const core::SolutionValidator validator(index);
-  for (const core::Embedder* algo : set.all()) {
-    SCOPED_TRACE(algo->name());
-    // Cache disabled: pure search-tier comparison, no shared layer between
-    // the arms.
-    const auto flat = solve_with(*algo, index, true, false, seed);
-    const auto ref = solve_with(*algo, index, false, false, seed);
-    expect_identical(flat, ref);
-    // Every returned solution must pass the independent admissibility
-    // oracle, including its bitwise cost recomputation.
-    const net::CapacityLedger fresh(index.problem().net());
-    const auto audit = validator.check(flat, fresh);
-    EXPECT_TRUE(audit.ok()) << audit.to_string();
-    if (with_cache_arms) {
-      // Cache enabled on both sides: the flat tier composes with the
-      // epoch-keyed cache exactly as the seed search did.
-      const auto flat_c = solve_with(*algo, index, true, true, seed);
-      const auto ref_c = solve_with(*algo, index, false, true, seed);
-      expect_identical(flat_c, ref_c);
-      expect_identical(flat_c, ref);
-    }
-  }
-}
+// Embedder-level differential: production search vs the golden rows the
+// seed implementations recorded (path cache off), end to end, for every
+// embedder. test_path_cache.cpp holds its own battery to the same file.
 
 class FlatCorpusDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FlatCorpusDifferential, FlatVsReferenceIdentical) {
-  const FlagGuard guard;
-  const std::string dir = std::string(DAGSFC_CORPUS_DIR) + "/";
-  net::Network network =
-      net::network_from_text(slurp(dir + GetParam() + std::string(".net.txt")));
-  const sfc::SfcFile file =
-      sfc::sfc_from_text(slurp(dir + GetParam() + std::string(".sfc.txt")));
-  ASSERT_TRUE(file.flow.has_value());
-
-  core::EmbeddingProblem problem;
-  problem.network = &network;
-  problem.sfc = &file.dag;
-  problem.flow = core::Flow{file.flow->source, file.flow->destination,
-                            file.flow->rate, file.flow->size};
-  const core::ModelIndex index(problem);
-  run_differential(index, /*seed=*/1, /*with_cache_arms=*/true);
+  const test::CorpusInstance inst(DAGSFC_CORPUS_DIR, GetParam());
+  test::expect_golden_solves(*inst.index, /*seed=*/1,
+                             std::string("corpus_") + GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, FlatCorpusDifferential,
@@ -382,7 +258,6 @@ INSTANTIATE_TEST_SUITE_P(Instances, FlatCorpusDifferential,
                          });
 
 TEST(FlatDifferential, TwoHundredRandomInstances) {
-  const FlagGuard guard;
   sim::ExperimentConfig cfg;
   cfg.network_size = 14;
   cfg.network_connectivity = 3.0;
@@ -400,14 +275,14 @@ TEST(FlatDifferential, TwoHundredRandomInstances) {
     problem.sfc = &dag;
     problem.flow = core::Flow{scenario.source, scenario.destination, 1.0, 1.0};
     const core::ModelIndex index(problem);
-    run_differential(index, /*seed=*/2000 + i, /*with_cache_arms=*/false);
+    char tag[16];
+    std::snprintf(tag, sizeof tag, "searchflat_%03d", i);
+    test::expect_golden_solves(index, /*seed=*/2000 + i, tag);
     if (::testing::Test::HasFailure()) break;  // one instance is enough
   }
 }
 
 TEST(FlatDifferential, SharedWorkspaceAcrossSolvesChangesNothing) {
-  const FlagGuard guard;
-  graph::set_flat_search_default(true);
   auto fx = test::canonical_fixture();
   const core::MbbeEmbedder mbbe;
   graph::SearchWorkspace ws;

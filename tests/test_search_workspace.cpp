@@ -20,6 +20,7 @@
 #include "graph/generator.hpp"
 #include "graph/reference.hpp"
 #include "graph/workspace.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 /// Counts every path into the global allocator. The counter is only read
@@ -67,18 +68,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace dagsfc {
 namespace {
 
-graph::Graph random_weighted_graph(std::size_t n, double degree,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  graph::RandomGraphOptions opts;
-  opts.num_nodes = n;
-  opts.average_degree = degree;
-  graph::Graph g = random_connected_graph(rng, opts);
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    g.set_weight(e, rng.uniform_real(1.0, 10.0));
-  }
-  return g;
-}
+using test::random_weighted_graph;
 
 // ---------------------------------------------------------------------------
 // The acceptance criterion: zero heap allocations per warm Dijkstra.

@@ -26,6 +26,7 @@
 #include "shard/substrate.hpp"
 #include "sim/regional.hpp"
 #include "sim/scenario.hpp"
+#include "test_helpers.hpp"
 
 namespace dagsfc {
 namespace {
@@ -204,6 +205,61 @@ TEST(Substrate, RefreshSummariesTracksRepricing) {
   EXPECT_EQ(sub.summary_epoch(), epoch0 + 1);
   for (graph::EdgeId arc = 0; arc < before.size(); ++arc) {
     EXPECT_LT(sub.region_graph().edge(arc).weight, before[arc]);
+  }
+}
+
+TEST(Substrate, BorderDistanceSummariesMatchBruteForce) {
+  // The kBorderDistance substrate mode feeds region transit prices from the
+  // batched multi-source kernel; a per-pair early-exit Dijkstra over the
+  // same intra-region subgraph must reproduce them.
+  const graph::Graph topo = test::random_weighted_graph(24, 3.0, 11);
+  net::Network network(graph::Graph(topo), net::VnfCatalog(2));
+  const auto partition =
+      shard::make_partition(network.topology(), 3,
+                            shard::PartitionScheme::kStripe);
+  const shard::ShardedSubstrate plain(network, partition);
+  const shard::ShardedSubstrate summarized(
+      network, partition, shard::SummaryMode::kBorderDistance);
+  EXPECT_EQ(plain.summary_mode(), shard::SummaryMode::kMeanPrice);
+  EXPECT_EQ(summarized.summary_mode(), shard::SummaryMode::kBorderDistance);
+
+  const graph::Graph& g = network.topology();
+  graph::SearchWorkspace ws;
+  graph::EdgeMaskBuffer intra;
+  for (shard::RegionId r = 0; r < 3; ++r) {
+    const auto borders = summarized.border_nodes(r);
+    if (borders.size() < 2) {
+      EXPECT_EQ(summarized.transit_price(r), plain.transit_price(r));
+      continue;
+    }
+    intra.assign(g.num_edges(), false);
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      const graph::Edge& edge = g.edge(e);
+      if (partition.region(edge.u) == r && partition.region(edge.v) == r) {
+        intra.set(e);
+      }
+    }
+    const graph::EdgeMask mask = intra.view();
+    double sum = 0.0;
+    std::size_t pairs = 0;
+    bool connected = true;
+    for (std::size_t i = 0; i < borders.size() && connected; ++i) {
+      for (std::size_t j = i + 1; j < borders.size(); ++j) {
+        const auto p =
+            graph::min_cost_path(g, borders[i], borders[j], ws, &mask);
+        if (!p) {
+          connected = false;
+          break;
+        }
+        sum += p->cost;
+        ++pairs;
+      }
+    }
+    if (connected && pairs > 0) {
+      EXPECT_EQ(summarized.transit_price(r), sum / static_cast<double>(pairs));
+    } else {
+      EXPECT_EQ(summarized.transit_price(r), plain.transit_price(r));
+    }
   }
 }
 
