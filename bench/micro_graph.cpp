@@ -8,12 +8,6 @@
 /// bitwise — the flat tier claims bit-identical results, and this harness
 /// enforces the claim on every run.
 ///
-/// The multi_source row measures the batched tier instead: there the `ref`
-/// arm is the plain flat kernel run once per source and the `flat` arm is
-/// the one-pass multi-source variant — so its speedup column reads
-/// "batching over flat", not "flat over seed". Bit-identity is enforced the
-/// same way.
-///
 /// Timing: per (kernel, arm) the loop body runs `iters` times per rep and
 /// the best-of-`reps` wall time is reported, which filters scheduler noise
 /// without averaging away the steady state the workspace tier creates.
@@ -222,42 +216,9 @@ int main(int argc, char** argv) {
         return sum;
       }));
 
-  // Batched SSSP: 8 independent full trees vs one layered-state heap pass
-  // (what the Steiner base case and the shard border summaries now run).
-  results.push_back(run_kernel(
-      "multi_source_t8", reps, 100,
-      [&](std::size_t iters) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < iters; ++i) {
-          for (std::size_t s = 0; s < 8; ++s) {
-            graph::dijkstra_into(g, sources[s], ws);
-            for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-              sum += ws.dist(v);
-            }
-          }
-        }
-        return sum;
-      },
-      [&](std::size_t iters) {
-        const std::span<const graph::NodeId> batch(sources.data(), 8);
-        double sum = 0.0;
-        for (std::size_t i = 0; i < iters; ++i) {
-          graph::multi_source_dijkstra_into(g, batch, ws);
-          const graph::MultiSourceView bank(ws, g, 8);
-          for (std::size_t s = 0; s < 8; ++s) {
-            for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-              sum += bank.dist(s, v);
-            }
-          }
-        }
-        return sum;
-      }));
-
-  // Dreyfus–Wagner over 5 terminals; the DP dominates, the flat arm only
-  // wins on its |T| embedded Dijkstras and the mask probes. Since the
-  // batched + future-cost-pruned rewrite the flat arm also runs its base
-  // case through multi_source_dijkstra_into and prunes DP cells against
-  // the star upper bound.
+  // Dreyfus–Wagner over 5 terminals; the DP dominates. The flat arm runs
+  // its |T| base-case searches through dijkstra_into and prunes DP cells
+  // against the smaller of the star and Takahashi–Matsuyama upper bounds.
   results.push_back(run_kernel(
       "steiner_t5", reps, 10,
       [&](std::size_t iters) {

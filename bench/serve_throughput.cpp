@@ -1,16 +1,13 @@
 /// Serving-layer bench: aggregate throughput, acceptance, commit-conflict
-/// rate, and tail latency of serve::EmbeddingService across commit
-/// pipelines × worker counts × offered loads.
+/// rate, and tail latency of serve::EmbeddingService across worker counts ×
+/// offered loads.
 ///
 /// Each cell replays the *same* seeded workload open-loop (producer threads
 /// keep a window of requests in flight; each releases its oldest accepted
-/// flows beyond the load target), so cells differ only in pipeline,
-/// concurrency and load. The pipeline dimension is the A/B this bench
-/// exists for: `mutex` is the legacy copy-the-ledger / full-recheck commit
-/// path, `mvcc` the replica-sync + stamp-validation + group-commit
-/// pipeline. Expectations: mvcc at high worker counts commits more
-/// requests per second (fewer conflict-driven re-solves, warm per-worker
-/// path caches), and the stamp-commit counter is nonzero exactly there.
+/// flows beyond the load target), so cells differ only in concurrency and
+/// load. Expectations: throughput rises with workers at a fixed load, and
+/// the stamp-commit counter is nonzero once concurrent commits overlap in
+/// time but not in footprint.
 
 #include <algorithm>
 #include <iostream>
@@ -38,7 +35,6 @@ int main(int argc, char** argv) {
       .define_int("retries", 3, "re-solves after a commit conflict")
       .define("loads", "8,24,48", "comma-separated target in-service loads")
       .define("worker-counts", "1,2,4,8", "comma-separated worker counts")
-      .define("pipelines", "mutex,mvcc", "comma-separated commit pipelines")
       .define_int("seed", 0x5eedb0b, "workload + solver RNG seed");
   try {
     flags.parse(argc, argv);
@@ -67,26 +63,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> worker_counts =
       parse_list(flags.get("worker-counts"));
 
-  std::vector<serve::CommitPipeline> pipelines;
-  {
-    const std::string text = flags.get("pipelines");
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t comma = text.find(',', pos);
-      if (comma == std::string::npos) comma = text.size();
-      const std::string name = text.substr(pos, comma - pos);
-      if (name == "mutex") {
-        pipelines.push_back(serve::CommitPipeline::kMutex);
-      } else if (name == "mvcc") {
-        pipelines.push_back(serve::CommitPipeline::kMvcc);
-      } else {
-        std::cerr << "unknown pipeline '" << name << "' (mutex|mvcc)\n";
-        return 1;
-      }
-      pos = comma + 1;
-    }
-  }
-
   sim::DynamicConfig cfg;
   std::size_t producers = 0, retries = 0;
   try {
@@ -108,7 +84,7 @@ int main(int argc, char** argv) {
   const serve::Workload workload = serve::make_workload(cfg, seed);
   core::MbbeEmbedder embedder;
 
-  Table table({"pipeline", "load", "workers", "throughput rps", "accept%",
+  Table table({"load", "workers", "throughput rps", "accept%",
                "conflicts", "retries", "stamp", "validated", "lat p50 ms",
                "lat p99 ms"});
   std::ostringstream json;
@@ -117,53 +93,47 @@ int main(int argc, char** argv) {
        << ",\"points\":[";
   bool first = true;
 
-  for (const serve::CommitPipeline pipeline : pipelines) {
-    for (std::size_t load : loads) {
-      for (std::size_t workers : worker_counts) {
-        serve::OpenLoopConfig open;
-        open.workers = workers;
-        open.producers = producers;
-        open.target_load = load;
-        open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
-        open.admission.queue_capacity = cfg.num_arrivals;  // no queue rejects
-        open.admission.max_retries = static_cast<std::uint32_t>(retries);
-        open.admission.retry_backoff = std::chrono::microseconds(20);
-        open.seed = seed;
-        open.tuning.pipeline = pipeline;
+  for (std::size_t load : loads) {
+    for (std::size_t workers : worker_counts) {
+      serve::OpenLoopConfig open;
+      open.workers = workers;
+      open.producers = producers;
+      open.target_load = load;
+      open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
+      open.admission.queue_capacity = cfg.num_arrivals;  // no queue rejects
+      open.admission.max_retries = static_cast<std::uint32_t>(retries);
+      open.admission.retry_backoff = std::chrono::microseconds(20);
+      open.seed = seed;
 
-        const serve::OpenLoopResult r =
-            serve::run_open_loop(workload, embedder, open);
-        const auto& m = r.metrics;
-        table.row()
-            .cell(serve::to_string(pipeline))
-            .cell(load)
-            .cell(workers)
-            .cell(r.throughput_rps(), 1)
-            .cell(m.acceptance_ratio() * 100.0, 1)
-            .cell(static_cast<std::size_t>(m.commit_conflicts))
-            .cell(static_cast<std::size_t>(m.retries))
-            .cell(static_cast<std::size_t>(m.stamp_commits))
-            .cell(static_cast<std::size_t>(m.validated_commits))
-            .cell(m.latency_ms.p50(), 2)
-            .cell(m.latency_ms.p99(), 2);
-        if (!first) json << ",";
-        first = false;
-        json << "{\"pipeline\":\"" << serve::to_string(pipeline)
-             << "\",\"load\":" << load << ",\"workers\":" << workers
-             << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
-             << ",\"committed_rps\":"
-             << util::json_number(
-                    r.wall_seconds > 0.0
-                        ? static_cast<double>(m.accepted) / r.wall_seconds
-                        : 0.0)
-             << ",\"wall_s\":" << util::json_number(r.wall_seconds)
-             << ",\"conserved\":" << (r.conserved ? "true" : "false")
-             << ",\"metrics\":" << m.to_json() << "}";
-        std::cerr << "pipeline=" << serve::to_string(pipeline)
-                  << " load=" << load << " workers=" << workers << " done ("
-                  << r.throughput_rps() << " rps, " << m.commit_conflicts
-                  << " conflicts)\n";
-      }
+      const serve::OpenLoopResult r =
+          serve::run_open_loop(workload, embedder, open);
+      const auto& m = r.metrics;
+      table.row()
+          .cell(load)
+          .cell(workers)
+          .cell(r.throughput_rps(), 1)
+          .cell(m.acceptance_ratio() * 100.0, 1)
+          .cell(static_cast<std::size_t>(m.commit_conflicts))
+          .cell(static_cast<std::size_t>(m.retries))
+          .cell(static_cast<std::size_t>(m.stamp_commits))
+          .cell(static_cast<std::size_t>(m.validated_commits))
+          .cell(m.latency_ms.p50(), 2)
+          .cell(m.latency_ms.p99(), 2);
+      if (!first) json << ",";
+      first = false;
+      json << "{\"load\":" << load << ",\"workers\":" << workers
+           << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
+           << ",\"committed_rps\":"
+           << util::json_number(
+                  r.wall_seconds > 0.0
+                      ? static_cast<double>(m.accepted) / r.wall_seconds
+                      : 0.0)
+           << ",\"wall_s\":" << util::json_number(r.wall_seconds)
+           << ",\"conserved\":" << (r.conserved ? "true" : "false")
+           << ",\"metrics\":" << m.to_json() << "}";
+      std::cerr << "load=" << load << " workers=" << workers << " done ("
+                << r.throughput_rps() << " rps, " << m.commit_conflicts
+                << " conflicts)\n";
     }
   }
   json << "]}";

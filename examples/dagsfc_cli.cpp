@@ -14,7 +14,6 @@
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
 #include "core/delay.hpp"
-#include "core/exact.hpp"
 #include "core/ilp.hpp"
 #include "core/layered.hpp"
 #include "core/report.hpp"
@@ -75,7 +74,6 @@ std::unique_ptr<core::Embedder> make_algorithm(
   if (name == "minv") return std::make_unique<core::MinvEmbedder>();
   if (name == "bbe") return std::make_unique<core::BbeEmbedder>();
   if (name == "mbbe") return std::make_unique<core::MbbeEmbedder>();
-  if (name == "exact") return std::make_unique<core::ExactEmbedder>();
   if (name == "layered") {
     core::LayeredOptions opts;
     if (delay_budget_ms > 0.0) opts.delay_budget_ms = delay_budget_ms;
@@ -101,7 +99,7 @@ std::unique_ptr<core::Embedder> make_algorithm(
   }
   throw std::invalid_argument(
       "unknown algorithm '" + name +
-      "' (expected ranv|minv|bbe|mbbe|exact|layered|hier)");
+      "' (expected ranv|minv|bbe|mbbe|layered|hier)");
 }
 
 }  // namespace
@@ -110,7 +108,7 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define("network", "demo_network.txt", "network description file")
       .define("sfc", "demo_sfc.txt", "DAG-SFC (+flow) description file")
-      .define("algorithm", "mbbe", "ranv|minv|bbe|mbbe|exact|layered|hier")
+      .define("algorithm", "mbbe", "ranv|minv|bbe|mbbe|layered|hier")
       .define_int("shards", 4, "regions of the sharded substrate (hier)")
       .define("partition", "stripe",
               "node->region scheme for hier: stripe|bfs")

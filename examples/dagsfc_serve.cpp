@@ -10,11 +10,10 @@
 ///     validated-commit / conflict / retry counters come alive;
 ///   * --closed-loop: the deterministic driver (one request in flight,
 ///     virtual departures) whose metrics are bit-identical for any
-///     --workers value and either --pipeline.
+///     --workers value.
 ///
-/// --pipeline selects the commit protocol: mvcc (default; per-worker
-/// replica sync, footprint-stamp validation, group commit) or mutex
-/// (the legacy full-copy baseline) — see DESIGN.md §10.
+/// Commits go through the MVCC pipeline (per-worker replica sync,
+/// footprint-stamp validation, group commit) — see DESIGN.md §10.
 ///
 /// Prints a human-readable summary plus a machine-readable `JSON:` line
 /// like the bench binaries.
@@ -31,7 +30,6 @@
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
-#include "core/exact.hpp"
 #include "core/layered.hpp"
 #include "serve/driver.hpp"
 #include "serve/http.hpp"
@@ -114,7 +112,7 @@ int main(int argc, char** argv) {
       .define_bool("closed-loop", false,
                    "run the deterministic closed-loop driver instead")
       .define("algorithm", "mbbe",
-              "worker solver: ranv|minv|bbe|mbbe|exact|layered, or hier "
+              "worker solver: ranv|minv|bbe|mbbe|layered, or hier "
               "(sharded service, one worker pool per shard)")
       .define_int("shards", 4, "regions of the sharded substrate (hier)")
       .define("partition", "labels",
@@ -123,9 +121,6 @@ int main(int argc, char** argv) {
       .define("hier-inner", "mbbe", "hier stage-two solver: bbe|mbbe|layered")
       .define_int("hier-paths", 4,
                   "hier stage-one candidates (k of k-shortest region paths)")
-      .define("pipeline", "mvcc",
-              "commit pipeline: mvcc (replica sync + stamp validation + "
-              "group commit) or mutex (legacy full-copy baseline)")
       .define_int("metrics-port", 0,
                   "serve GET /metrics (Prometheus) and /metrics.json on "
                   "127.0.0.1:<port> for the duration of the run; 0 disables")
@@ -334,13 +329,11 @@ int main(int argc, char** argv) {
     algo = std::make_unique<core::BbeEmbedder>();
   } else if (algo_name == "mbbe") {
     algo = std::make_unique<core::MbbeEmbedder>();
-  } else if (algo_name == "exact") {
-    algo = std::make_unique<core::ExactEmbedder>();
   } else if (algo_name == "layered") {
     algo = std::make_unique<core::LayeredEmbedder>();
   } else {
     std::cerr << "unknown algorithm '" << algo_name
-              << "' (ranv|minv|bbe|mbbe|exact|layered)\n";
+              << "' (ranv|minv|bbe|mbbe|layered)\n";
     return 1;
   }
   const core::Embedder& embedder = *algo;
@@ -350,15 +343,6 @@ int main(int argc, char** argv) {
   // lives in `endpoint` out here so it serves for the whole run).
   serve::ServiceTuning tuning;
   tuning.slow_solve_threshold = flags.get_duration("slow-solve-threshold");
-  const std::string pipeline_name = flags.get("pipeline");
-  if (pipeline_name == "mutex") {
-    tuning.pipeline = serve::CommitPipeline::kMutex;
-  } else if (pipeline_name == "mvcc") {
-    tuning.pipeline = serve::CommitPipeline::kMvcc;
-  } else {
-    std::cerr << "unknown pipeline '" << pipeline_name << "' (mvcc|mutex)\n";
-    return 1;
-  }
   std::unique_ptr<serve::MetricsHttpServer> endpoint;
   std::unique_ptr<util::ProcessMetrics> scrape_identity;
   const int metrics_port = flags.get_int("metrics-port");
@@ -392,13 +376,12 @@ int main(int argc, char** argv) {
         workload, embedder, workers, admission, seed, tuning);
     const auto& m = r.metrics;
     std::cout << "== dagsfc_serve (closed loop, " << workers
-              << " workers, " << pipeline_name << " pipeline) ==\n"
+              << " workers) ==\n"
               << "accepted " << m.accepted << " / " << m.submitted
               << " (ratio " << m.acceptance_ratio() << "), conserved="
               << (r.conserved ? "yes" : "no") << ", final epoch "
               << r.final_epoch << "\n";
-    std::cout << "JSON: {\"mode\":\"closed-loop\",\"pipeline\":\""
-              << pipeline_name << "\",\"workers\":" << workers
+    std::cout << "JSON: {\"mode\":\"closed-loop\",\"workers\":" << workers
               << ",\"conserved\":" << (r.conserved ? "true" : "false")
               << ",\"metrics\":" << m.to_json() << "}\n";
     return 0;
@@ -419,8 +402,7 @@ int main(int argc, char** argv) {
       serve::run_open_loop(workload, embedder, open);
   const auto& m = r.metrics;
   std::cout << "== dagsfc_serve (open loop, " << workers << " workers, "
-            << open.producers << " producers, " << pipeline_name
-            << " pipeline) ==\n"
+            << open.producers << " producers) ==\n"
             << "served " << m.completed() << " requests in " << r.wall_seconds
             << "s (" << r.throughput_rps() << " req/s)\n"
             << "accepted " << m.accepted << ", rejected "
@@ -435,8 +417,7 @@ int main(int argc, char** argv) {
             << m.latency_ms.p95() << " / " << m.latency_ms.p99() << "\n"
             << "conserved after drain: " << (r.conserved ? "yes" : "no")
             << "\n";
-  std::cout << "JSON: {\"mode\":\"open-loop\",\"pipeline\":\""
-            << pipeline_name << "\",\"workers\":" << workers
+  std::cout << "JSON: {\"mode\":\"open-loop\",\"workers\":" << workers
             << ",\"wall_s\":" << util::json_number(r.wall_seconds)
             << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
             << ",\"conserved\":" << (r.conserved ? "true" : "false")

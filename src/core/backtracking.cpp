@@ -5,7 +5,7 @@
 
 #include "core/path_oracle.hpp"
 #include "graph/dijkstra.hpp"
-#include "util/trace.hpp"
+#include "util/metrics.hpp"
 
 namespace dagsfc::core {
 
@@ -172,7 +172,7 @@ class Coverage {
 bool ring_search(const graph::Graph& g, NodeId start, Coverage& coverage,
                  std::size_t node_budget, graph::NodeFilter filter,
                  graph::SearchWorkspace& ws, SearchTree& tree) {
-  DAGSFC_TRACE_SCOPE("backtracking/ring_search");
+  DAGSFC_PHASE_SCOPE("backtracking/ring_search");
   graph::RingExpander expander(g, start, std::move(filter), &ws);
   coverage.observe(start);
   while (!coverage.complete()) {
@@ -521,7 +521,7 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
   }
 
   for (std::size_t l = 0; l < omega; ++l) {
-    DAGSFC_TRACE_SCOPE("backtracking/layer");
+    DAGSFC_PHASE_SCOPE("backtracking/layer");
     const sfc::Layer& layer = dag.layer(l);
     const auto slots = index.layer_slots(l);
     std::vector<SubSolution>& out = pools[l + 1];
@@ -778,7 +778,7 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
 
   // ---- Completion: ω-th end node → destination by min-cost path, pick the
   // cheapest complete feasible candidate (Algorithm 1 lines 9–11).
-  DAGSFC_TRACE_SCOPE("backtracking/complete");
+  DAGSFC_PHASE_SCOPE("backtracking/complete");
   Evaluator evaluator(index);
   double best_cost = graph::kInfCost;
   std::optional<EmbeddingSolution> best;

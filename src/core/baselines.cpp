@@ -4,7 +4,7 @@
 
 #include "core/path_oracle.hpp"
 #include "graph/dijkstra.hpp"
-#include "util/trace.hpp"
+#include "util/metrics.hpp"
 
 namespace dagsfc::core {
 
@@ -33,7 +33,7 @@ SolveResult assign_then_route(
   EmbeddingSolution sol;
   sol.placement.assign(index.num_slots(), graph::kInvalidNode);
 
-  DAGSFC_TRACE_SCOPE("baselines/assign_then_route");
+  DAGSFC_PHASE_SCOPE("baselines/assign_then_route");
 
   // Working copy so repeated uses of one instance respect its capacity.
   net::CapacityLedger working(ledger);

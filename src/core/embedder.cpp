@@ -19,9 +19,10 @@ SolveResult Embedder::solve(const ModelIndex& index,
   SolveResult r;
   {
     // Per-algorithm wall-time meter on the global registry
-    // (dagsfc_phase_seconds{phase="solve/<name>"}), alive regardless of
-    // DAGSFC_TRACE: this is the telemetry plane, not the trace plane. The
-    // registry lookup is once per solve — noise next to the solve itself.
+    // (dagsfc_phase_seconds{phase="solve/<name>"}). Unlike
+    // DAGSFC_PHASE_SCOPE it cannot be a per-site static, because the phase
+    // name depends on the embedder; the registry lookup is once per solve —
+    // noise next to the solve itself.
     const util::PhaseMeter meter(util::MetricRegistry::global(),
                                  "solve/" + name());
     const util::PhaseTimer timer(meter);

@@ -15,7 +15,7 @@
 #include "core/solver_detail.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/steiner.hpp"
-#include "util/trace.hpp"
+#include "util/metrics.hpp"
 
 namespace dagsfc::core {
 
@@ -237,7 +237,7 @@ SolveResult solve_scalar(LayeredRun& run, graph::SearchWorkspace& sw,
 
   bool reached_goal = false;
   {
-    DAGSFC_TRACE_SCOPE("layered/sweep");
+    DAGSFC_PHASE_SCOPE("layered/sweep");
     while (!sw.heap_empty()) {
       const auto [d, st] = sw.heap_pop();
       if (d > sw.dist_unchecked(st)) continue;  // stale entry
@@ -272,7 +272,7 @@ SolveResult solve_scalar(LayeredRun& run, graph::SearchWorkspace& sw,
       }
 
       // Parallel layer l: fire the gadget at boundary node v with final
-      // cost d. Arithmetic mirrors ExactEmbedder's transition term by term
+      // cost d. Arithmetic mirrors EXACT's transition term by term
       // so equal decisions produce bit-equal intermediate values.
       const sfc::Layer& layer = run.dag.layer(l);
       const auto& trees = run.merger_trees(l);
@@ -343,7 +343,7 @@ SolveResult solve_scalar(LayeredRun& run, graph::SearchWorkspace& sw,
   }
 
   // ---- Reconstruction ----------------------------------------------------
-  DAGSFC_TRACE_SCOPE("layered/reconstruct");
+  DAGSFC_PHASE_SCOPE("layered/reconstruct");
 
   // Entry state of each level: walk routing parents within a level until
   // the parent sits one level down; that node is the boundary the level was
@@ -502,7 +502,7 @@ SolveResult solve_budget(LayeredRun& run, double budget,
 
   std::int32_t goal_label = -1;
   {
-    DAGSFC_TRACE_SCOPE("layered/sweep_budget");
+    DAGSFC_PHASE_SCOPE("layered/sweep_budget");
     while (!heap.empty() && !overflow) {
       const auto [c, st, dly, idx] = heap.top();
       heap.pop();
@@ -638,7 +638,7 @@ SolveResult solve_budget(LayeredRun& run, double budget,
   // Under a budget the winning chain's real routing matters (its hop counts
   // were charged against the budget), so the sequential segments replay the
   // label chain verbatim instead of re-deriving min-cost paths.
-  DAGSFC_TRACE_SCOPE("layered/reconstruct_budget");
+  DAGSFC_PHASE_SCOPE("layered/reconstruct_budget");
 
   std::vector<std::uint32_t> chain;
   for (std::int32_t i = goal_label; i >= 0; i = labels[i].parent) {

@@ -24,9 +24,9 @@
 /// One Dijkstra pass over this graph — never materialized; successors are
 /// expanded on the fly over the CSR view with a per-worker SearchWorkspace
 /// (prepare_states()) — therefore chooses VNF nodes and real paths jointly
-/// and is exact for the uncapacitated objective, like ExactEmbedder but
-/// with the per-layer Cartesian DP replaced by label merging on routing
-/// levels. Capacities are screened per resource while searching and
+/// and is exact for the uncapacitated objective, like the EXACT test oracle
+/// (reference/core/exact.hpp) but with the per-layer Cartesian DP replaced
+/// by label merging on routing levels. Capacities are screened per resource while searching and
 /// checked for real post-hoc, exactly like the exact solver.
 ///
 /// An optional end-to-end delay budget (Ren & Han, "Embedding the Minimum
@@ -52,7 +52,7 @@ struct LayeredOptions {
   /// Delay model used when a budget is set.
   DelayModel delay_model;
   /// Upper bound on the estimated parallel-gadget work (boundary states ×
-  /// assignments, the same estimate ExactEmbedder uses) before refusing.
+  /// assignments, the same estimate EXACT uses) before refusing.
   std::size_t max_work = 5'000'000;
   /// Safety valve for the bi-criteria mode: maximum labels created before
   /// the solve fails with a clear reason instead of thrashing.

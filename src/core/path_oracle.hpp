@@ -17,8 +17,8 @@
 /// search() hands out the ledger's cached search from a source, shared
 /// across queries and solves, and settle() runs it only until the
 /// asked-for target's distance is final. min_cost_path(s) settle it up to
-/// their targets; tree() settles everything (EXACT and LAYERED read whole
-/// trees). Yen results are cached per (rate, endpoints, k).
+/// their targets; tree() settles everything (LAYERED and the EXACT test
+/// oracle read whole trees). Yen results are cached per (rate, endpoints, k).
 ///
 /// Every answer is bit-identical to the seed kernels run from scratch with
 /// usable() as the filter: a search's settled nodes are a prefix of the
@@ -108,7 +108,7 @@ class PathOracle {
   [[nodiscard]] std::vector<graph::Path> k_shortest_filtered(
       NodeId a, NodeId b, std::size_t k, const graph::EdgeFilter& filter);
 
-  /// Minimum Steiner tree over usable links (exact solver's multicast
+  /// Minimum Steiner tree over usable links (the exact solvers' multicast
   /// pricing). Counted in PathQueryCounters::steiner_calls.
   [[nodiscard]] std::optional<graph::SteinerTree> steiner(
       const std::vector<NodeId>& terminals);

@@ -1,11 +1,12 @@
 #pragma once
 /// \file solver_detail.hpp
-/// Small helpers shared by the optimality-grade solvers (EXACT and
-/// LAYERED): trivial single-node paths, path extraction inside a fixed
-/// Steiner-tree edge set, and the odometer-style assignment enumerator.
-/// They were file-local to exact.cpp until the layered embedder needed the
-/// identical reconstruction arithmetic — both solvers must produce the same
-/// real-paths from the same decisions for their costs to agree bitwise.
+/// Small helpers shared by the optimality-grade solvers (LAYERED, and the
+/// EXACT test oracle in reference/core/): trivial single-node paths, path
+/// extraction inside a fixed Steiner-tree edge set, and the odometer-style
+/// assignment enumerator. They were file-local to exact.cpp until the
+/// layered embedder needed the identical reconstruction arithmetic — both
+/// solvers must produce the same real-paths from the same decisions for
+/// their costs to agree bitwise.
 
 #include <algorithm>
 #include <map>

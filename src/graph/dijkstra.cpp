@@ -48,8 +48,7 @@ void ShortestPathTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
 namespace {
 
 /// The flat relaxation loop. Every search runs it: one-shot searches over a
-/// SearchWorkspace, each layer of the multi-source bank, and the path
-/// cache's resumable LazyTrees. Templated on the label store, on the
+/// SearchWorkspace and the path cache's resumable LazyTrees. Templated on the label store, on the
 /// edge-admission test (so the unfiltered instantiation carries no per-edge
 /// branch on a mask pointer) and on the stop test. The scan streams the
 /// CSR incidence and weight arrays in lockstep — the only random access
@@ -166,52 +165,6 @@ std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
   DAGSFC_CHECK(g.has_node(target));
   dijkstra_into(g, source, ws, mask, target);
   return extract_path(ws, target);
-}
-
-namespace {
-
-/// One layer of the multi-source bank in settle_loop's label-store shape:
-/// node v of layer l lives in state l·|V| + v. Layers run back to back over
-/// one prepared slot bank, each to exhaustion before the next starts, so
-/// the heap only ever holds one layer's nodes and can key them by node id:
-/// its (key, node) pop order is the (key, state) order shifted by a
-/// constant. Every layer's pass *is* the standalone loop — only the slot
-/// indices carry the layer offset — so per-layer results are bitwise the
-/// standalone run's by construction, and the heap's working set never
-/// exceeds a single search's.
-struct LayerLabels {
-  SearchWorkspace& ws;
-  NodeId base;
-
-  [[nodiscard]] double dist_unchecked(NodeId v) const {
-    return ws.dist_unchecked(base + v);
-  }
-  [[nodiscard]] double dist_if_live(NodeId v) const {
-    return ws.dist_if_live(base + v);
-  }
-  void relax(NodeId v, double d, NodeId par, EdgeId via) {
-    ws.relax(base + v, d, base + par, via);
-  }
-};
-
-}  // namespace
-
-void multi_source_dijkstra_into(const Graph& g, std::span<const NodeId> sources,
-                                SearchWorkspace& ws, const EdgeMask* mask) {
-  const std::size_t n = g.num_nodes();
-  const std::size_t k = sources.size();
-  DAGSFC_CHECK(k > 0);
-  DAGSFC_CHECK_MSG(k * n < static_cast<std::size_t>(kInvalidNode),
-                   "layered state space must fit the node id type");
-  for (const NodeId s : sources) DAGSFC_CHECK(g.has_node(s));
-  ws.prepare_states(k * n, 2 * g.num_edges() + 2);
-  for (std::size_t layer = 0; layer < k; ++layer) {
-    LayerLabels labels{ws, static_cast<NodeId>(layer * n)};
-    ws.relax(labels.base + sources[layer], 0.0, kInvalidNode, kInvalidEdge);
-    ws.heap_push(0.0, sources[layer]);
-    settle_masked(g, labels, ws.heap(), mask,
-                  [](SearchHeap::Item) { return false; });
-  }
 }
 
 // --- resumable tier --------------------------------------------------------

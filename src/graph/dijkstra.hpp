@@ -9,7 +9,8 @@
 ///     with a caller-owned SearchWorkspace and an optional EdgeMask. Warm
 ///     calls are allocation-free; results live in the workspace until the
 ///     next search and can be exported on demand. Yen's spur searches, the
-///     Steiner DP and the shard plane's border summaries run on it.
+///     Steiner DP's base case (one search per terminal) and the shard
+///     plane's border summaries (one per border node) run on it.
 ///   * Resumable tier — LazyTree owns its labels and frontier, so a search
 ///     can stop at one target and later resume toward a farther one. It
 ///     runs the flat tier's relaxation loop and heap; PathCache entries are
@@ -24,7 +25,6 @@
 /// under reference/).
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "graph/edge_mask.hpp"
@@ -85,60 +85,6 @@ std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
                                                 NodeId target,
                                                 SearchWorkspace& ws,
                                                 const EdgeMask* mask = nullptr);
-
-// --- batched tier --------------------------------------------------------
-
-/// One prepared pass that runs |sources| independent SSSPs over a layered
-/// state space (state = layer·|V| + node) — the Steiner base case and the
-/// shard plane's border-to-border summaries do this today as k separate
-/// searches, each paying its own prepare, mask capture, and cold CSR
-/// streams. Layers run back to back over one slot bank, so the heap's
-/// working set stays standalone-sized while the incidence/weight arrays and
-/// the mask stay hot across layers. Layer i's results are bitwise identical
-/// to a standalone dijkstra_into(g, sources[i], ws, mask): its loop is the
-/// standalone loop with slot indices offset by layer·|V|. Read the result
-/// bank through MultiSourceView; it stays valid until the next prepare of
-/// \p ws.
-void multi_source_dijkstra_into(const Graph& g, std::span<const NodeId> sources,
-                                SearchWorkspace& ws,
-                                const EdgeMask* mask = nullptr);
-
-/// Layer-strided read view over a workspace filled by
-/// multi_source_dijkstra_into. Parents are reported as node ids within the
-/// layer (the stored state ids are translated back).
-class MultiSourceView {
- public:
-  MultiSourceView(const SearchWorkspace& ws, const Graph& g,
-                  std::size_t num_layers)
-      : ws_(&ws), n_(g.num_nodes()), layers_(num_layers) {}
-
-  [[nodiscard]] std::size_t num_layers() const noexcept { return layers_; }
-  [[nodiscard]] bool reached(std::size_t layer, NodeId v) const {
-    return ws_->reached(state(layer, v));
-  }
-  [[nodiscard]] double dist(std::size_t layer, NodeId v) const {
-    return ws_->dist(state(layer, v));
-  }
-  [[nodiscard]] NodeId parent(std::size_t layer, NodeId v) const {
-    const NodeId p = ws_->parent(state(layer, v));
-    return p == kInvalidNode
-               ? kInvalidNode
-               : static_cast<NodeId>(p - layer * n_);
-  }
-  [[nodiscard]] EdgeId parent_edge(std::size_t layer, NodeId v) const {
-    return ws_->parent_edge(state(layer, v));
-  }
-
- private:
-  [[nodiscard]] NodeId state(std::size_t layer, NodeId v) const {
-    DAGSFC_ASSERT(layer < layers_ && v < n_);
-    return static_cast<NodeId>(layer * n_ + v);
-  }
-
-  const SearchWorkspace* ws_;
-  std::size_t n_;
-  std::size_t layers_;
-};
 
 // --- resumable tier ------------------------------------------------------
 

@@ -5,9 +5,8 @@
 /// The embedders spend most of their time re-running Dijkstra and Yen
 /// between the same endpoints while the residual network has not changed:
 /// BBE/MBBE re-derive the min-cost paths of a sub-solution's end node once
-/// per parent, the exact solver re-runs per-merger Dijkstra for every DP
-/// cell, and the baselines route every meta-path from scratch. A PathCache
-/// memoizes those results keyed by (context, endpoints, k), where context
+/// per parent, and the baselines route every meta-path from scratch. A
+/// PathCache memoizes those results keyed by (context, endpoints, k), where context
 /// is the flow rate bit-cast to uint64 — the one extra input the usability
 /// filter depends on — so flows of different rates never share entries.
 ///
@@ -81,7 +80,7 @@ namespace dagsfc::graph {
 /// only. `nodes_settled` is the Dijkstra work those searches did, summed
 /// over first runs and resumes: nodes settled (rows scanned). `bfs_calls`
 /// tallies the backtracking engine's ring searches and `steiner_calls` the
-/// exact solver's multicast pricing, so the inter-layer path work is
+/// exact solvers' multicast pricing, so the inter-layer path work is
 /// visible alongside the Dijkstra/Yen unicast work.
 struct PathQueryCounters {
   std::size_t dijkstra_calls = 0;

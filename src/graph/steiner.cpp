@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 
 namespace dagsfc::graph {
 
@@ -11,7 +12,9 @@ namespace {
 // Backtrack cells, packed to one word so the (2^k × |V|) table is a single
 // flat allocation-free scratch array: kind in the top two bits, a
 // kind-specific aux field (merge split mask / base terminal index) in bits
-// 32..61, and a 32-bit payload (the extend edge id) in the low word.
+// 32..61, and a 32-bit payload in the low word: the edge id an extend cell
+// came through, or an init cell's parent edge in its terminal's
+// shortest-path tree.
 constexpr std::uint64_t kHowNone = 0;
 constexpr std::uint64_t kHowInit = 1;
 constexpr std::uint64_t kHowMerge = 2;
@@ -42,17 +45,16 @@ constexpr std::uint32_t how_payload(std::uint64_t h) {
 
 }  // namespace
 
-// The seed Dreyfus–Wagner DP (see reference/graph/reference.cpp) with two
-// accelerations on top of the flat kernels; both leave the returned tree
+// The seed Dreyfus–Wagner DP (see reference/graph/reference.cpp) on the
+// flat kernels, plus one acceleration; the returned tree stays
 // bit-identical to the seed's (checked by the differentials in
 // tests/test_search_flat.cpp):
 //
-//   1. Batched base case. The k single-terminal rows dp[{i}][·] used to be
-//      k independent Dijkstra exhaustions; they are now one
-//      multi_source_dijkstra_into() pass whose layer i is bitwise the
-//      standalone search from terms[i] (see dijkstra.hpp), read back
-//      through the workspace bank both for the rows and for the
-//      reconstruction parent walks.
+//   1. Base case. The k single-terminal rows dp[{i}][·] are k flat
+//      dijkstra_into() exhaustions, bitwise the seed's. Each search's
+//      parent edges go into the payloads of row {i}'s init cells, which
+//      the Takahashi–Matsuyama walk below and the reconstruction read
+//      back, so the workspace holds one search at a time.
 //
 //   2. Future-cost pruning. UB is the cost of a real Steiner candidate: the
 //      Takahashi–Matsuyama greedy tree (start at the root, repeatedly
@@ -110,17 +112,11 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
   const Incidence* const arcs = csr.incidence.data();
   const double* const wt = csr.weights.data();
 
-  // One batched pass replaces the k per-terminal exhaustions. The bank
-  // (layer-strided slots in ws) stays valid for the whole call: the DP loop
-  // below only reuses the workspace *heap*, never the slots.
-  multi_source_dijkstra_into(g, terms, ws, mask);
-  const MultiSourceView bank(ws, g, k);
-
   // Flat scratch layout: dp rows (full+1)·n, then the per-subset future
-  // bound row (n), then a dense copy of the bank distances (k·n) so the DP
-  // inner loops read plain doubles instead of stamp-checked slots, then the
-  // per-terminal futplus fields (k·n; row 0 unused — the root's attachment
-  // bound is the d(root, ·) base term).
+  // bound row (n), then a dense copy of the base-case distances (k·n) so
+  // the DP inner loops read plain doubles instead of stamp-checked slots,
+  // then the per-terminal futplus fields (k·n; row 0 unused — the root's
+  // attachment bound is the d(root, ·) base term).
   std::vector<double>& f64 = ws.scratch_f64();
   f64.assign((full + 1) * n + n + 2 * k * n, kInfCost);
   double* const dp = f64.data();
@@ -131,17 +127,24 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
   how.assign((full + 1) * n, pack_how(kHowNone, 0, 0));
 
   for (std::size_t i = 0; i < k; ++i) {
+    dijkstra_into(g, terms[i], ws, mask);
     double* const row = dp + static_cast<std::size_t>(1u << i) * n;
     double* const td = term_dist + i * n;
-    const std::uint64_t h = pack_how(kHowInit, i, 0);
     std::uint64_t* const hrow = how.data() + static_cast<std::size_t>(1u << i) * n;
     for (NodeId v = 0; v < n; ++v) {
-      const double d = bank.dist(i, v);
+      const double d = ws.dist(v);
       td[v] = d;
       row[v] = d;
-      hrow[v] = h;
+      hrow[v] = pack_how(kHowInit, i, ws.parent_edge(v));
     }
   }
+  // Steps from v toward terms[i] along the base case's tree of terminal i.
+  const auto base_parent = [&](std::size_t i, NodeId v) {
+    const EdgeId e = how_payload(
+        how[static_cast<std::size_t>(1u << i) * n + v]);
+    const Edge& edge = g.edge(e);
+    return std::pair<EdgeId, NodeId>{e, edge.u == v ? edge.v : edge.u};
+  };
 
   // Star upper bound rooted at terms[0]; +inf when a terminal is cut off,
   // which turns the guard off (the DP then reports infeasible as before).
@@ -152,8 +155,8 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
   // Takahashi–Matsuyama greedy tree, usually far tighter than the star:
   // grow from the root, each round attaching the terminal closest to the
   // current tree along its shortest path (cost read from its base-case
-  // row, nodes walked off the bank's parent chain). The overlap between
-  // attach paths is not discounted, which only loosens the bound.
+  // row, nodes walked off its init cells' parent edges). The overlap
+  // between attach paths is not discounted, which only loosens the bound.
   if (ub < kInfCost) {
     std::vector<NodeId>& tree_nodes = ws.scratch_nodes();
     tree_nodes.assign(1, terms[0]);
@@ -176,9 +179,9 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
       }
       tm += best_d;
       attached |= 1u << best_i;
-      for (NodeId v = best_v; v != terms[best_i];
-           v = bank.parent(best_i, v)) {
-        tree_nodes.push_back(bank.parent(best_i, v));
+      for (NodeId v = best_v; v != terms[best_i];) {
+        v = base_parent(best_i, v).second;
+        tree_nodes.push_back(v);
       }
     }
     if (tm < ub) ub = tm;
@@ -280,11 +283,12 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
   // Reconstruct the edge set by unwinding the DP choices.
   std::set<EdgeId> edges;
   std::vector<std::pair<std::uint32_t, NodeId>> stack{{full, root}};
-  auto add_bank_path = [&](std::size_t layer, NodeId v) {
-    // Walk layer `layer`'s parent chain from v back to terms[layer].
-    while (v != terms[layer]) {
-      edges.insert(bank.parent_edge(layer, v));
-      v = bank.parent(layer, v);
+  auto add_base_path = [&](std::size_t i, NodeId v) {
+    // Walk terminal i's shortest-path tree from v back to terms[i].
+    while (v != terms[i]) {
+      const auto [e, parent] = base_parent(i, v);
+      edges.insert(e);
+      v = parent;
     }
   };
   while (!stack.empty()) {
@@ -293,7 +297,7 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
     const std::uint64_t h = how[static_cast<std::size_t>(S) * n + v];
     switch (how_kind(h)) {
       case kHowInit:
-        add_bank_path(how_aux(h), v);
+        add_base_path(how_aux(h), v);
         break;
       case kHowMerge: {
         const std::uint32_t sub = how_aux(h);

@@ -6,10 +6,10 @@
 /// network link at most once per layer for the *inter-layer multicast* from
 /// the previous layer's end node to all VNFs of the next layer. The cheapest
 /// such multicast is exactly a minimum Steiner tree whose terminals are
-/// {start node} ∪ {layer VNF nodes}. The exact reference solver uses this DP
-/// to price placements optimally; the heuristics only approximate it with
-/// unions of shortest paths, and the gap is measured in tests and the
-/// ablation bench.
+/// {start node} ∪ {layer VNF nodes}. LAYERED's parallel-layer gadget (and
+/// the EXACT test oracle) use this DP to price placements optimally; the
+/// heuristics only approximate it with unions of shortest paths, and the
+/// gap is measured in tests and the ablation bench.
 ///
 /// Complexity O(3^k·n + 2^k·n log n·deg) for k terminals — fine for the
 /// layer widths the paper uses (φ ≤ 5, so k ≤ 6) on small graphs.
@@ -29,7 +29,8 @@ struct SteinerTree {
 
 /// Flat tier: minimum-weight tree connecting all \p terminals through the
 /// masked subgraph (null mask ⇒ all edges), using \p ws for the base-case
-/// Dijkstras and the subset relaxations' heap. The DP tables themselves are
+/// Dijkstras (one dijkstra_into per terminal) and the subset relaxations'
+/// heap. The DP tables themselves are
 /// still allocated per call — this entry point exists for mask/workspace
 /// plumbing consistency, not allocation freedom (the DP dominates anyway).
 /// Bit-identical to the legacy overload below.

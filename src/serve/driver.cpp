@@ -80,7 +80,6 @@ DriverResult run_closed_loop(const Workload& workload,
   opts.workers = workers;
   opts.admission = admission;
   opts.seed = seed;
-  opts.pipeline = tuning.pipeline;
   opts.slow_solve_threshold = tuning.slow_solve_threshold;
   opts.watchdog_period = tuning.watchdog_period;
   opts.tracing = tuning.tracing;
@@ -128,7 +127,6 @@ OpenLoopResult run_open_loop(const Workload& workload,
   opts.workers = cfg.workers;
   opts.admission = cfg.admission;
   opts.seed = cfg.seed;
-  opts.pipeline = cfg.tuning.pipeline;
   opts.slow_solve_threshold = cfg.tuning.slow_solve_threshold;
   opts.watchdog_period = cfg.tuning.watchdog_period;
   opts.tracing = cfg.tuning.tracing;

@@ -56,9 +56,6 @@ struct Workload {
 struct ServiceTuning {
   std::chrono::nanoseconds slow_solve_threshold{0};  ///< 0 = watchdog off
   std::chrono::nanoseconds watchdog_period{0};       ///< 0 = threshold/4
-  /// Commit machinery of the service under test; kMutex is the legacy
-  /// baseline the bench A/Bs against.
-  CommitPipeline pipeline = CommitPipeline::kMvcc;
   /// Forwarded to EmbeddingService::Options::tracing — request-lifecycle
   /// spans + tail-sampled flight recorder. Reach the recorders through the
   /// service in on_start/on_finish.

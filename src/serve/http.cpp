@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -19,6 +20,13 @@
 namespace dagsfc::serve {
 
 namespace {
+
+/// Receive and send timeout on every accepted connection. Connections are
+/// served one at a time on the accept thread, so a client that connects and
+/// then goes quiet would otherwise hold up every later scrape and stop();
+/// with the timeout it costs them at most this long. A scraper on loopback
+/// sends its request line at once, so this is far above any honest wait.
+constexpr auto kClientIoTimeout = std::chrono::seconds(1);
 
 /// Writes the whole buffer, retrying on short writes and EINTR. Returns
 /// false on a hard error (peer went away — nothing useful to do).
@@ -109,6 +117,10 @@ void MetricsHttpServer::serve_loop() {
     if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(kClientIoTimeout.count());
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     handle_connection(client);
     ::close(client);
   }
@@ -116,6 +128,8 @@ void MetricsHttpServer::serve_loop() {
 
 void MetricsHttpServer::handle_connection(int client_fd) {
   // One small request per connection; 4 KiB is plenty for "GET /metrics".
+  // A client that sends nothing within kClientIoTimeout reads as n < 0
+  // (EAGAIN) and is dropped without a response.
   char buf[4096];
   const ssize_t n = ::read(client_fd, buf, sizeof(buf) - 1);
   if (n <= 0) return;

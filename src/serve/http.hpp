@@ -12,7 +12,10 @@
 ///                             no recorder is attached)
 ///
 /// Anything else is a 404; non-GET methods are a 405; a request line that
-/// overflows the read buffer is a 400. The server binds 127.0.0.1 only —
+/// overflows the read buffer is a 400. Each connection gets a fixed 1 s
+/// receive/send timeout, so a client that connects and sends nothing
+/// delays later scrapes and stop() by at most that long. The server binds
+/// 127.0.0.1 only —
 /// this is an operator scrape port, not a public API — and `port 0` picks
 /// an ephemeral port (read it back with port()), which is what the tests
 /// use. Scrapes snapshot the registry per request, so a scrape never

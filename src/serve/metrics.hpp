@@ -52,8 +52,7 @@ struct MetricsSnapshot {
   Histogram latency_ms{1e-3, 1e6};  ///< submit → terminal outcome
   Histogram solve_ms{1e-3, 1e6};    ///< dequeue → terminal outcome
   Histogram cost{1e-1, 1e9};        ///< accepted flows' objective (1)
-  /// Commits applied per group-commit drain (MVCC pipeline only — the
-  /// legacy mutex pipeline never records it).
+  /// Commits applied per group-commit drain.
   Histogram group_commit_batch{1.0, 1e4};
 
   [[nodiscard]] std::uint64_t completed() const noexcept {

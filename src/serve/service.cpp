@@ -38,12 +38,10 @@ EmbeddingService::EmbeddingService(const net::Network& network,
   DAGSFC_CHECK(opts_.workers >= 1);
   DAGSFC_CHECK(opts_.slow_solve_threshold.count() >= 0);
   DAGSFC_CHECK(opts_.watchdog_period.count() >= 0);
-  if (opts_.pipeline == CommitPipeline::kMvcc) {
-    // Journal depth: enough to cover many full-footprint commits between a
-    // worker's syncs, so replicas replay deltas instead of recopying.
-    ledger_.enable_journal(std::max<std::size_t>(
-        4096, 32 * (network.num_links() + network.num_instances())));
-  }
+  // Journal depth: enough to cover many full-footprint commits between a
+  // worker's syncs, so replicas replay deltas instead of recopying.
+  ledger_.enable_journal(std::max<std::size_t>(
+      4096, 32 * (network.num_links() + network.num_instances())));
   if (opts_.tracing.enabled) {
     spans_ = std::make_unique<util::SpanRecorder>(
         opts_.workers, opts_.tracing.ring_capacity);
@@ -97,8 +95,8 @@ void EmbeddingService::finish(Job&& job, Response&& resp) {
 
 void EmbeddingService::worker_loop(std::size_t slot) {
   // Per-worker solver state: solves run outside the commit lock, so each
-  // worker warms its own search buffers — and, under MVCC, its ledger
-  // replica's path cache — for the life of the thread.
+  // worker warms its own search buffers and its ledger replica's path
+  // cache for the life of the thread.
   WorkerState state;
   const bool watched = opts_.slow_solve_threshold.count() > 0;
   while (auto job = queue_.pop()) {
@@ -266,7 +264,6 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
   const core::ModelIndex index(problem);
   const core::Evaluator evaluator(index);
   const double rate = job.req.flow.rate;
-  const bool mvcc = opts_.pipeline == CommitPipeline::kMvcc;
 
   const std::uint32_t max_attempts = 1 + opts_.admission.max_retries;
   for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -276,28 +273,17 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
     }
 
     // Snapshot: a private, consistent view of the shared residual state
-    // plus the epoch it was taken at. MVCC syncs the worker's persistent
-    // replica (O(delta) journal replay, warm path cache); the legacy
-    // pipeline copies the whole ledger.
+    // plus the epoch it was taken at — the worker's persistent replica,
+    // caught up by an O(delta) journal replay that keeps its path cache
+    // warm.
     const std::uint64_t t_solve0 = trace.now();
-    std::uint64_t snapshot_epoch = 0;
-    std::unique_ptr<net::CapacityLedger> snap;
-    const net::CapacityLedger* view = nullptr;
-    if (mvcc) {
-      snapshot_epoch = sync_replica(state);
-      view = state.replica.get();
-    } else {
-      std::lock_guard lock(commit_mu_);
-      snapshot_epoch = ledger_.epoch();
-      snap = std::make_unique<net::CapacityLedger>(ledger_);
-      view = snap.get();
-    }
+    const std::uint64_t snapshot_epoch = sync_replica(state);
 
     // Solve outside the lock — the expensive, parallel part. solve() takes
     // the ledger const, so the replica survives for the next request.
     Rng rng(solve_seed(opts_.seed, job.req.id, attempt));
     const core::SolveResult r =
-        embedder_->solve(index, *view, rng, nullptr, &state.ws);
+        embedder_->solve(index, *state.replica, rng, nullptr, &state.ws);
     ++resp.solves;
     const std::uint16_t att = static_cast<std::uint16_t>(attempt);
     trace.solve(att, r.ok(), t_solve0, trace.now(), snapshot_epoch,
@@ -313,56 +299,25 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
     core::ResourceUsage usage = evaluator.usage(*r.solution);
 
     const std::uint64_t t_commit0 = trace.now();
-    if (mvcc) {
-      PendingCommit pc;
-      pc.id = job.req.id;
-      pc.usage = std::move(usage);
-      pc.rate = rate;
-      pc.snapshot_epoch = snapshot_epoch;
-      if (group_commit(pc)) {
-        trace.commit(att,
-                     pc.stamp_validated ? CommitClass::kStamp
-                     : pc.epoch_moved  ? CommitClass::kValidated
-                                       : CommitClass::kFast,
-                     t_commit0, trace.now(), pc.commit_epoch);
-        resp.outcome = Outcome::Accepted;
-        resp.cost = r.cost;
-        resp.snapshot_epoch = snapshot_epoch;
-        resp.commit_epoch = pc.commit_epoch;
-        resp.epoch_validated = pc.epoch_moved;
-        resp.stamp_validated = pc.stamp_validated;
-        resp.solve_ms = ms_between(dequeued, Clock::now());
-        return resp;
-      }
-    } else {
-      // Legacy commit: epoch validation with a full residual re-check.
-      bool committed = false;
-      bool moved = false;
-      std::uint64_t commit_epoch = 0;
-      {
-        std::lock_guard lock(commit_mu_);
-        moved = ledger_.epoch() != snapshot_epoch;
-        if (!moved || ledger_.can_apply(usage.link_uses,
-                                        usage.instance_uses, rate)) {
-          ledger_.apply(usage.link_uses, usage.instance_uses, rate);
-          committed_.emplace(job.req.id,
-                             CommittedFlow{std::move(usage), rate});
-          committed = true;
-          commit_epoch = ledger_.epoch();
-        }
-      }
-      if (committed) {
-        trace.commit(att,
-                     moved ? CommitClass::kValidated : CommitClass::kFast,
-                     t_commit0, trace.now(), commit_epoch);
-        resp.outcome = Outcome::Accepted;
-        resp.cost = r.cost;
-        resp.snapshot_epoch = snapshot_epoch;
-        resp.commit_epoch = commit_epoch;
-        resp.epoch_validated = moved;
-        resp.solve_ms = ms_between(dequeued, Clock::now());
-        return resp;
-      }
+    PendingCommit pc;
+    pc.id = job.req.id;
+    pc.usage = std::move(usage);
+    pc.rate = rate;
+    pc.snapshot_epoch = snapshot_epoch;
+    if (group_commit(pc)) {
+      trace.commit(att,
+                   pc.stamp_validated ? CommitClass::kStamp
+                   : pc.epoch_moved  ? CommitClass::kValidated
+                                     : CommitClass::kFast,
+                   t_commit0, trace.now(), pc.commit_epoch);
+      resp.outcome = Outcome::Accepted;
+      resp.cost = r.cost;
+      resp.snapshot_epoch = snapshot_epoch;
+      resp.commit_epoch = pc.commit_epoch;
+      resp.epoch_validated = pc.epoch_moved;
+      resp.stamp_validated = pc.stamp_validated;
+      resp.solve_ms = ms_between(dequeued, Clock::now());
+      return resp;
     }
     // The world changed under us and the solution no longer fits: commit
     // conflict. Loop back for a fresh snapshot.

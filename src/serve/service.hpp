@@ -8,19 +8,25 @@
 ///      returns a future; a full queue resolves it immediately as
 ///      RejectedQueueFull.
 ///   2. A worker dequeues, sheds the request if its deadline already
-///      passed, then *snapshots* the shared CapacityLedger — a copy taken
-///      under the commit mutex together with the ledger's epoch().
-///   3. The embedder solves against the private snapshot, completely
-///      outside the lock — this is where the milliseconds go, and why
-///      workers scale.
-///   4. Commit, under the mutex, with epoch validation:
+///      passed, then *snapshots* the shared CapacityLedger: it catches its
+///      persistent ledger *replica* up under the commit mutex with
+///      CapacityLedger::sync_from — an O(delta) journal replay instead of
+///      an O(E+V) copy, which also keeps the replica's path cache warm
+///      across requests (only entries whose footprint a committed mutation
+///      flipped are evicted) — and notes the ledger's epoch().
+///   3. The embedder solves against the replica, completely outside the
+///      lock — this is where the milliseconds go, and why workers scale.
+///   4. Commit, with validation against the live ledger:
 ///        - epoch unchanged → the residuals the solver saw are the live
 ///          residuals; apply directly (fast commit).
-///        - epoch moved     → another request committed or departed in the
-///          meantime; re-check the solution against the live residuals
-///          (CapacityLedger::can_apply). Still fits → apply (validated
-///          commit). Doesn't fit → commit conflict: drop the solution,
-///          back off, and re-solve from a fresh snapshot, up to
+///        - epoch moved, but no resource in the solution's footprint
+///          changed since the snapshot (per-resource version stamps,
+///          footprint_unchanged_since) → the residuals the solver saw are
+///          still live; apply directly (stamp-validated commit).
+///        - footprint overlap → re-check the solution against the live
+///          residuals (CapacityLedger::can_apply). Still fits → apply
+///          (validated commit). Doesn't fit → commit conflict: drop the
+///          solution, back off, and re-solve from a fresh snapshot, up to
 ///          AdmissionPolicy::max_retries times before the request counts
 ///          as LostConflict.
 ///   5. Accepted flows land in the committed-flow table; release(id)
@@ -30,35 +36,14 @@
 /// optimistic by construction; validation at commit is what keeps the
 /// ledger's no-oversubscription invariant exact under concurrency.
 ///
-/// ## Commit pipelines
+/// ## Group commit
 ///
-/// Step 2 and 4 above describe the legacy kMutex pipeline (a full ledger
-/// copy per attempt, epoch check + full residual re-check at commit). The
-/// default kMvcc pipeline replaces both ends:
-///
-///   * Snapshot: each worker keeps a persistent ledger *replica* and
-///     catches it up under the lock with CapacityLedger::sync_from — an
-///     O(delta) journal replay instead of an O(E+V) copy, which also
-///     preserves the replica's warm path cache across requests (only
-///     entries whose footprint a committed mutation flipped are evicted).
-///   * Validation: a moved epoch no longer forces a full residual
-///     re-check. If no resource in the solution's footprint changed since
-///     the snapshot (per-resource version stamps,
-///     footprint_unchanged_since), the residuals the solver saw are still
-///     live and the commit applies directly — the stamp-validated commit.
-///     Only footprint overlaps fall back to can_apply.
-///   * Group commit: workers publish their validated solutions to a
-///     pending list and the first one through the commit mutex becomes
-///     the *leader*, draining and applying the whole batch in one critical
-///     section while the followers wait at the mutex. A follower finding
-///     its entry already decided simply returns; statuses are always
-///     decided before the deciding leader releases the mutex, so no
-///     condition variable is needed and every request terminates.
-///
-/// Both pipelines produce identical outcomes for identical interleavings —
-/// stamp validation accepts exactly when can_apply would (unchanged
-/// footprint residuals trivially re-admit the solution) — so the closed
-/// loop determinism guarantee holds across pipelines and worker counts.
+/// Workers publish their solutions to a pending list and the first one
+/// through the commit mutex becomes the *leader*, validating and applying
+/// the whole batch in one critical section while the followers wait at the
+/// mutex. A follower finding its entry already decided simply returns;
+/// statuses are always decided before the deciding leader releases the
+/// mutex, so no condition variable is needed and every request terminates.
 
 #include <chrono>
 #include <condition_variable>
@@ -81,22 +66,11 @@
 
 namespace dagsfc::serve {
 
-/// Which commit machinery the service runs (see the file comment).
-enum class CommitPipeline : std::uint8_t {
-  kMutex,  ///< legacy: per-attempt ledger copy, epoch + full residual check
-  kMvcc,   ///< replica sync + stamp validation + group commit (default)
-};
-
-[[nodiscard]] constexpr const char* to_string(CommitPipeline p) noexcept {
-  return p == CommitPipeline::kMutex ? "mutex" : "mvcc";
-}
-
 class EmbeddingService {
  public:
   struct Options {
     std::size_t workers = 1;
     AdmissionPolicy admission;
-    CommitPipeline pipeline = CommitPipeline::kMvcc;
     /// Base seed of the per-request solver RNG streams: request id and
     /// retry number are mixed in, so results depend on (seed, id, retry)
     /// and never on which worker picked the job up.
@@ -191,9 +165,8 @@ class EmbeddingService {
     double rate = 0.0;
   };
 
-  /// Long-lived per-worker solver state: the warm search workspace and, in
-  /// the MVCC pipeline, the ledger replica whose path cache survives
-  /// across requests.
+  /// Long-lived per-worker solver state: the warm search workspace and the
+  /// ledger replica whose path cache survives across requests.
   struct WorkerState {
     graph::SearchWorkspace ws;
     std::unique_ptr<net::CapacityLedger> replica;
@@ -233,7 +206,7 @@ class EmbeddingService {
   /// matches a TracingOptions trigger.
   void maybe_promote(const RequestTrace& trace, const Response& resp);
 
-  /// MVCC snapshot: catches state.replica up to the shared ledger under
+  /// Snapshot: catches state.replica up to the shared ledger under
   /// commit_mu_ and returns the snapshot epoch.
   [[nodiscard]] std::uint64_t sync_replica(WorkerState& state);
   /// Queues \p pc and waits through commit_mu_ until it is decided —

@@ -100,10 +100,11 @@ void ShardedSubstrate::refresh_summaries() {
   }
 
   // kBorderDistance: replace the per-link average with the mean
-  // border-to-border shortest-path distance inside the region — one batched
-  // multi-source pass per region over its intra links. Regions where the
-  // measure is undefined (fewer than two border nodes, or border pairs the
-  // intra links don't connect) keep the mean-price value computed above.
+  // border-to-border shortest-path distance inside the region — one flat
+  // search over its intra links per border node, read at the border nodes
+  // after it. Regions where the measure is undefined (fewer than two border
+  // nodes, or border pairs the intra links don't connect) keep the
+  // mean-price value computed above.
   if (mode_ == SummaryMode::kBorderDistance) {
     const graph::Graph& g = net_->topology();
     for (RegionId r = 0; r < k; ++r) {
@@ -114,14 +115,13 @@ void ShardedSubstrate::refresh_summaries() {
         if (!border_link_[e]) summary_mask_.set(e);
       }
       const graph::EdgeMask mask = summary_mask_.view();
-      graph::multi_source_dijkstra_into(g, borders, summary_ws_, &mask);
-      const graph::MultiSourceView bank(summary_ws_, g, borders.size());
       double sum = 0.0;
       std::size_t pairs = 0;
       bool connected = true;
-      for (std::size_t i = 0; i < borders.size() && connected; ++i) {
+      for (std::size_t i = 0; i + 1 < borders.size() && connected; ++i) {
+        graph::dijkstra_into(g, borders[i], summary_ws_, &mask);
         for (std::size_t j = i + 1; j < borders.size(); ++j) {
-          const double d = bank.dist(i, borders[j]);
+          const double d = summary_ws_.dist(borders[j]);
           if (d == graph::kInfCost) {
             connected = false;
             break;

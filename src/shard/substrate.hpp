@@ -51,10 +51,9 @@ enum class SummaryMode {
   kMeanPrice,
   /// Mean shortest-path distance between R's border nodes, restricted to
   /// R's intra-region links — a real traversal cost instead of a per-link
-  /// average, computed with one batched multi-source pass per region
-  /// (multi_source_dijkstra_into). Falls back to kMeanPrice for a region
-  /// with fewer than two border nodes or with border pairs that the
-  /// intra-region links do not connect.
+  /// average, computed with one flat dijkstra_into per border node. Falls
+  /// back to kMeanPrice for a region with fewer than two border nodes or
+  /// with border pairs that the intra-region links do not connect.
   kBorderDistance,
 };
 
@@ -173,7 +172,7 @@ class ShardedSubstrate {
 
   // kBorderDistance machinery: per-region border node lists (structural,
   // built once) plus a reusable workspace/mask pair for the per-refresh
-  // multi-source passes.
+  // border searches.
   std::vector<std::vector<NodeId>> region_border_nodes_;
   graph::SearchWorkspace summary_ws_;
   graph::EdgeMaskBuffer summary_mask_;

@@ -10,9 +10,6 @@ std::string build_flags() {
     if (!flags.empty()) flags += ',';
     flags += f;
   };
-#ifdef DAGSFC_TRACE
-  append("trace");
-#endif
 #if defined(__SANITIZE_ADDRESS__)
   append("asan");
 #elif defined(__has_feature)

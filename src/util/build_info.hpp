@@ -17,7 +17,7 @@ namespace dagsfc::util {
 /// Compile-time identity of this binary.
 struct BuildInfo {
   std::string version;  ///< project version (CMake), "dev" if unset
-  std::string flags;    ///< comma-joined build flags ("trace,asan", "none")
+  std::string flags;    ///< comma-joined build flags ("asan,ndebug", "none")
 };
 
 /// The identity baked into this translation unit's build.

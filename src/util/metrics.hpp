@@ -305,9 +305,9 @@ class MetricsReporter {
 
 /// Cumulative wall-time meter for one named phase:
 /// `dagsfc_phase_seconds{phase=...}` (gauge, busy seconds) and
-/// `dagsfc_phase_calls_total{phase=...}`. The DAGSFC_TRACE_SCOPE macro
-/// instantiates one per site as a function-local static, so the registry
-/// lookup happens once per site, not per call.
+/// `dagsfc_phase_calls_total{phase=...}`. The DAGSFC_PHASE_SCOPE macro
+/// below instantiates one per site as a function-local static, so the
+/// registry lookup happens once per site, not per call.
 class PhaseMeter {
  public:
   PhaseMeter(MetricRegistry& registry, const std::string& phase);
@@ -344,3 +344,16 @@ class PhaseTimer {
 };
 
 }  // namespace dagsfc::util
+
+// Meters the enclosing scope as phase `name` on the global registry
+// (dagsfc_phase_seconds / dagsfc_phase_calls_total): a function-local
+// static PhaseMeter per site (one registry lookup per site), then a
+// PhaseTimer per entry (two relaxed atomics at scope exit).
+#define DAGSFC_PHASE_CONCAT_IMPL(a, b) a##b
+#define DAGSFC_PHASE_CONCAT(a, b) DAGSFC_PHASE_CONCAT_IMPL(a, b)
+#define DAGSFC_PHASE_SCOPE(name)                                        \
+  static const ::dagsfc::util::PhaseMeter DAGSFC_PHASE_CONCAT(          \
+      dagsfc_phase_meter_, __LINE__){(name)};                           \
+  const ::dagsfc::util::PhaseTimer DAGSFC_PHASE_CONCAT(                 \
+      dagsfc_phase_timer_,                                              \
+      __LINE__)(DAGSFC_PHASE_CONCAT(dagsfc_phase_meter_, __LINE__))

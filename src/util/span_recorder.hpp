@@ -3,11 +3,11 @@
 /// Always-on request-lifecycle span substrate: fixed-size span records in
 /// lock-free per-worker ring buffers, merged on dump.
 ///
-/// This sits below serve::RequestTrace the way util/trace.hpp sits below
-/// core::EmbeddingTrace, but with the opposite cost profile: the Chrome
-/// recorder takes a mutex and heap-allocates strings per event (fine for
-/// opt-in solver tracing), while the span recorder must run on the serving
-/// hot path for *every* request. So records are PODs of seven 64-bit words,
+/// This sits below serve::RequestTrace the way core::EmbeddingTrace's
+/// event vector sits below a traced solve, but with the opposite cost
+/// profile: a solve trace heap-allocates per event (fine for opt-in solver
+/// tracing), while the span recorder must run on the serving hot path for
+/// *every* request. So records are PODs of seven 64-bit words,
 /// each lane is written by exactly one worker thread, and emission is a
 /// handful of relaxed atomic stores plus one release store of the lane's
 /// publication count — no locks, no allocation, no strings.

@@ -1,108 +1,8 @@
 #include "util/trace.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dagsfc::util {
-
-namespace {
-
-std::uint64_t steady_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-TraceRecorder::TraceRecorder(std::size_t capacity, Clock clock)
-    : capacity_(capacity == 0 ? 1 : capacity), clock_(clock) {
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-  if (clock_ == Clock::Wall) epoch_us_ = steady_us();
-}
-
-std::uint64_t TraceRecorder::stamp() {
-  // Callers hold mu_.
-  if (clock_ == Clock::Logical) return seq_++;
-  ++seq_;
-  return steady_us() - epoch_us_;
-}
-
-void TraceRecorder::record(TraceEvent e) {
-  if (!enabled_) return;
-  e.tid = ThreadPool::current_worker_id();
-  std::lock_guard lock(mu_);
-  if (e.ts == 0) e.ts = stamp();
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
-    return;
-  }
-  // Full: overwrite the oldest slot and advance the ring head.
-  ring_[head_] = std::move(e);
-  head_ = (head_ + 1) % capacity_;
-  ++dropped_;
-}
-
-void TraceRecorder::instant(std::string name, std::string cat) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.phase = 'i';
-  record(std::move(e));
-}
-
-std::size_t TraceRecorder::size() const {
-  std::lock_guard lock(mu_);
-  return ring_.size();
-}
-
-std::uint64_t TraceRecorder::dropped() const {
-  std::lock_guard lock(mu_);
-  return dropped_;
-}
-
-std::vector<TraceEvent> TraceRecorder::snapshot() const {
-  std::lock_guard lock(mu_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void TraceRecorder::clear() {
-  std::lock_guard lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  dropped_ = 0;
-  seq_ = 0;
-}
-
-TraceSpan::TraceSpan(TraceRecorder* rec, std::string name, std::string cat)
-    : rec_(rec != nullptr && rec->enabled() ? rec : nullptr),
-      name_(std::move(name)),
-      cat_(std::move(cat)) {
-  if (rec_ == nullptr) return;
-  TraceEvent e;
-  e.name = name_;
-  e.cat = cat_;
-  e.phase = 'B';
-  rec_->record(std::move(e));
-}
-
-TraceSpan::~TraceSpan() {
-  if (rec_ == nullptr) return;
-  TraceEvent e;
-  e.name = std::move(name_);
-  e.cat = std::move(cat_);
-  e.phase = 'E';
-  rec_->record(std::move(e));
-}
 
 std::string to_chrome_trace(std::span<const TraceEvent> events,
                             std::uint32_t pid) {
@@ -156,19 +56,5 @@ std::string to_chrome_trace(std::span<const TraceEvent> events,
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }
-
-namespace {
-std::unique_ptr<TraceRecorder> g_recorder;  // install/uninstall: main thread
-}  // namespace
-
-TraceRecorder* global_trace() noexcept { return g_recorder.get(); }
-
-TraceRecorder& install_global_trace(std::size_t capacity,
-                                    TraceRecorder::Clock clock) {
-  g_recorder = std::make_unique<TraceRecorder>(capacity, clock);
-  return *g_recorder;
-}
-
-void uninstall_global_trace() noexcept { g_recorder.reset(); }
 
 }  // namespace dagsfc::util

@@ -1,34 +1,15 @@
 #pragma once
 /// \file trace.hpp
-/// Generic structured-tracing substrate: typed events, a thread-safe
-/// ring-buffered recorder, RAII scoped spans, and a Chrome trace_event
-/// exporter (the JSON `about:tracing` / Perfetto load directly).
-///
-/// Two layers of cost control:
-///   * runtime — every recording call is a no-op when the recorder pointer
-///     is null or the recorder is disabled, so library code can thread an
-///     optional recorder through hot paths;
-///   * compile time — the DAGSFC_TRACE_SCOPE / DAGSFC_TRACE_INSTANT macros
-///     target the process-global recorder and compile to nothing unless the
-///     build defines DAGSFC_TRACE (cmake -DDAGSFC_TRACE=ON), making the
-///     ambient instrumentation zero-overhead in production builds.
-///
-/// Timestamps: the recorder defaults to a *logical* clock (a per-recorder
-/// sequence number) so traces of deterministic code are byte-stable across
-/// runs and thread counts; Clock::Wall switches to real microseconds for
-/// profiling. Thread attribution uses ThreadPool::current_worker_id(), so
-/// events recorded from pool workers carry a stable small lane id instead
-/// of an OS thread id.
+/// Chrome trace_event export: typed events and the JSON document that
+/// `about:tracing` and Perfetto load directly. core::EmbeddingTrace (the
+/// per-solve audit stream) and the serve plane's flight dumps render
+/// through it.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/metrics.hpp"
 
 namespace dagsfc::util {
 
@@ -38,77 +19,12 @@ struct TraceEvent {
   std::string name;
   std::string cat;
   char phase = 'i';
-  std::uint64_t ts = 0;   ///< microseconds (logical sequence by default)
+  std::uint64_t ts = 0;   ///< microseconds (or a logical sequence number)
   std::uint64_t dur = 0;  ///< only meaningful for phase 'X'
-  std::uint32_t tid = 0;  ///< thread-pool worker lane (0 = main/unpooled)
+  std::uint32_t tid = 0;  ///< thread lane (0 = main/unpooled)
   /// Small typed payload rendered into the Chrome "args" object.
   std::vector<std::pair<std::string, double>> num_args;
   std::vector<std::pair<std::string, std::string>> str_args;
-};
-
-/// Thread-safe bounded event store. When full, the oldest events are
-/// dropped (and counted) — tracing must never grow without bound inside a
-/// long-running embedding service.
-class TraceRecorder {
- public:
-  enum class Clock : std::uint8_t {
-    Logical,  ///< ts = monotonically increasing sequence number
-    Wall,     ///< ts = steady_clock microseconds since recorder creation
-  };
-
-  explicit TraceRecorder(std::size_t capacity = 1 << 16,
-                         Clock clock = Clock::Logical);
-
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  /// Stamps ts (unless the caller pre-set a nonzero one under Clock::Wall)
-  /// and tid, then appends; drops the oldest event when at capacity.
-  void record(TraceEvent e);
-
-  /// Convenience for name-only events.
-  void instant(std::string name, std::string cat = {});
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-
-  /// Copy of the buffered events in record order (oldest first).
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-
-  void clear();
-
- private:
-  [[nodiscard]] std::uint64_t stamp();
-
-  const std::size_t capacity_;
-  const Clock clock_;
-  bool enabled_ = true;
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> ring_;   // ring buffer, `head_` is the oldest
-  std::size_t head_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t epoch_us_ = 0;  // steady_clock at construction (Wall mode)
-};
-
-/// RAII scoped span: records 'B' at construction and 'E' at destruction.
-/// No-op when the recorder is null or disabled at construction time.
-class TraceSpan {
- public:
-  TraceSpan(TraceRecorder* rec, std::string name, std::string cat = {});
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  TraceRecorder* rec_;
-  std::string name_;
-  std::string cat_;
 };
 
 /// Renders events as a Chrome trace_event JSON document (object form, so
@@ -117,49 +33,4 @@ class TraceSpan {
 [[nodiscard]] std::string to_chrome_trace(std::span<const TraceEvent> events,
                                           std::uint32_t pid = 0);
 
-/// Process-global recorder targeted by the DAGSFC_TRACE_* macros; nullptr
-/// until install_global_trace() runs. Intended for ambient instrumentation
-/// (the per-solve EmbeddingTrace does not go through it).
-[[nodiscard]] TraceRecorder* global_trace() noexcept;
-
-/// Installs (or replaces) the global recorder and returns it.
-TraceRecorder& install_global_trace(std::size_t capacity = 1 << 16,
-                                    TraceRecorder::Clock clock =
-                                        TraceRecorder::Clock::Logical);
-
-/// Tears the global recorder down (tests).
-void uninstall_global_trace() noexcept;
-
 }  // namespace dagsfc::util
-
-// Ambient instrumentation macros. The phase-meter half is ALWAYS compiled:
-// every DAGSFC_TRACE_SCOPE site feeds the global metric registry's
-// dagsfc_phase_seconds{phase=...} gauge and dagsfc_phase_calls_total
-// counter through a function-local static PhaseMeter (one registry lookup
-// per site, two relaxed atomics per entry), so per-phase solve timings
-// exist without -DDAGSFC_TRACE=ON. The TraceSpan half — and the instant
-// events — still compile out unless the build defines DAGSFC_TRACE.
-#define DAGSFC_TRACE_CONCAT_IMPL(a, b) a##b
-#define DAGSFC_TRACE_CONCAT(a, b) DAGSFC_TRACE_CONCAT_IMPL(a, b)
-#define DAGSFC_PHASE_SCOPE(name)                                        \
-  static const ::dagsfc::util::PhaseMeter DAGSFC_TRACE_CONCAT(          \
-      dagsfc_phase_meter_, __LINE__){(name)};                           \
-  const ::dagsfc::util::PhaseTimer DAGSFC_TRACE_CONCAT(                 \
-      dagsfc_phase_timer_,                                              \
-      __LINE__)(DAGSFC_TRACE_CONCAT(dagsfc_phase_meter_, __LINE__))
-#if defined(DAGSFC_TRACE)
-#define DAGSFC_TRACE_SCOPE(name)                          \
-  DAGSFC_PHASE_SCOPE(name);                               \
-  ::dagsfc::util::TraceSpan DAGSFC_TRACE_CONCAT(          \
-      dagsfc_trace_span_, __LINE__)(::dagsfc::util::global_trace(), (name))
-#define DAGSFC_TRACE_INSTANT(name)                                     \
-  do {                                                                 \
-    if (auto* dagsfc_trace_rec = ::dagsfc::util::global_trace())       \
-      dagsfc_trace_rec->instant((name));                               \
-  } while (false)
-#else
-#define DAGSFC_TRACE_SCOPE(name) DAGSFC_PHASE_SCOPE(name)
-#define DAGSFC_TRACE_INSTANT(name) \
-  do {                             \
-  } while (false)
-#endif

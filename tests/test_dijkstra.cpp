@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/generator.hpp"
-#include "test_helpers.hpp"
 
 namespace dagsfc::graph {
 namespace {
@@ -150,36 +149,6 @@ TEST(Dijkstra, PathToSizesTheLongPathExactly) {
   }
   for (std::size_t i = 0; i + 1 < kNodes; ++i) {
     EXPECT_EQ(p->edges[i], static_cast<EdgeId>(i));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched tier: one heap pass == k standalone passes, bitwise.
-
-TEST(Batched, MultiSourceEqualsStandaloneRuns) {
-  SearchWorkspace batch_ws, solo_ws;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const Graph g = test::random_weighted_graph(40, 4.0, seed);
-    Rng rng(seed * 7);
-    const test::AllowSet set(g, rng);
-    // Duplicate source on purpose: layers are independent even then.
-    const std::vector<NodeId> sources{0, 13, 7, 13, 29, 1};
-    for (const EdgeMask* mask : {(const EdgeMask*)nullptr, &set.view}) {
-      multi_source_dijkstra_into(g, sources, batch_ws, mask);
-      const MultiSourceView bank(batch_ws, g, sources.size());
-      ASSERT_EQ(bank.num_layers(), sources.size());
-      for (std::size_t layer = 0; layer < sources.size(); ++layer) {
-        dijkstra_into(g, sources[layer], solo_ws, mask);
-        const auto solo = export_tree(solo_ws, g.num_nodes());
-        for (NodeId v = 0; v < g.num_nodes(); ++v) {
-          EXPECT_EQ(bank.reached(layer, v), solo.reached(v));
-          EXPECT_EQ(bank.dist(layer, v), solo.dist[v]);
-          EXPECT_EQ(bank.parent(layer, v), solo.parent[v]);
-          EXPECT_EQ(bank.parent_edge(layer, v), solo.parent_edge[v]);
-        }
-      }
-    }
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "test_helpers.hpp"
+
 namespace dagsfc::graph {
 namespace {
 
@@ -168,6 +173,72 @@ TEST(Graph, ConnectivityDetection) {
   (void)g.add_edge(2, 3, 1.0);
   EXPECT_TRUE(is_connected(g));
   EXPECT_EQ(component_count(g), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// CSR determinism and the lazy concurrent build.
+
+TEST(Csr, RowOrderEqualsInsertionOrder) {
+  // Edges added in a deliberately scrambled order; every CSR row must
+  // replay its node's incidence list verbatim — the tie-break order every
+  // deterministic search result depends on.
+  Graph g(6);
+  g.add_edge(3, 1, 1.0);
+  g.add_edge(0, 4, 1.0);
+  g.add_edge(1, 0, 1.0);
+  g.add_edge(5, 3, 1.0);
+  g.add_edge(2, 1, 1.0);
+  g.add_edge(0, 3, 1.0);
+  const CsrView view = g.csr();
+  ASSERT_EQ(view.offsets.size(), g.num_nodes() + 1);
+  ASSERT_EQ(view.incidence.size(), 2 * g.num_edges());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto row = view.row(v);
+    const auto adj = g.neighbors(v);
+    ASSERT_EQ(row.size(), adj.size()) << "node " << v;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row[i].edge, adj[i].edge) << "node " << v << " slot " << i;
+      EXPECT_EQ(row[i].neighbor, adj[i].neighbor);
+    }
+  }
+}
+
+TEST(Csr, MutationInvalidatesAndRebuilds) {
+  Graph g(3);
+  g.add_edge(0, 1, 1.0);
+  EXPECT_EQ(g.csr().row(0).size(), 1u);
+  g.add_edge(0, 2, 1.0);  // invalidates the view built above
+  const CsrView rebuilt = g.csr();
+  ASSERT_EQ(rebuilt.row(0).size(), 2u);
+  EXPECT_EQ(rebuilt.row(0)[1].neighbor, 2u);
+  const NodeId n = g.add_node();
+  EXPECT_EQ(g.csr().offsets.size(), g.num_nodes() + 1);
+  EXPECT_TRUE(g.csr().row(n).empty());
+}
+
+TEST(Csr, ConcurrentFirstUseBuildsOnce) {
+  // Many threads race the first csr() call on a quiescent graph; all must
+  // observe the same complete view. test_graph carries the tsan label, so
+  // scripts/check.sh runs this under ThreadSanitizer.
+  const Graph g = test::random_weighted_graph(60, 5.0, 42);
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> row_sums(kThreads, 0);
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&g, &row_sums, t] {
+      const CsrView view = g.csr();
+      std::size_t sum = 0;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        sum += view.row(v).size();
+      }
+      row_sums[t] = sum;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(row_sums[t], 2 * g.num_edges());
+  }
 }
 
 }  // namespace

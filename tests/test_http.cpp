@@ -1,8 +1,9 @@
 /// MetricsHttpServer route and error-path tests: /healthz, the 404 / 405 /
 /// 400-oversized-request-line responses, /debug/traces.json with and
-/// without an attached flight recorder, and the before_scrape hook keeping
+/// without an attached flight recorder, the before_scrape hook keeping
 /// util::ProcessMetrics (dagsfc_build_info + dagsfc_uptime_seconds) fresh
-/// in the exposition.
+/// in the exposition, and an idle client that must not stall later
+/// scrapes or stop().
 
 #include "serve/http.hpp"
 
@@ -11,10 +12,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 
 #include "serve/trace.hpp"
 #include "util/build_info.hpp"
@@ -23,10 +28,14 @@
 namespace dagsfc::serve {
 namespace {
 
-/// Sends \p request verbatim and returns the whole response (headers+body).
-std::string raw_request(std::uint16_t port, const std::string& request) {
+/// Opens a loopback connection to \p port. Reads on it give up after 5 s,
+/// so a server that never answers fails the test instead of hanging it.
+int connect_to(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -34,6 +43,12 @@ std::string raw_request(std::uint16_t port, const std::string& request) {
   EXPECT_EQ(
       ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
       0);
+  return fd;
+}
+
+/// Sends \p request verbatim and returns the whole response (headers+body).
+std::string raw_request(std::uint16_t port, const std::string& request) {
+  const int fd = connect_to(port);
   EXPECT_EQ(::write(fd, request.data(), request.size()),
             static_cast<ssize_t>(request.size()));
   ::shutdown(fd, SHUT_WR);
@@ -66,6 +81,27 @@ TEST(MetricsHttp, HealthzReportsOkAndUptime) {
   const std::string body = body_of(resp);
   EXPECT_NE(body.find("{\"status\":\"ok\",\"uptime_seconds\":"),
             std::string::npos);
+}
+
+TEST(MetricsHttp, IdleClientDoesNotStallScrapesOrStop) {
+  const util::MetricRegistry registry;
+  MetricsHttpServer server(registry, 0);
+  // Connects and never sends a byte. Connections are served in accept
+  // order, so the scrape below queues behind it.
+  const int idle = connect_to(server.port());
+  const std::string resp = http_get(server.port(), "/healthz");
+  EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
+
+  // stop() while the server is reading from another silent client.
+  const int idle2 = connect_to(server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto stopped = std::async(std::launch::async, [&server] { server.stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  // Hanging up releases a server that would otherwise wait forever.
+  ::close(idle);
+  ::close(idle2);
+  stopped.get();
 }
 
 TEST(MetricsHttp, UnknownPathIs404) {

@@ -402,85 +402,72 @@ serve::Request corridor_request(serve::RequestId id) {
 }
 
 TEST(MvccConflictBattery, OverlappingFootprintsNeverOverCommitOrLivelock) {
-  for (const serve::CommitPipeline pipeline :
-       {serve::CommitPipeline::kMvcc, serve::CommitPipeline::kMutex}) {
-    const net::Network network = contended_network();
-    const core::MbbeEmbedder mbbe;
-    serve::EmbeddingService::Options opts;
-    opts.workers = 8;
-    opts.pipeline = pipeline;
-    opts.admission.queue_capacity = 1024;
-    opts.admission.retry_backoff = std::chrono::nanoseconds(0);
-    opts.admission.max_retries = 2;
-    serve::EmbeddingService service(network, mbbe, opts);
+  const net::Network network = contended_network();
+  const core::MbbeEmbedder mbbe;
+  serve::EmbeddingService::Options opts;
+  opts.workers = 8;
+  opts.admission.queue_capacity = 1024;
+  opts.admission.retry_backoff = std::chrono::nanoseconds(0);
+  opts.admission.max_retries = 2;
+  serve::EmbeddingService service(network, mbbe, opts);
 
-    constexpr int kThreads = 8;
-    constexpr int kPerThread = 30;
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> terminal{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        // Hold up to two accepted flows before releasing the oldest, so
-        // commits and departures interleave with other threads' commits.
-        std::deque<serve::RequestId> held;
-        for (int i = 0; i < kPerThread; ++i) {
-          const auto id =
-              static_cast<serve::RequestId>(t * kPerThread + i + 1);
-          const serve::Response r = service.submit(corridor_request(id)).get();
-          // Every request terminates in a decided state — the no-livelock
-          // guarantee (a hung future would time the whole test out).
-          const bool decided = r.outcome == serve::Outcome::Accepted ||
-                               r.outcome == serve::Outcome::RejectedInfeasible ||
-                               r.outcome == serve::Outcome::LostConflict;
-          EXPECT_TRUE(decided) << static_cast<int>(r.outcome);
-          ++terminal;
-          if (r.accepted()) {
-            ++accepted;
-            held.push_back(id);
-            if (held.size() > 2) {
-              EXPECT_TRUE(service.release(held.front()));
-              held.pop_front();
-            }
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 30;
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> terminal{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Hold up to two accepted flows before releasing the oldest, so
+      // commits and departures interleave with other threads' commits.
+      std::deque<serve::RequestId> held;
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto id = static_cast<serve::RequestId>(t * kPerThread + i + 1);
+        const serve::Response r = service.submit(corridor_request(id)).get();
+        // Every request terminates in a decided state — the no-livelock
+        // guarantee (a hung future would time the whole test out).
+        const bool decided = r.outcome == serve::Outcome::Accepted ||
+                             r.outcome == serve::Outcome::RejectedInfeasible ||
+                             r.outcome == serve::Outcome::LostConflict;
+        EXPECT_TRUE(decided) << static_cast<int>(r.outcome);
+        ++terminal;
+        if (r.accepted()) {
+          ++accepted;
+          held.push_back(id);
+          if (held.size() > 2) {
+            EXPECT_TRUE(service.release(held.front()));
+            held.pop_front();
           }
         }
-        for (const serve::RequestId id : held) {
-          EXPECT_TRUE(service.release(id));
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    service.drain();
-
-    const serve::MetricsSnapshot m = service.metrics();
-    const char* label = serve::to_string(pipeline);
-    EXPECT_EQ(m.submitted,
-              static_cast<std::uint64_t>(kThreads * kPerThread))
-        << label;
-    EXPECT_EQ(terminal.load(), m.submitted) << label;
-    EXPECT_EQ(m.completed(), m.submitted) << label;
-    EXPECT_EQ(m.accepted, accepted.load()) << label;
-    // No lost updates: every accepted flow's exact usage came back, so the
-    // drained ledger is bitwise nominal (all rates were integral) — and no
-    // over-commit ever happened, or the ledger's contract checks would have
-    // aborted the run mid-flight.
-    EXPECT_EQ(m.releases, m.accepted) << label;
-    EXPECT_EQ(service.in_service(), 0u) << label;
-    const net::CapacityLedger drained = service.ledger_snapshot();
-    EXPECT_EQ(drained.instance_residual(0), 3.0) << label;
-    EXPECT_EQ(drained.link_residual(0), 3.0) << label;
-    EXPECT_EQ(drained.link_residual(1), 3.0) << label;
-    // Commit accounting closes across the three paths.
-    EXPECT_EQ(m.fast_commits + m.stamp_commits + m.validated_commits,
-              m.accepted)
-        << label;
-    EXPECT_GT(m.accepted, 0u) << label;
-    if (pipeline == serve::CommitPipeline::kMutex) {
-      EXPECT_EQ(m.stamp_commits, 0u) << label;
-      EXPECT_EQ(m.group_commit_batch.count(), 0u) << label;
-    }
+      }
+      for (const serve::RequestId id : held) {
+        EXPECT_TRUE(service.release(id));
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  service.drain();
+
+  const serve::MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(terminal.load(), m.submitted);
+  EXPECT_EQ(m.completed(), m.submitted);
+  EXPECT_EQ(m.accepted, accepted.load());
+  // No lost updates: every accepted flow's exact usage came back, so the
+  // drained ledger is bitwise nominal (all rates were integral) — and no
+  // over-commit ever happened, or the ledger's contract checks would have
+  // aborted the run mid-flight.
+  EXPECT_EQ(m.releases, m.accepted);
+  EXPECT_EQ(service.in_service(), 0u);
+  const net::CapacityLedger drained = service.ledger_snapshot();
+  EXPECT_EQ(drained.instance_residual(0), 3.0);
+  EXPECT_EQ(drained.link_residual(0), 3.0);
+  EXPECT_EQ(drained.link_residual(1), 3.0);
+  // Commit accounting closes across the three paths.
+  EXPECT_EQ(m.fast_commits + m.stamp_commits + m.validated_commits,
+            m.accepted);
+  EXPECT_GT(m.accepted, 0u);
 }
 
 // -------------------------------------- deterministic stamp-commit proof --
@@ -527,7 +514,6 @@ TEST(MvccService, DisjointFootprintsCommitByStampWhenTheEpochMoves) {
   const RendezvousEmbedder rendezvous(mbbe);
   serve::EmbeddingService::Options opts;
   opts.workers = 2;
-  opts.pipeline = serve::CommitPipeline::kMvcc;
   opts.admission.retry_backoff = std::chrono::nanoseconds(0);
   serve::EmbeddingService service(network, rendezvous, opts);
 

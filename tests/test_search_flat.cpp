@@ -6,15 +6,10 @@
 /// which must reproduce the golden rows recorded through the seed kernels
 /// (tests/corpus/embedder_golden.txt). Mirrors tests/test_path_cache.cpp,
 /// which holds the cache layer to the same rows.
-///
-/// Also pins the CSR determinism contract (row order == insertion order)
-/// and exercises the lazy concurrent CSR build; the Csr suite runs under
-/// ThreadSanitizer in scripts/check.sh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 
 #include "core/backtracking.hpp"
 #include "graph/dijkstra.hpp"
@@ -169,71 +164,6 @@ TEST(Batched, SteinerMatchesReferenceUnderMasks) {
       std::sort(re.begin(), re.end());
       EXPECT_EQ(fe, re);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// CSR determinism and the lazy concurrent build.
-
-TEST(Csr, RowOrderEqualsInsertionOrder) {
-  // Edges added in a deliberately scrambled order; every CSR row must
-  // replay its node's incidence list verbatim — the tie-break order every
-  // deterministic search result depends on.
-  graph::Graph g(6);
-  g.add_edge(3, 1, 1.0);
-  g.add_edge(0, 4, 1.0);
-  g.add_edge(1, 0, 1.0);
-  g.add_edge(5, 3, 1.0);
-  g.add_edge(2, 1, 1.0);
-  g.add_edge(0, 3, 1.0);
-  const graph::CsrView view = g.csr();
-  ASSERT_EQ(view.offsets.size(), g.num_nodes() + 1);
-  ASSERT_EQ(view.incidence.size(), 2 * g.num_edges());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto row = view.row(v);
-    const auto adj = g.neighbors(v);
-    ASSERT_EQ(row.size(), adj.size()) << "node " << v;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(row[i].edge, adj[i].edge) << "node " << v << " slot " << i;
-      EXPECT_EQ(row[i].neighbor, adj[i].neighbor);
-    }
-  }
-}
-
-TEST(Csr, MutationInvalidatesAndRebuilds) {
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  EXPECT_EQ(g.csr().row(0).size(), 1u);
-  g.add_edge(0, 2, 1.0);  // invalidates the view built above
-  const graph::CsrView rebuilt = g.csr();
-  ASSERT_EQ(rebuilt.row(0).size(), 2u);
-  EXPECT_EQ(rebuilt.row(0)[1].neighbor, 2u);
-  const graph::NodeId n = g.add_node();
-  EXPECT_EQ(g.csr().offsets.size(), g.num_nodes() + 1);
-  EXPECT_TRUE(g.csr().row(n).empty());
-}
-
-TEST(Csr, ConcurrentFirstUseBuildsOnce) {
-  // Many threads race the first csr() call on a quiescent graph; all must
-  // observe the same complete view. Runs under TSan via scripts/check.sh.
-  const graph::Graph g = random_weighted_graph(60, 5.0, 42);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<std::size_t> row_sums(kThreads, 0);
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&g, &row_sums, t] {
-      const graph::CsrView view = g.csr();
-      std::size_t sum = 0;
-      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-        sum += view.row(v).size();
-      }
-      row_sums[t] = sum;
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(row_sums[t], 2 * g.num_edges());
   }
 }
 

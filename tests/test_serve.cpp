@@ -387,13 +387,10 @@ TEST(EmbeddingServiceStress, SubmitReleaseRaceOnTinyNetwork) {
 MetricsSnapshot closed_loop_metrics(const Workload& w,
                                     const core::Embedder& e,
                                     std::size_t workers,
-                                    CommitPipeline pipeline,
                                     DriverResult* out = nullptr) {
   AdmissionPolicy admission;
   admission.retry_backoff = std::chrono::nanoseconds(0);
-  ServiceTuning tuning;
-  tuning.pipeline = pipeline;
-  DriverResult r = run_closed_loop(w, e, workers, admission, 0x5eed, tuning);
+  DriverResult r = run_closed_loop(w, e, workers, admission, 0x5eed);
   if (out) *out = r;
   return r.metrics;
 }
@@ -412,30 +409,22 @@ TEST(ClosedLoopDriver, MetricsBitIdenticalAcrossWorkersAndPipelines) {
   const Workload workload = make_workload(cfg, 0x1234);
 
   // Both a deterministic and a randomized embedder: the per-request RNG
-  // streams are keyed on (seed, id, attempt), never the worker. The grid
-  // covers both commit pipelines at 1 and 8 workers: the closed loop must
-  // produce one identical metric stream for all four.
+  // streams are keyed on (seed, id, attempt), never the worker. The closed
+  // loop must produce one identical metric stream at 1 and 8 workers.
   const core::MbbeEmbedder mbbe;
   const core::RanvEmbedder ranv;
-  struct Cell {
-    CommitPipeline pipeline;
-    std::size_t workers;
-  };
-  const Cell cells[] = {{CommitPipeline::kMvcc, 1},
-                        {CommitPipeline::kMvcc, 8},
-                        {CommitPipeline::kMutex, 1},
-                        {CommitPipeline::kMutex, 8}};
+  const std::size_t worker_counts[] = {1, 8};
   for (const core::Embedder* algo :
        {static_cast<const core::Embedder*>(&mbbe),
         static_cast<const core::Embedder*>(&ranv)}) {
     DriverResult ref{};
-    const MetricsSnapshot a = closed_loop_metrics(
-        workload, *algo, cells[0].workers, cells[0].pipeline, &ref);
+    const MetricsSnapshot a =
+        closed_loop_metrics(workload, *algo, worker_counts[0], &ref);
     EXPECT_TRUE(ref.conserved) << algo->name();
     EXPECT_GT(a.accepted, 0u) << algo->name();
     // Closed loop keeps one request in flight: optimistic commits can
-    // never race, so the fast path must carry every accept in both
-    // pipelines and the batch histogram sees only singleton drains.
+    // never race, so the fast path must carry every accept and the batch
+    // histogram sees only singleton drains.
     EXPECT_EQ(a.commit_conflicts, 0u) << algo->name();
     EXPECT_EQ(a.stamp_commits, 0u) << algo->name();
     EXPECT_EQ(a.validated_commits, 0u) << algo->name();
@@ -443,16 +432,14 @@ TEST(ClosedLoopDriver, MetricsBitIdenticalAcrossWorkersAndPipelines) {
     EXPECT_EQ(a.group_commit_batch.count(), a.accepted) << algo->name();
     EXPECT_DOUBLE_EQ(a.group_commit_batch.max(), 1.0) << algo->name();
 
-    for (std::size_t i = 1; i < std::size(cells); ++i) {
-      const Cell& cell = cells[i];
+    for (std::size_t i = 1; i < std::size(worker_counts); ++i) {
+      const std::size_t workers = worker_counts[i];
       const auto label = [&] {
-        return std::string(algo->name()) + "/" + to_string(cell.pipeline) +
-               "/w" + std::to_string(cell.workers);
+        return std::string(algo->name()) + "/w" + std::to_string(workers);
       };
       DriverResult r{};
       const MetricsSnapshot b =
-          closed_loop_metrics(workload, *algo, cell.workers, cell.pipeline,
-                              &r);
+          closed_loop_metrics(workload, *algo, workers, &r);
       EXPECT_EQ(a.accepted, b.accepted) << label();
       EXPECT_EQ(a.rejected_infeasible, b.rejected_infeasible) << label();
       EXPECT_EQ(a.lost_conflict, b.lost_conflict) << label();
@@ -467,11 +454,8 @@ TEST(ClosedLoopDriver, MetricsBitIdenticalAcrossWorkersAndPipelines) {
       EXPECT_EQ(ref.final_epoch, r.final_epoch) << label();
       EXPECT_DOUBLE_EQ(ref.simulated_time, r.simulated_time) << label();
       EXPECT_TRUE(r.conserved) << label();
-      // Only the MVCC pipeline records group-commit drains; the legacy
-      // mutex pipeline must leave the histogram untouched.
-      const std::uint64_t expect_batches =
-          cell.pipeline == CommitPipeline::kMvcc ? b.accepted : 0u;
-      EXPECT_EQ(b.group_commit_batch.count(), expect_batches) << label();
+      // Every accept goes through one group-commit drain.
+      EXPECT_EQ(b.group_commit_batch.count(), b.accepted) << label();
     }
   }
 }

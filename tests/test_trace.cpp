@@ -1,6 +1,6 @@
-/// Tests for the observability subsystem: util::TraceRecorder (ring buffer,
-/// spans, worker-lane tagging, Chrome export), core::EmbeddingTrace (typed
-/// solve events), and the three contracts the tracing design rests on:
+/// Tests for the observability subsystem: the Chrome trace export, the
+/// DAGSFC_PHASE_SCOPE phase meters, core::EmbeddingTrace (typed solve
+/// events), and the three contracts the tracing design rests on:
 ///   1. tracing never changes a solve (disabled-trace solves bit-identical),
 ///   2. traces are deterministic (byte-stable Chrome JSON across runs and
 ///      thread counts),
@@ -8,6 +8,10 @@
 ///      cache-off traces differ only in Cache-category events.
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
+#include <vector>
 
 #include "core/backtracking.hpp"
 #include "core/baselines.hpp"
@@ -18,6 +22,7 @@
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -29,90 +34,18 @@ namespace dagsfc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// util::TraceRecorder
+// util::to_chrome_trace
 
-TEST(TraceRecorder, LogicalClockStampsSequentially) {
-  util::TraceRecorder rec;
-  rec.instant("a");
-  rec.instant("b", "cat");
-  rec.instant("c");
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "a");
-  EXPECT_EQ(events[0].ts, 0u);
-  EXPECT_EQ(events[1].ts, 1u);
-  EXPECT_EQ(events[1].cat, "cat");
-  EXPECT_EQ(events[2].ts, 2u);
-}
+TEST(ChromeTrace, ExportIsWellFormed) {
+  std::vector<util::TraceEvent> events(2);
+  events[0].name = "say \"hi\"";
+  events[0].cat = "test";
+  events[0].phase = 'i';
+  events[0].num_args.emplace_back("count", 3.0);
+  events[0].str_args.emplace_back("why", "line\nbreak");
+  events[1].name = "plain";
 
-TEST(TraceRecorder, RingDropsOldestAndCounts) {
-  util::TraceRecorder rec(/*capacity=*/3);
-  for (int i = 0; i < 5; ++i) rec.instant(std::to_string(i));
-  EXPECT_EQ(rec.size(), 3u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "2");  // oldest surviving
-  EXPECT_EQ(events[2].name, "4");
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
-TEST(TraceRecorder, DisabledRecorderIgnoresEvents) {
-  util::TraceRecorder rec;
-  rec.set_enabled(false);
-  rec.instant("dropped");
-  { util::TraceSpan span(&rec, "also dropped"); }
-  EXPECT_EQ(rec.size(), 0u);
-  rec.set_enabled(true);
-  rec.instant("kept");
-  EXPECT_EQ(rec.size(), 1u);
-}
-
-TEST(TraceRecorder, SpanRecordsBeginEndPair) {
-  util::TraceRecorder rec;
-  {
-    util::TraceSpan span(&rec, "work", "phase");
-    rec.instant("inside");
-  }
-  { util::TraceSpan null_span(nullptr, "noop"); }  // must not crash
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].phase, 'B');
-  EXPECT_EQ(events[0].name, "work");
-  EXPECT_EQ(events[1].name, "inside");
-  EXPECT_EQ(events[2].phase, 'E');
-  EXPECT_EQ(events[2].name, "work");
-}
-
-TEST(TraceRecorder, TagsPoolWorkerLanes) {
-  EXPECT_EQ(ThreadPool::current_worker_id(), 0u);  // main thread
-  util::TraceRecorder rec;
-  ThreadPool pool(3);
-  parallel_for(pool, 16, [&](std::size_t i) {
-    rec.instant("task " + std::to_string(i));
-  });
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 16u);
-  for (const auto& e : events) {
-    EXPECT_GE(e.tid, 1u);
-    EXPECT_LE(e.tid, 3u);
-  }
-}
-
-TEST(TraceRecorder, ChromeExportIsWellFormed) {
-  util::TraceRecorder rec;
-  util::TraceEvent e;
-  e.name = "say \"hi\"";
-  e.cat = "test";
-  e.phase = 'i';
-  e.num_args.emplace_back("count", 3.0);
-  e.str_args.emplace_back("why", "line\nbreak");
-  rec.record(std::move(e));
-  rec.instant("plain");
-
-  const std::string json = util::to_chrome_trace(rec.snapshot(), /*pid=*/7);
+  const std::string json = util::to_chrome_trace(events, /*pid=*/7);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"say \\\"hi\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"count\":3,\"why\":\"line\\nbreak\"}"),
@@ -122,41 +55,52 @@ TEST(TraceRecorder, ChromeExportIsWellFormed) {
   EXPECT_NE(json.find("\"cat\":\"default\""), std::string::npos);
 }
 
-TEST(TraceRecorder, GlobalRecorderInstallUninstall) {
-  EXPECT_EQ(util::global_trace(), nullptr);
-  auto& rec = util::install_global_trace(64);
-  EXPECT_EQ(util::global_trace(), &rec);
-  rec.instant("hello");
-  EXPECT_EQ(rec.size(), 1u);
-  util::uninstall_global_trace();
-  EXPECT_EQ(util::global_trace(), nullptr);
+// ---------------------------------------------------------------------------
+// DAGSFC_PHASE_SCOPE: per-phase wall-time meters on the global registry
+
+std::uint64_t phase_calls(const util::RegistrySnapshot& snap,
+                          const std::string& phase) {
+  return snap.counter_value("dagsfc_phase_calls_total", {{"phase", phase}});
 }
 
-#ifdef DAGSFC_TRACE
-TEST(TraceRecorder, AmbientMacrosTargetGlobalRecorder) {
-  auto& rec = util::install_global_trace(64);
-  {
-    DAGSFC_TRACE_SCOPE("scoped");
-    DAGSFC_TRACE_INSTANT("instant");
-  }
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].phase, 'B');
-  EXPECT_EQ(events[1].name, "instant");
-  EXPECT_EQ(events[2].phase, 'E');
-  util::uninstall_global_trace();
+double phase_seconds(const util::RegistrySnapshot& snap,
+                     const std::string& phase) {
+  return snap.gauge_value("dagsfc_phase_seconds", {{"phase", phase}});
 }
-#else
-TEST(TraceRecorder, AmbientMacrosCompileToNothingWhenDisabled) {
-  auto& rec = util::install_global_trace(64);
-  {
-    DAGSFC_TRACE_SCOPE("scoped");
-    DAGSFC_TRACE_INSTANT("instant");
+
+TEST(PhaseScope, BumpsCallsAndSecondsInTheGlobalRegistry) {
+  const util::MetricRegistry& registry = util::MetricRegistry::global();
+  const util::RegistrySnapshot before = registry.snapshot();
+  for (int i = 0; i < 3; ++i) {
+    DAGSFC_PHASE_SCOPE("x");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(rec.size(), 0u);
-  util::uninstall_global_trace();
+  const util::RegistrySnapshot after = registry.snapshot();
+  EXPECT_EQ(phase_calls(after, "x") - phase_calls(before, "x"), 3u);
+  // Three scopes that each slept at least 1 ms.
+  EXPECT_GE(phase_seconds(after, "x") - phase_seconds(before, "x"), 0.003);
 }
-#endif
+
+TEST(PhaseScope, BbeSolveRegistersTheBacktrackingPhases) {
+  // perfbench's fig6_offline reads these three phases by name.
+  const util::MetricRegistry& registry = util::MetricRegistry::global();
+  const util::RegistrySnapshot before = registry.snapshot();
+  auto fx = test::canonical_fixture();
+  const core::BbeEmbedder bbe;
+  net::CapacityLedger ledger(fx->index->problem().net());
+  Rng rng(1);
+  ASSERT_TRUE(bbe.solve(*fx->index, ledger, rng).ok());
+  const util::RegistrySnapshot after = registry.snapshot();
+  for (const char* phase : {"backtracking/ring_search", "backtracking/layer",
+                            "backtracking/complete"}) {
+    SCOPED_TRACE(phase);
+    const util::MetricLabels labels{{"phase", phase}};
+    EXPECT_NE(after.find("dagsfc_phase_calls_total", labels), nullptr);
+    EXPECT_NE(after.find("dagsfc_phase_seconds", labels), nullptr);
+    EXPECT_GT(phase_calls(after, phase), phase_calls(before, phase));
+    EXPECT_GE(phase_seconds(after, phase), phase_seconds(before, phase));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // core::EmbeddingTrace on the canonical fixture
