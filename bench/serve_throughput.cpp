@@ -95,18 +95,21 @@ int main(int argc, char** argv) {
 
   for (std::size_t load : loads) {
     for (std::size_t workers : worker_counts) {
+      serve::EmbeddingService::Options opts;
+      opts.workers = workers;
+      opts.admission.queue_capacity = cfg.num_arrivals;  // no queue rejects
+      opts.admission.max_retries = static_cast<std::uint32_t>(retries);
+      opts.admission.retry_backoff = std::chrono::microseconds(20);
+      opts.seed = seed;
+      serve::EmbeddingService service(workload.scenario.network, embedder,
+                                      opts);
       serve::OpenLoopConfig open;
-      open.workers = workers;
       open.producers = producers;
       open.target_load = load;
       open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
-      open.admission.queue_capacity = cfg.num_arrivals;  // no queue rejects
-      open.admission.max_retries = static_cast<std::uint32_t>(retries);
-      open.admission.retry_backoff = std::chrono::microseconds(20);
-      open.seed = seed;
 
       const serve::OpenLoopResult r =
-          serve::run_open_loop(workload, embedder, open);
+          serve::run_open_loop(service, workload.arrivals, open);
       const auto& m = r.metrics;
       table.row()
           .cell(load)

@@ -1,20 +1,15 @@
-/// Shard-plane bench: serve throughput vs shard count, and the price of
+/// Shard-plane bench: serve throughput vs region count, and the price of
 /// hierarchy.
 ///
 /// Part A (scaling): the same arrival schedule shape is served at each
-/// shard count N — a regional Waxman substrate of fixed total size split
-/// into N regions — by two arms with equal total worker threads:
-///
-///   * flat     — serve::EmbeddingService, MVCC pipeline, N workers on one
-///                shared ledger (the PR-7 baseline);
-///   * sharded  — ShardedEmbeddingService, N pools x 1 worker, each commit
-///                locking only the shards on its region path.
-///
-/// The sharded arm's edge has two sources: restricted solves search a
-/// region-path-sized slice of the substrate instead of all of it, and
-/// disjoint region paths commit without ever serializing. The first shows
-/// even on a single-core host (it is algorithmic, not parallel), so the
-/// JSON records hw_threads for honest reading of the second.
+/// region count N — a regional Waxman substrate of fixed total size split
+/// into N regions — by the one serve::EmbeddingService: N worker pools x 1
+/// worker, HIER stage one, each commit locking only the shards its
+/// footprint owns. N = 1 is the flat service (one region, MBBE over the
+/// whole substrate). Restricted solves search a region-path-sized slice
+/// of the substrate instead of all of it, and disjoint region paths commit
+/// without serializing; the JSON records hw_threads for honest reading of
+/// the second effect.
 ///
 /// Part B (cost gap): hierarchy trades optimality for locality — HIER's
 /// restricted search can never beat the flat inner algorithm on the full
@@ -32,7 +27,7 @@
 #include "core/backtracking.hpp"
 #include "core/validator.hpp"
 #include "serve/driver.hpp"
-#include "shard/driver.hpp"
+#include "shard/hier.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -110,122 +105,73 @@ int main(int argc, char** argv) {
        << ",\"hw_threads\":" << std::thread::hardware_concurrency()
        << ",\"scaling\":[";
 
-  // ---- part A: throughput vs shard count ---------------------------------
-  Table table({"shards", "arm", "workers", "throughput rps", "accept%",
+  // ---- part A: throughput vs region count --------------------------------
+  Table table({"regions", "workers", "throughput rps", "accept%",
                "cross-region", "conflicts", "validated", "conserved"});
   bool first = true;
   for (const std::size_t shards : shard_counts) {
-    shard::ShardWorkloadConfig scfg;
+    serve::RegionalWorkloadConfig scfg;
     scfg.regional.base = base;
     scfg.regional.regions.regions = std::max<std::size_t>(1, shards);
     scfg.regional.regions.nodes_per_region =
         std::max<std::size_t>(2, total_nodes / scfg.regional.regions.regions);
     scfg.num_arrivals = arrivals;
-    const shard::ShardWorkload workload =
-        shard::make_shard_workload(scfg, seed);
+    const serve::RegionalWorkload workload =
+        serve::make_regional_workload(scfg, seed);
+    const shard::ShardedSubstrate substrate(
+        workload.scenario.network,
+        shard::make_partition(workload.scenario.network.topology(), shards,
+                              shard::PartitionScheme::kLabels,
+                              workload.scenario.region_of));
 
-    serve::AdmissionPolicy admission;
-    admission.queue_capacity = scfg.num_arrivals;  // no queue rejects
-    admission.max_retries = static_cast<std::uint32_t>(retries);
-    admission.retry_backoff = std::chrono::microseconds(20);
-    const auto target_load =
+    serve::EmbeddingService::Options opts;
+    opts.workers = 1;  // per region: N regions, N workers
+    opts.admission.queue_capacity = scfg.num_arrivals;  // no queue rejects
+    opts.admission.max_retries = static_cast<std::uint32_t>(retries);
+    opts.admission.retry_backoff = std::chrono::microseconds(20);
+    opts.seed = seed;
+    const core::MbbeEmbedder inner;
+    serve::EmbeddingService service(substrate, inner, hier_paths, opts);
+    serve::OpenLoopConfig open;
+    open.producers = producers;
+    open.target_load =
         static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
-
-    // Flat arm: the same schedule on the same substrate, one shared
-    // MVCC ledger, total workers equal to the sharded arm's.
-    double flat_rps = 0.0;
-    {
-      // Same substrate (copied), same schedule; source/destination of the
-      // scenario are per-request in the arrivals and unused here.
-      serve::Workload flat{sim::Scenario{workload.scenario.network, 0, 1},
-                           workload.arrivals};
-      core::MbbeEmbedder embedder;
-      serve::OpenLoopConfig open;
-      open.workers = shards;
-      open.producers = producers;
-      open.target_load = target_load;
-      open.window = std::max<std::size_t>(4, 2 * shards / producers);
-      open.admission = admission;
-      open.seed = seed;
-      const serve::OpenLoopResult r =
-          serve::run_open_loop(flat, embedder, open);
-      flat_rps = r.throughput_rps();
-      const auto& m = r.metrics;
-      table.row()
-          .cell(shards)
-          .cell("flat-mvcc")
-          .cell(shards)
-          .cell(r.throughput_rps(), 1)
-          .cell(m.acceptance_ratio() * 100.0, 1)
-          .cell("-")
-          .cell(static_cast<std::size_t>(m.commit_conflicts))
-          .cell(static_cast<std::size_t>(m.validated_commits))
-          .cell(r.conserved ? "yes" : "NO");
-      if (!first) json << ",";
-      first = false;
-      json << "{\"shards\":" << shards << ",\"arm\":\"flat-mvcc\""
-           << ",\"workers\":" << shards << ",\"throughput_rps\":"
-           << util::json_number(r.throughput_rps()) << ",\"wall_s\":"
-           << util::json_number(r.wall_seconds) << ",\"conserved\":"
-           << (r.conserved ? "true" : "false") << ",\"metrics\":"
-           << m.to_json() << "}";
-      std::cerr << "shards=" << shards << " flat done ("
-                << r.throughput_rps() << " rps)\n";
-    }
-
-    // Sharded arm: N pools x 1 worker over per-region ledger shards.
-    {
-      const shard::ShardedSubstrate substrate(
-          workload.scenario.network,
-          shard::make_partition(workload.scenario.network.topology(), shards,
-                                shard::PartitionScheme::kLabels,
-                                workload.scenario.region_of));
-      shard::ShardOpenLoopConfig open;
-      open.producers = producers;
-      open.target_load = target_load;
-      open.window = std::max<std::size_t>(4, 2 * shards / producers);
-      open.service.workers_per_shard = 1;
-      open.service.admission = admission;
-      open.service.hier.region_paths = hier_paths;
-      open.service.seed = seed;
-      const shard::ShardOpenLoopResult r =
-          shard::run_sharded_open_loop(workload, substrate, open);
-      const auto& m = r.metrics;
-      table.row()
-          .cell(shards)
-          .cell("sharded")
-          .cell(shards)
-          .cell(r.throughput_rps(), 1)
-          .cell(m.acceptance_ratio() * 100.0, 1)
-          .cell(static_cast<std::size_t>(m.cross_region_requests))
-          .cell(static_cast<std::size_t>(m.total_conflicts()))
-          .cell(static_cast<std::size_t>(m.validated_commits))
-          .cell(r.conserved ? "yes" : "NO");
-      json << ",{\"shards\":" << shards << ",\"arm\":\"sharded\""
-           << ",\"workers\":" << shards << ",\"throughput_rps\":"
-           << util::json_number(r.throughput_rps()) << ",\"speedup_vs_flat\":"
-           << util::json_number(flat_rps > 0.0 ? r.throughput_rps() / flat_rps
-                                               : 0.0)
-           << ",\"wall_s\":" << util::json_number(r.wall_seconds)
-           << ",\"conserved\":" << (r.conserved ? "true" : "false")
-           << ",\"metrics\":" << m.to_json() << "}";
-      std::cerr << "shards=" << shards << " sharded done ("
-                << r.throughput_rps() << " rps)\n";
-    }
+    open.window = std::max<std::size_t>(4, 2 * shards / producers);
+    const serve::OpenLoopResult r =
+        serve::run_open_loop(service, workload.arrivals, open);
+    const auto& m = r.metrics;
+    table.row()
+        .cell(shards)
+        .cell(shards)
+        .cell(r.throughput_rps(), 1)
+        .cell(m.acceptance_ratio() * 100.0, 1)
+        .cell(static_cast<std::size_t>(m.cross_region_requests))
+        .cell(static_cast<std::size_t>(m.commit_conflicts))
+        .cell(static_cast<std::size_t>(m.validated_commits))
+        .cell(r.conserved ? "yes" : "NO");
+    if (!first) json << ",";
+    first = false;
+    json << "{\"regions\":" << shards << ",\"workers\":" << shards
+         << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
+         << ",\"wall_s\":" << util::json_number(r.wall_seconds)
+         << ",\"conserved\":" << (r.conserved ? "true" : "false")
+         << ",\"metrics\":" << m.to_json() << "}";
+    std::cerr << "regions=" << shards << " done (" << r.throughput_rps()
+              << " rps)\n";
   }
   json << "],";
 
   // ---- part B: the price of hierarchy ------------------------------------
   Table gap_table({"request", "flat cost", "hier cost", "gap%", "valid"});
   {
-    shard::ShardWorkloadConfig gcfg;
+    serve::RegionalWorkloadConfig gcfg;
     gcfg.regional.base = base;
     gcfg.regional.regions.regions = gap_regions;
     gcfg.regional.regions.nodes_per_region =
         std::max<std::size_t>(2, total_nodes / gap_regions);
     gcfg.num_arrivals = gap_trials;
-    const shard::ShardWorkload workload =
-        shard::make_shard_workload(gcfg, seed ^ 0x9e37ULL);
+    const serve::RegionalWorkload workload =
+        serve::make_regional_workload(gcfg, seed ^ 0x9e37ULL);
     const shard::ShardedSubstrate substrate(
         workload.scenario.network,
         shard::make_partition(workload.scenario.network.topology(),
@@ -284,10 +230,10 @@ int main(int argc, char** argv) {
   json << "}";
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "== shard scaling: sharded service vs flat MVCC baseline ==\n"
-            << "expectation: sharded throughput rises with shard count "
-               "(restricted solves shrink with region size); flat baseline "
-               "stays level or degrades under lock contention\n"
+  std::cout << "== shard scaling: the serving plane vs region count ==\n"
+            << "expectation: throughput rises with region count (restricted "
+               "solves shrink with region size, disjoint region paths commit "
+               "in parallel); 1 region is the flat service\n"
             << "hardware threads: " << hw;
   if (hw < 2) {
     std::cout << " (single-core host: pool parallelism cannot show; the "

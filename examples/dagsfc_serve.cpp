@@ -2,7 +2,9 @@
 ///
 /// Generates a seeded workload (Poisson arrivals of random DAG-SFCs with
 /// exponential holding times) and serves it through serve::EmbeddingService
-/// in one of two modes:
+/// — flat (one region, one --algorithm solver) or, with --algorithm hier,
+/// sharded (a regional substrate, one worker pool and ledger shard per
+/// region, HIER stage one plus --hier-inner) — in one of two modes:
 ///
 ///   * open-loop (default): --producers submitting threads keep up to a
 ///     window of requests in flight each while releasing their oldest
@@ -12,8 +14,8 @@
 ///     virtual departures) whose metrics are bit-identical for any
 ///     --workers value.
 ///
-/// Commits go through the MVCC pipeline (per-worker replica sync,
-/// footprint-stamp validation, group commit) — see DESIGN.md §10.
+/// Commits go through the sharded ledger's MVCC validation (incremental
+/// per-worker views, footprint-stamp validation) — see DESIGN.md §7.
 ///
 /// Prints a human-readable summary plus a machine-readable `JSON:` line
 /// like the bench binaries.
@@ -25,6 +27,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -34,7 +38,7 @@
 #include "serve/driver.hpp"
 #include "serve/http.hpp"
 #include "serve/trace.hpp"
-#include "shard/driver.hpp"
+#include "shard/hier.hpp"
 #include "util/build_info.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
@@ -42,8 +46,8 @@
 namespace {
 
 /// SIGUSR1 → dump the live flight recorder. A signal handler may only flip
-/// a flag, so a tiny poller thread does the actual I/O; the service hooks
-/// publish the recorder through g_flight for the duration of the run.
+/// a flag, so a tiny poller thread does the actual I/O; main publishes the
+/// service's recorder through g_flight for the duration of the run.
 volatile std::sig_atomic_t g_dump_requested = 0;
 void on_sigusr1(int) { g_dump_requested = 1; }
 std::atomic<const dagsfc::serve::FlightRecorder*> g_flight{nullptr};
@@ -113,7 +117,7 @@ int main(int argc, char** argv) {
                    "run the deterministic closed-loop driver instead")
       .define("algorithm", "mbbe",
               "worker solver: ranv|minv|bbe|mbbe|layered, or hier "
-              "(sharded service, one worker pool per shard)")
+              "(sharded substrate, one worker pool per region)")
       .define_int("shards", 4, "regions of the sharded substrate (hier)")
       .define("partition", "labels",
               "node->region scheme for hier: labels|stripe|bfs (labels = "
@@ -185,9 +189,7 @@ int main(int argc, char** argv) {
   admission.retry_backoff = flags.get_duration("backoff");
 
   // Process identity on the default registry (dagsfc_build_info +
-  // dagsfc_uptime_seconds). The scrape endpoint serves the service's own
-  // registry, so on_start registers a second ProcessMetrics there — that is
-  // the copy a scraper actually sees, kept fresh via before_scrape.
+  // dagsfc_uptime_seconds).
   const util::ProcessMetrics process_metrics;
 
   const std::string flight_dump = flags.get("flight-dump");
@@ -199,228 +201,161 @@ int main(int argc, char** argv) {
   SignalPoller poller;
   if (tracing.enabled) poller.start();
 
-  // --- sharded mode: --algorithm hier routes through the shard plane ------
-  if (flags.get("algorithm") == "hier") {
-    std::unique_ptr<serve::MetricsHttpServer> endpoint;
-    std::unique_ptr<util::ProcessMetrics> scrape_identity;
-    const int metrics_port = flags.get_int("metrics-port");
-    shard::ShardWorkloadConfig scfg;
-    scfg.regional.base = cfg.base;
-    scfg.regional.regions.regions = shards;
-    scfg.regional.regions.nodes_per_region =
-        std::max<std::size_t>(2, cfg.base.network_size / shards);
-    scfg.arrival_rate = cfg.arrival_rate;
-    scfg.mean_holding_time = cfg.mean_holding_time;
-    scfg.num_arrivals = cfg.num_arrivals;
-
-    std::cerr << "generating regional workload (" << scfg.num_arrivals
-              << " arrivals, " << scfg.regional.total_nodes() << " nodes, "
-              << shards << " regions)...\n";
-    const shard::ShardWorkload workload =
-        shard::make_shard_workload(scfg, seed);
-    const auto scheme =
-        shard::partition_scheme_from_string(flags.get("partition"));
-    const shard::ShardedSubstrate substrate(
-        workload.scenario.network,
-        shard::make_partition(workload.scenario.network.topology(), shards,
-                              scheme, workload.scenario.region_of));
-
-    shard::ShardedEmbeddingService::Options sopts;
-    sopts.workers_per_shard = workers;  // --workers is per shard here
-    sopts.admission = admission;
-    sopts.hier.region_paths = hier_paths;
-    sopts.hier.inner =
-        shard::inner_algorithm_from_string(flags.get("hier-inner"));
-    sopts.seed = seed;
-    sopts.tracing = tracing;
-
-    shard::ShardServiceTuning stuning;
-    stuning.on_start = [&](shard::ShardedEmbeddingService& s) {
-      g_flight.store(s.flight_recorder(), std::memory_order_release);
-      if (metrics_port > 0) {
-        scrape_identity =
-            std::make_unique<util::ProcessMetrics>(s.metrics_registry());
-        serve::MetricsHttpServer::Options mopts;
-        mopts.flight = s.flight_recorder();
-        mopts.before_scrape = [&scrape_identity] { scrape_identity->update(); };
-        endpoint = std::make_unique<serve::MetricsHttpServer>(
-            s.metrics_registry(), static_cast<std::uint16_t>(metrics_port),
-            std::move(mopts));
-        std::cerr << "metrics: curl http://127.0.0.1:" << endpoint->port()
-                  << "/metrics\n";
-      }
-    };
-    // The endpoint scrapes the service's registry and the flight dump reads
-    // its recorder, so both must detach before the service is destroyed.
-    stuning.on_finish = [&](shard::ShardedEmbeddingService& s) {
-      g_flight.store(nullptr, std::memory_order_release);
-      endpoint.reset();
-      scrape_identity.reset();
-      dump_flight(flight_dump, s.flight_recorder());
-    };
-
-    if (flags.get_bool("closed-loop")) {
-      const shard::ShardDriverResult r =
-          shard::run_sharded_closed_loop(workload, substrate, sopts, stuning);
-      const auto& m = r.metrics;
-      std::cout << "== dagsfc_serve (closed loop, hier, " << shards
-                << " shards x " << workers << " workers) ==\n"
-                << "accepted " << m.accepted << " / " << m.submitted
-                << " (ratio " << m.acceptance_ratio() << "), cross-region "
-                << m.cross_region_requests << ", conserved="
-                << (r.conserved ? "yes" : "no") << "\n";
-      std::cout << "JSON: {\"mode\":\"closed-loop\",\"algorithm\":\"hier\""
-                << ",\"shards\":" << shards << ",\"workers_per_shard\":"
-                << workers << ",\"conserved\":"
-                << (r.conserved ? "true" : "false")
-                << ",\"metrics\":" << m.to_json() << "}\n";
-      return 0;
-    }
-
-    shard::ShardOpenLoopConfig open;
-    open.producers = producers;
-    open.target_load =
-        static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
-    open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
-    open.service = sopts;
-    open.deadline = flags.get_duration("deadline");
-    open.tuning = stuning;
-
-    const shard::ShardOpenLoopResult r =
-        shard::run_sharded_open_loop(workload, substrate, open);
-    const auto& m = r.metrics;
-    std::cout << "== dagsfc_serve (open loop, hier, " << shards
-              << " shards x " << workers << " workers, " << open.producers
-              << " producers) ==\n"
-              << "served " << m.completed() << " requests in "
-              << r.wall_seconds << "s (" << r.throughput_rps() << " req/s)\n"
-              << "accepted " << m.accepted << ", rejected "
-              << m.rejected_infeasible << ", queue-full "
-              << m.rejected_queue_full << ", shed " << m.shed_deadline
-              << ", lost " << m.lost_conflict << ", cross-region "
-              << m.cross_region_requests << "\n"
-              << "commits: fast " << m.fast_commits << ", stamp "
-              << m.stamp_commits << ", validated " << m.validated_commits
-              << ", conflicts " << m.total_conflicts() << ", retries "
-              << m.retries << "\n"
-              << "conserved after drain: " << (r.conserved ? "yes" : "no")
-              << "\n";
-    std::cout << "JSON: {\"mode\":\"open-loop\",\"algorithm\":\"hier\""
-              << ",\"shards\":" << shards << ",\"workers_per_shard\":"
-              << workers << ",\"wall_s\":" << util::json_number(r.wall_seconds)
-              << ",\"throughput_rps\":"
-              << util::json_number(r.throughput_rps()) << ",\"conserved\":"
-              << (r.conserved ? "true" : "false") << ",\"metrics\":"
-              << m.to_json() << "}\n";
-    return 0;
-  }
-
-  std::cerr << "generating workload (" << cfg.num_arrivals << " arrivals, "
-            << cfg.base.network_size << " nodes)...\n";
-  const serve::Workload workload = serve::make_workload(cfg, seed);
-
-  std::unique_ptr<core::Embedder> algo;
   const std::string algo_name = flags.get("algorithm");
-  if (algo_name == "ranv") {
-    algo = std::make_unique<core::RanvEmbedder>();
-  } else if (algo_name == "minv") {
-    algo = std::make_unique<core::MinvEmbedder>();
-  } else if (algo_name == "bbe") {
-    algo = std::make_unique<core::BbeEmbedder>();
-  } else if (algo_name == "mbbe") {
-    algo = std::make_unique<core::MbbeEmbedder>();
-  } else if (algo_name == "layered") {
-    algo = std::make_unique<core::LayeredEmbedder>();
-  } else {
-    std::cerr << "unknown algorithm '" << algo_name
-              << "' (ranv|minv|bbe|mbbe|layered)\n";
-    return 1;
-  }
-  const core::Embedder& embedder = *algo;
+  const bool hier = algo_name == "hier";
+  serve::EmbeddingService::Options opts;
+  opts.workers = workers;  // per region
+  opts.admission = admission;
+  opts.seed = seed;
+  opts.slow_solve_threshold = flags.get_duration("slow-solve-threshold");
+  opts.tracing = tracing;
 
-  // Observability: the drivers own the service, so the watchdog knobs ride
-  // in via ServiceTuning and the /metrics endpoint attaches on_start (it
-  // lives in `endpoint` out here so it serves for the whole run).
-  serve::ServiceTuning tuning;
-  tuning.slow_solve_threshold = flags.get_duration("slow-solve-threshold");
-  std::unique_ptr<serve::MetricsHttpServer> endpoint;
-  std::unique_ptr<util::ProcessMetrics> scrape_identity;
-  const int metrics_port = flags.get_int("metrics-port");
-  tuning.tracing = tracing;
-  tuning.on_start = [&](serve::EmbeddingService& s) {
-    g_flight.store(s.flight_recorder(), std::memory_order_release);
-    if (metrics_port > 0) {
-      scrape_identity =
-          std::make_unique<util::ProcessMetrics>(s.metrics_registry());
-      serve::MetricsHttpServer::Options mopts;
-      mopts.flight = s.flight_recorder();
-      mopts.before_scrape = [&scrape_identity] { scrape_identity->update(); };
-      endpoint = std::make_unique<serve::MetricsHttpServer>(
-          s.metrics_registry(), static_cast<std::uint16_t>(metrics_port),
-          std::move(mopts));
-      std::cerr << "metrics: curl http://127.0.0.1:" << endpoint->port()
-                << "/metrics\n";
+  // The workload, its substrate and the solver outlive the service.
+  std::optional<serve::Workload> flat;
+  std::optional<serve::RegionalWorkload> regional;
+  std::unique_ptr<shard::ShardedSubstrate> substrate;
+  std::unique_ptr<core::Embedder> algo;
+  std::unique_ptr<serve::EmbeddingService> service;
+  std::span<const serve::TimedRequest> arrivals;
+  if (hier) {
+    serve::RegionalWorkloadConfig rcfg;
+    rcfg.regional.base = cfg.base;
+    rcfg.regional.regions.regions = shards;
+    rcfg.regional.regions.nodes_per_region =
+        std::max<std::size_t>(2, cfg.base.network_size / shards);
+    rcfg.arrival_rate = cfg.arrival_rate;
+    rcfg.mean_holding_time = cfg.mean_holding_time;
+    rcfg.num_arrivals = cfg.num_arrivals;
+    std::cerr << "generating regional workload (" << rcfg.num_arrivals
+              << " arrivals, " << rcfg.regional.total_nodes() << " nodes, "
+              << shards << " regions)...\n";
+    regional.emplace(serve::make_regional_workload(rcfg, seed));
+    arrivals = regional->arrivals;
+    try {
+      const auto scheme =
+          shard::partition_scheme_from_string(flags.get("partition"));
+      substrate = std::make_unique<shard::ShardedSubstrate>(
+          regional->scenario.network,
+          shard::make_partition(regional->scenario.network.topology(), shards,
+                                scheme, regional->scenario.region_of));
+      algo = shard::make_inner_embedder(
+          shard::inner_algorithm_from_string(flags.get("hier-inner")));
+    } catch (const std::exception& e) {
+      std::cerr << e.what() << "\n";
+      return 1;
     }
-  };
-  // The endpoint scrapes the service's registry and the flight dump reads
-  // its recorder, so both must detach before the service is destroyed.
-  tuning.on_finish = [&](serve::EmbeddingService& s) {
-    g_flight.store(nullptr, std::memory_order_release);
-    endpoint.reset();
-    scrape_identity.reset();
-    dump_flight(flight_dump, s.flight_recorder());
-  };
+    service = std::make_unique<serve::EmbeddingService>(*substrate, *algo,
+                                                        hier_paths, opts);
+  } else {
+    if (algo_name == "ranv") {
+      algo = std::make_unique<core::RanvEmbedder>();
+    } else if (algo_name == "minv") {
+      algo = std::make_unique<core::MinvEmbedder>();
+    } else if (algo_name == "bbe") {
+      algo = std::make_unique<core::BbeEmbedder>();
+    } else if (algo_name == "mbbe") {
+      algo = std::make_unique<core::MbbeEmbedder>();
+    } else if (algo_name == "layered") {
+      algo = std::make_unique<core::LayeredEmbedder>();
+    } else {
+      std::cerr << "unknown algorithm '" << algo_name
+                << "' (ranv|minv|bbe|mbbe|layered|hier)\n";
+      return 1;
+    }
+    std::cerr << "generating workload (" << cfg.num_arrivals << " arrivals, "
+              << cfg.base.network_size << " nodes)...\n";
+    flat.emplace(serve::make_workload(cfg, seed));
+    arrivals = flat->arrivals;
+    service = std::make_unique<serve::EmbeddingService>(flat->scenario.network,
+                                                        *algo, opts);
+  }
+  const std::size_t regions = service->substrate().num_regions();
 
-  if (flags.get_bool("closed-loop")) {
-    const serve::DriverResult r = serve::run_closed_loop(
-        workload, embedder, workers, admission, seed, tuning);
-    const auto& m = r.metrics;
-    std::cout << "== dagsfc_serve (closed loop, " << workers
-              << " workers) ==\n"
-              << "accepted " << m.accepted << " / " << m.submitted
-              << " (ratio " << m.acceptance_ratio() << "), conserved="
-              << (r.conserved ? "yes" : "no") << ", final epoch "
-              << r.final_epoch << "\n";
-    std::cout << "JSON: {\"mode\":\"closed-loop\",\"workers\":" << workers
-              << ",\"conserved\":" << (r.conserved ? "true" : "false")
-              << ",\"metrics\":" << m.to_json() << "}\n";
-    return 0;
+  // Observability for the whole run: the flight recorder for SIGUSR1, and
+  // the /metrics endpoint on the service's registry with a second
+  // ProcessMetrics registered there — the copy a scraper actually sees,
+  // kept fresh via before_scrape.
+  g_flight.store(service->flight_recorder(), std::memory_order_release);
+  std::unique_ptr<util::ProcessMetrics> scrape_identity;
+  std::unique_ptr<serve::MetricsHttpServer> endpoint;
+  if (const int metrics_port = flags.get_int("metrics-port");
+      metrics_port > 0) {
+    scrape_identity =
+        std::make_unique<util::ProcessMetrics>(service->metrics_registry());
+    serve::MetricsHttpServer::Options mopts;
+    mopts.flight = service->flight_recorder();
+    mopts.before_scrape = [&scrape_identity] { scrape_identity->update(); };
+    endpoint = std::make_unique<serve::MetricsHttpServer>(
+        service->metrics_registry(), static_cast<std::uint16_t>(metrics_port),
+        std::move(mopts));
+    std::cerr << "metrics: curl http://127.0.0.1:" << endpoint->port()
+              << "/metrics\n";
   }
 
+  const bool closed = flags.get_bool("closed-loop");
   serve::OpenLoopConfig open;
-  open.workers = workers;
   open.producers = producers;
   open.target_load =
       static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
   open.window = std::max<std::size_t>(4, 2 * workers / open.producers);
-  open.admission = admission;
-  open.seed = seed;
   open.deadline = flags.get_duration("deadline");
-  open.tuning = tuning;
+  serve::MetricsSnapshot m;
+  bool conserved = false;
+  std::uint64_t final_epoch = 0;
+  double wall_s = 0.0, rps = 0.0;
+  if (closed) {
+    const serve::DriverResult r = serve::run_closed_loop(*service, arrivals);
+    m = r.metrics;
+    conserved = r.conserved;
+    final_epoch = r.final_epoch;
+  } else {
+    const serve::OpenLoopResult r =
+        serve::run_open_loop(*service, arrivals, open);
+    m = r.metrics;
+    conserved = r.conserved;
+    wall_s = r.wall_seconds;
+    rps = r.throughput_rps();
+  }
 
-  const serve::OpenLoopResult r =
-      serve::run_open_loop(workload, embedder, open);
-  const auto& m = r.metrics;
-  std::cout << "== dagsfc_serve (open loop, " << workers << " workers, "
-            << open.producers << " producers) ==\n"
-            << "served " << m.completed() << " requests in " << r.wall_seconds
-            << "s (" << r.throughput_rps() << " req/s)\n"
-            << "accepted " << m.accepted << ", rejected "
+  // The endpoint scrapes the service's registry and the flight dump reads
+  // its recorder, so both must detach before the service is destroyed.
+  g_flight.store(nullptr, std::memory_order_release);
+  endpoint.reset();
+  scrape_identity.reset();
+  dump_flight(flight_dump, service->flight_recorder());
+
+  std::cout << "== dagsfc_serve (" << (closed ? "closed" : "open")
+            << " loop, " << algo_name << ", " << regions << " region(s) x "
+            << workers << " workers";
+  if (!closed) std::cout << ", " << open.producers << " producers";
+  std::cout << ") ==\n";
+  if (!closed) {
+    std::cout << "served " << m.completed() << " requests in " << wall_s
+              << "s (" << rps << " req/s)\n";
+  }
+  std::cout << "accepted " << m.accepted << " / " << m.submitted
+            << " (ratio " << m.acceptance_ratio() << "), rejected "
             << m.rejected_infeasible << ", queue-full "
             << m.rejected_queue_full << ", shed " << m.shed_deadline
-            << ", lost " << m.lost_conflict << "\n"
+            << ", lost " << m.lost_conflict << ", cross-region "
+            << m.cross_region_requests << "\n"
             << "commits: fast " << m.fast_commits << ", stamp "
             << m.stamp_commits << ", validated " << m.validated_commits
             << ", conflicts " << m.commit_conflicts << ", retries "
             << m.retries << "\n"
             << "latency ms p50/p95/p99: " << m.latency_ms.p50() << " / "
             << m.latency_ms.p95() << " / " << m.latency_ms.p99() << "\n"
-            << "conserved after drain: " << (r.conserved ? "yes" : "no")
-            << "\n";
-  std::cout << "JSON: {\"mode\":\"open-loop\",\"workers\":" << workers
-            << ",\"wall_s\":" << util::json_number(r.wall_seconds)
-            << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
-            << ",\"conserved\":" << (r.conserved ? "true" : "false")
+            << "conserved after drain: " << (conserved ? "yes" : "no");
+  if (closed) std::cout << ", final epoch " << final_epoch;
+  std::cout << "\n";
+  std::cout << "JSON: {\"mode\":\"" << (closed ? "closed-loop" : "open-loop")
+            << "\",\"algorithm\":\"" << algo_name << "\",\"regions\":"
+            << regions << ",\"workers\":" << workers;
+  if (!closed) {
+    std::cout << ",\"wall_s\":" << util::json_number(wall_s)
+              << ",\"throughput_rps\":" << util::json_number(rps);
+  }
+  std::cout << ",\"conserved\":" << (conserved ? "true" : "false")
             << ",\"metrics\":" << m.to_json() << "}\n";
   return 0;
 }

@@ -6,8 +6,8 @@
 #         run as well. Runs the whole suite.
 #   tsan  build-tsan/: ThreadSanitizer (-DDAGSFC_TSAN=ON). Runs the tests
 #         labelled `tsan` (ctest -L tsan): the binaries that run worker
-#         pools, shared caches, lock-free rings or sockets — the serve and
-#         shard planes, the thread pool and trial runner, the metrics,
+#         pools, shared caches, lock-free rings or sockets — the serving
+#         plane (flat and sharded), the thread pool and trial runner, the metrics,
 #         watchdog and HTTP telemetry, the MVCC battery, the path cache, the
 #         layered and validity batteries, the span ring and flight recorder,
 #         the lazy CSR build (test_graph) and the dagsfc_serve smoke tests.
@@ -71,9 +71,8 @@ guards=(
   "asan test_lifecycle"
   "asan test_flight"
   "asan test_http"
-  # The MVCC commit battery (shadow-ledger fuzz, journal sync, 8-worker
-  # conflict hammer) and the path-cache suites that pin its invalidation
-  # contract.
+  # The MVCC commit battery (shadow-ledger fuzz, 8-worker conflict
+  # hammer) and the path-cache suites that pin its invalidation contract.
   "tsan test_mvcc"
   "tsan test_path_cache"
   'tsan test_path_cache\.ResumableEntry\.'

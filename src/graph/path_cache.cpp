@@ -93,14 +93,6 @@ std::shared_ptr<const std::vector<Path>> PathCache::k_paths(
   return entry;
 }
 
-void PathCache::clear() {
-  for (auto& [key, entry] : trees_) entry->invalidate();
-  trees_.clear();
-  yens_.clear();
-  tree_contexts_.clear();
-  yen_contexts_.clear();
-}
-
 void PathCache::evict_tree_context(std::uint64_t context) {
   auto it = trees_.lower_bound(TreeKey{context, 0});
   std::size_t n = 0;

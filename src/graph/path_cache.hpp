@@ -55,7 +55,7 @@
 /// usability depends only on link residuals.
 ///
 /// Entries are shared_ptr-owned so callers can hold them across later cache
-/// calls. An entry evicted by a hook (or by clear()) is marked invalidated:
+/// calls. An entry evicted by a hook is marked invalidated:
 /// what it settled stays readable, but resuming it fails a DAGSFC_CHECK —
 /// its frontier no longer matches the network. An entry dropped only to
 /// make room is not invalidated: it is still exact until the next residual
@@ -174,10 +174,6 @@ class PathCache {
     return inval_;
   }
 
-  /// Drops every entry, invalidating the trees (the owner can no longer
-  /// say which residuals changed).
-  void clear();
-
  private:
   struct TreeKey {
     std::uint64_t context;
@@ -204,10 +200,10 @@ class PathCache {
   /// Refcounted index of the distinct contexts present in one store,
   /// sorted by context bits. Mutation hooks consult it first: with no
   /// cached rate flipping (the overwhelmingly common case — e.g. every
-  /// journal entry a replica replays during sync_from), the hook is
-  /// O(distinct rates), touches no entries and allocates nothing. Only
-  /// actual flips walk entries, and then only the flipped context's
-  /// contiguous range of the (context-first ordered) map.
+  /// residual a serving worker's compose copies into its scratch view),
+  /// the hook is O(distinct rates), touches no entries and allocates
+  /// nothing. Only actual flips walk entries, and then only the flipped
+  /// context's contiguous range of the (context-first ordered) map.
   using ContextIndex = std::vector<std::pair<std::uint64_t, std::size_t>>;
   static void index_add(ContextIndex& index, std::uint64_t context);
   static void index_remove(ContextIndex& index, std::uint64_t context,

@@ -32,9 +32,6 @@ CapacityLedger& CapacityLedger::operator=(const CapacityLedger& other) {
     instance_stamp_ = other.instance_stamp_;
     epoch_ = other.epoch_;
     cache_.reset();  // caches are per-instance, never shared
-    journal_.clear();  // journals too: copies start un-journaled
-    journal_capacity_ = 0;
-    journal_start_ = 0;
   }
   return *this;
 }
@@ -50,16 +47,8 @@ bool CapacityLedger::node_offers(NodeId node, VnfTypeId type,
   return id.has_value() && instance_can_process(*id, rate);
 }
 
-void CapacityLedger::journal_record(bool is_link, std::uint32_t id,
-                                    double after) {
-  if (journal_capacity_ == 0) return;
-  journal_[epoch_ % journal_capacity_] = JournalEntry{epoch_, id, is_link,
-                                                      after};
-}
-
 void CapacityLedger::note_link_changed(EdgeId e, double before, double after) {
   link_stamp_[e] = epoch_;
-  journal_record(/*is_link=*/true, static_cast<std::uint32_t>(e), after);
   if (cache_) {
     if (after < before) {
       const graph::Edge& ed = net_->topology().edge(e);
@@ -68,13 +57,6 @@ void CapacityLedger::note_link_changed(EdgeId e, double before, double after) {
       cache_->on_link_credit(e, before, after, kEps);
     }
   }
-}
-
-void CapacityLedger::note_instance_changed(InstanceId id, double after) {
-  // Instance capacities never enter the usable-edge predicate, so the path
-  // cache is left alone — only the stamp and journal record the mutation.
-  instance_stamp_[id] = epoch_;
-  journal_record(/*is_link=*/false, static_cast<std::uint32_t>(id), after);
 }
 
 void CapacityLedger::consume_link(EdgeId e, double rate) {
@@ -91,7 +73,7 @@ void CapacityLedger::consume_instance(InstanceId id, double rate) {
   DAGSFC_CHECK_MSG(instance_can_process(id, rate), "VNF over-subscribed");
   instance_residual_[id] -= rate;
   ++epoch_;
-  note_instance_changed(id, instance_residual_[id]);
+  instance_stamp_[id] = epoch_;
 }
 
 void CapacityLedger::release_link(EdgeId e, double rate) {
@@ -114,7 +96,7 @@ void CapacityLedger::release_instance(InstanceId id, double rate) {
   DAGSFC_CHECK_MSG(
       instance_residual_[id] <= net_->instance(id).capacity + kEps,
       "release exceeds nominal instance capacity");
-  note_instance_changed(id, instance_residual_[id]);
+  instance_stamp_[id] = epoch_;
 }
 
 void CapacityLedger::set_link_residual(EdgeId e, double residual) {
@@ -137,7 +119,7 @@ void CapacityLedger::set_instance_residual(InstanceId id, double residual) {
   if (instance_residual_[id] == residual) return;
   instance_residual_[id] = residual;
   ++epoch_;
-  note_instance_changed(id, residual);
+  instance_stamp_[id] = epoch_;
 }
 
 bool CapacityLedger::can_apply(std::span<const std::uint32_t> link_uses,
@@ -206,57 +188,6 @@ bool CapacityLedger::footprint_unchanged_since(
     if (link_uses[e] != 0 && link_stamp_[e] > since_epoch) return false;
   }
   return true;
-}
-
-void CapacityLedger::enable_journal(std::size_t capacity) {
-  DAGSFC_CHECK(capacity > 0);
-  journal_capacity_ = capacity;
-  journal_.assign(capacity, JournalEntry{});
-  journal_start_ = epoch_;
-}
-
-bool CapacityLedger::sync_from(const CapacityLedger& master) {
-  DAGSFC_CHECK_MSG(net_ == master.net_,
-                   "sync_from requires ledgers over the same Network");
-  if (epoch_ == master.epoch_) return true;
-  const std::uint64_t target = master.epoch_;
-  // The delta path is sound only for a replica whose state is a snapshot of
-  // the master's mutation stream at epoch_; anything else (replica ahead,
-  // gap not covered by the ring) takes the full copy.
-  const bool covered = master.journal_capacity_ > 0 && epoch_ < target &&
-                       epoch_ >= master.journal_start_ &&
-                       target - epoch_ <= master.journal_capacity_;
-  if (covered) {
-    bool ok = true;
-    for (std::uint64_t ep = epoch_ + 1; ep <= target && ok; ++ep) {
-      const JournalEntry& entry =
-          master.journal_[ep % master.journal_capacity_];
-      if (entry.epoch != ep) {
-        ok = false;  // slot reused since we checked coverage
-        break;
-      }
-      epoch_ = ep;
-      if (entry.is_link) {
-        const double before = link_residual_[entry.id];
-        link_residual_[entry.id] = entry.after;
-        note_link_changed(entry.id, before, entry.after);
-      } else {
-        instance_residual_[entry.id] = entry.after;
-        note_instance_changed(entry.id, entry.after);
-      }
-    }
-    if (ok) return true;
-  }
-  // Full resync: residuals/stamps become bitwise copies of the master's,
-  // and the cache (whose entries can no longer be trusted — we do not know
-  // which edges changed) starts over.
-  link_residual_ = master.link_residual_;
-  instance_residual_ = master.instance_residual_;
-  link_stamp_ = master.link_stamp_;
-  instance_stamp_ = master.instance_stamp_;
-  epoch_ = master.epoch_;
-  if (cache_) cache_->clear();
-  return false;
 }
 
 double CapacityLedger::total_link_consumed() const {

@@ -23,14 +23,6 @@
 /// (footprint_unchanged_since). That is the serve layer's stamp-validated
 /// commit path.
 ///
-/// A ledger can additionally journal its mutations (enable_journal): a
-/// fixed ring of (resource, residual-after) records indexed by epoch.
-/// Replicas then catch up with sync_from(master) by replaying only the
-/// delta instead of copying the whole residual state — and, crucially,
-/// the replay feeds the replica's PathCache the footprint-scoped
-/// invalidations, so cached routes survive commits that cannot have
-/// affected them (see path_cache.hpp for the exactness argument).
-///
 /// ## Path-cache coupling
 ///
 /// The ledger owns a per-instance graph::PathCache, created on the first
@@ -40,8 +32,13 @@
 /// evicts exactly the entries whose results a usability flip could change;
 /// instance mutations never touch the cache (edge usability depends only
 /// on link residuals). Copies inherit residuals, stamps and epoch but
-/// start with no cache and no journal (caches are never shared — they are
-/// not thread-safe).
+/// start with no cache (caches are never shared — they are not
+/// thread-safe).
+///
+/// A ledger that serves as a solver's private view (a serving worker's
+/// scratch, shard::ComposedView) is written only through set_*_residual, so
+/// its cache sees exactly the footprint-scoped invalidations the copied
+/// residual changes call for and stays warm across requests.
 
 #include <cstdint>
 #include <memory>
@@ -95,8 +92,8 @@ class CapacityLedger {
 
   /// Sets one resource's residual to exactly \p residual (bitwise — no
   /// subtraction round-trip), going through the normal mutation epilogue so
-  /// the epoch, per-resource stamp, journal, and path-cache invalidation
-  /// all observe the change. Residual must lie in [−kEps, nominal capacity
+  /// the epoch, per-resource stamp and path-cache invalidation all observe
+  /// the change. Residual must lie in [−kEps, nominal capacity
   /// + kEps]: consume_link/consume_instance admit a debit down to −kEps
   /// (a capacity-1.0 link after debits 0.3, 0.3, 0.3, 0.1 holds −2.8e-17),
   /// so any residual a live ledger holds can be copied here bitwise.
@@ -155,27 +152,6 @@ class CapacityLedger {
       std::span<const std::uint32_t> instance_uses,
       std::uint64_t since_epoch) const;
 
-  // --- Mutation journal + replica sync ------------------------------------
-
-  /// Starts journaling this ledger's mutations into a ring of \p capacity
-  /// records (one per epoch bump), enabling O(delta) sync_from on replicas
-  /// that fall at most \p capacity mutations behind. Journaling is off by
-  /// default and never inherited by copies.
-  void enable_journal(std::size_t capacity);
-  [[nodiscard]] bool journal_enabled() const noexcept {
-    return journal_capacity_ > 0;
-  }
-
-  /// Catches this ledger (a replica) up to \p master — both must view the
-  /// same Network. When the master's journal covers the gap, replays only
-  /// the delta: residuals and stamps are overwritten with the master's
-  /// bitwise values and the replica's path cache receives the same
-  /// footprint-scoped invalidations a direct mutation would have issued,
-  /// so unaffected cached routes survive. Otherwise falls back to a full
-  /// residual copy and drops the cache. Returns true on the delta path.
-  /// Either way the replica ends bit-equal to the master's residual state.
-  bool sync_from(const CapacityLedger& master);
-
   /// The ledger's shortest-path cache, created on first access. The cache
   /// is logically state — it never changes observable results — hence
   /// usable through const ledgers.
@@ -184,20 +160,9 @@ class CapacityLedger {
  private:
   static constexpr double kEps = 1e-9;
 
-  /// One journaled mutation: the resource touched and its residual after.
-  /// The epoch field guards ring-slot reuse (slot = epoch % capacity).
-  struct JournalEntry {
-    std::uint64_t epoch = 0;
-    std::uint32_t id = 0;
-    bool is_link = false;
-    double after = 0.0;
-  };
-
-  /// Shared epilogue of every link mutation: stamp, journal, and forward
-  /// the residual change to the cache's footprint-scoped invalidation.
+  /// Shared epilogue of every link mutation: stamp, and forward the
+  /// residual change to the cache's footprint-scoped invalidation.
   void note_link_changed(EdgeId e, double before, double after);
-  void note_instance_changed(InstanceId id, double after);
-  void journal_record(bool is_link, std::uint32_t id, double after);
 
   const Network* net_;
   std::vector<double> link_residual_;
@@ -205,13 +170,6 @@ class CapacityLedger {
   std::vector<std::uint64_t> link_stamp_;
   std::vector<std::uint64_t> instance_stamp_;
   std::uint64_t epoch_ = 0;
-
-  /// Ring of the last journal_capacity_ mutations, indexed epoch % capacity;
-  /// journal_start_ is the epoch journaling began at (entries exist for
-  /// epochs in (max(journal_start_, epoch_ - capacity), epoch_]).
-  std::vector<JournalEntry> journal_;
-  std::size_t journal_capacity_ = 0;
-  std::uint64_t journal_start_ = 0;
 
   mutable std::unique_ptr<graph::PathCache> cache_;
 };

@@ -26,71 +26,69 @@ struct Departure {
   }
 };
 
-bool residuals_nominal(const net::CapacityLedger& ledger,
-                       const net::Network& net) {
-  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-    if (std::abs(ledger.link_residual(e) - net.link_capacity(e)) > 1e-6) {
-      return false;
-    }
-  }
-  for (net::InstanceId i = 0; i < net.num_instances(); ++i) {
-    if (std::abs(ledger.instance_residual(i) - net.instance(i).capacity) >
-        1e-6) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
+
+std::vector<TimedRequest> make_arrivals(Rng& rng, const net::Network& network,
+                                        const sim::ExperimentConfig& base,
+                                        double arrival_rate,
+                                        double mean_holding_time,
+                                        std::size_t count) {
+  const std::size_t n = network.num_nodes();
+  std::vector<TimedRequest> arrivals;
+  arrivals.reserve(count);
+  double now = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    now += exponential(rng, 1.0 / arrival_rate);
+    TimedRequest t;
+    t.at = now;
+    sfc::DagSfc dag = sim::make_sfc(rng, network.catalog(), base);
+    auto src = static_cast<graph::NodeId>(rng.index(n));
+    auto dst = static_cast<graph::NodeId>(rng.index(n));
+    if (dst == src) dst = static_cast<graph::NodeId>((dst + 1) % n);
+    t.holding = exponential(rng, mean_holding_time);
+    t.request.id = static_cast<RequestId>(i + 1);
+    t.request.sfc = std::move(dag);
+    t.request.flow = core::Flow{src, dst, base.flow_rate, base.flow_size};
+    arrivals.push_back(std::move(t));
+  }
+  return arrivals;
+}
 
 Workload make_workload(const sim::DynamicConfig& cfg, std::uint64_t seed) {
   cfg.validate();
   Rng rng(seed);
   Workload w{sim::make_scenario(rng, cfg.base), {}};
-  w.arrivals.reserve(cfg.num_arrivals);
-  double now = 0.0;
-  for (std::size_t i = 0; i < cfg.num_arrivals; ++i) {
-    now += exponential(rng, 1.0 / cfg.arrival_rate);
-    TimedRequest t;
-    t.at = now;
-    sfc::DagSfc dag =
-        sim::make_sfc(rng, w.scenario.network.catalog(), cfg.base);
-    auto src = static_cast<graph::NodeId>(rng.index(cfg.base.network_size));
-    auto dst = static_cast<graph::NodeId>(rng.index(cfg.base.network_size));
-    if (dst == src) {
-      dst = static_cast<graph::NodeId>((dst + 1) % cfg.base.network_size);
-    }
-    t.holding = exponential(rng, cfg.mean_holding_time);
-    t.request.id = static_cast<RequestId>(i + 1);
-    t.request.sfc = std::move(dag);
-    t.request.flow =
-        core::Flow{src, dst, cfg.base.flow_rate, cfg.base.flow_size};
-    w.arrivals.push_back(std::move(t));
-  }
+  w.arrivals = make_arrivals(rng, w.scenario.network, cfg.base,
+                             cfg.arrival_rate, cfg.mean_holding_time,
+                             cfg.num_arrivals);
   return w;
 }
 
-DriverResult run_closed_loop(const Workload& workload,
-                             const core::Embedder& embedder,
-                             std::size_t workers,
-                             const AdmissionPolicy& admission,
-                             std::uint64_t seed, const ServiceTuning& tuning) {
-  EmbeddingService::Options opts;
-  opts.workers = workers;
-  opts.admission = admission;
-  opts.seed = seed;
-  opts.slow_solve_threshold = tuning.slow_solve_threshold;
-  opts.watchdog_period = tuning.watchdog_period;
-  opts.tracing = tuning.tracing;
-  EmbeddingService service(workload.scenario.network, embedder, opts);
-  if (tuning.on_start) tuning.on_start(service);
+void RegionalWorkloadConfig::validate() const {
+  regional.validate();
+  DAGSFC_CHECK(arrival_rate > 0.0);
+  DAGSFC_CHECK(mean_holding_time > 0.0);
+  DAGSFC_CHECK(num_arrivals >= 1);
+}
 
+RegionalWorkload make_regional_workload(const RegionalWorkloadConfig& cfg,
+                                        std::uint64_t seed) {
+  cfg.validate();
+  Rng rng(seed);
+  RegionalWorkload w{sim::make_regional_scenario(rng, cfg.regional), {}};
+  w.arrivals = make_arrivals(rng, w.scenario.network, cfg.regional.base,
+                             cfg.arrival_rate, cfg.mean_holding_time,
+                             cfg.num_arrivals);
+  return w;
+}
+
+DriverResult run_closed_loop(EmbeddingService& service,
+                             std::span<const TimedRequest> arrivals) {
   std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
       departures;
   DriverResult result;
 
-  for (const TimedRequest& t : workload.arrivals) {
+  for (const TimedRequest& t : arrivals) {
     while (!departures.empty() && departures.top().at <= t.at) {
       service.release(departures.top().id);
       departures.pop();
@@ -109,30 +107,17 @@ DriverResult run_closed_loop(const Workload& workload,
     departures.pop();
   }
 
-  const net::CapacityLedger drained = service.ledger_snapshot();
-  result.final_epoch = drained.epoch();
-  result.conserved =
-      residuals_nominal(drained, workload.scenario.network);
+  result.final_epoch = service.epoch();
+  result.conserved = service.ledger().residuals_nominal();
   result.metrics = service.metrics();
-  if (tuning.on_finish) tuning.on_finish(service);
   return result;
 }
 
-OpenLoopResult run_open_loop(const Workload& workload,
-                             const core::Embedder& embedder,
+OpenLoopResult run_open_loop(EmbeddingService& service,
+                             std::span<const TimedRequest> arrivals,
                              const OpenLoopConfig& cfg) {
   DAGSFC_CHECK(cfg.producers >= 1);
   DAGSFC_CHECK(cfg.window >= 1);
-  EmbeddingService::Options opts;
-  opts.workers = cfg.workers;
-  opts.admission = cfg.admission;
-  opts.seed = cfg.seed;
-  opts.slow_solve_threshold = cfg.tuning.slow_solve_threshold;
-  opts.watchdog_period = cfg.tuning.watchdog_period;
-  opts.tracing = cfg.tuning.tracing;
-  EmbeddingService service(workload.scenario.network, embedder, opts);
-  if (cfg.tuning.on_start) cfg.tuning.on_start(service);
-
   const std::size_t per_producer_load =
       std::max<std::size_t>(1, cfg.target_load / cfg.producers);
 
@@ -155,9 +140,8 @@ OpenLoopResult run_open_loop(const Workload& workload,
           in_service.pop_front();
         }
       };
-      for (std::size_t i = p; i < workload.arrivals.size();
-           i += cfg.producers) {
-        Request req = workload.arrivals[i].request;
+      for (std::size_t i = p; i < arrivals.size(); i += cfg.producers) {
+        Request req = arrivals[i].request;
         if (cfg.deadline.count() > 0) {
           req.deadline = Clock::now() + cfg.deadline;
         }
@@ -176,9 +160,7 @@ OpenLoopResult run_open_loop(const Workload& workload,
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
   result.metrics = service.metrics();
-  result.conserved =
-      residuals_nominal(service.ledger_snapshot(), workload.scenario.network);
-  if (cfg.tuning.on_finish) cfg.tuning.on_finish(service);
+  result.conserved = service.ledger().residuals_nominal();
   return result;
 }
 

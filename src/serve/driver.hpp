@@ -1,12 +1,13 @@
 #pragma once
 /// \file driver.hpp
-/// Deterministic drivers for the embedding service.
+/// Deterministic workloads and drivers for the embedding service.
 ///
 /// Workload generation is *open-loop*: a seeded schedule of arrivals
 /// (Poisson inter-arrival times, a fresh random DAG-SFC and endpoint pair
-/// per arrival, exponential holding times) is materialized up front with
-/// the same generator plumbing as sim::run_dynamic, so a workload is a pure
-/// function of its config.
+/// per arrival, exponential holding times) is materialized up front by one
+/// generator, make_arrivals, over a flat scenario (make_workload) or a
+/// regional one (make_regional_workload), so a workload is a pure function
+/// of its config.
 ///
 /// Replay is *closed-loop*: run_closed_loop() submits one arrival, waits
 /// for its response, applies the virtual departures that fall before the
@@ -14,17 +15,22 @@
 /// flight, so the sequence of ledger states — and therefore every counter
 /// and histogram bucket in the metrics — is a pure function of the
 /// workload, bit-identical across worker counts. That property is what the
-/// determinism tests pin; the throughput bench replays the same workloads
-/// open-loop (many in flight) to exercise the optimistic-commit machinery
+/// determinism tests pin; run_open_loop() replays the same workloads with
+/// many requests in flight to exercise the optimistic-commit machinery
 /// instead.
+///
+/// Both drivers take the service by reference, so the caller builds it —
+/// flat or sharded, with whatever watchdog and tracing options — and can
+/// reach it before and after the run.
 
+#include <chrono>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
-#include "core/embedder.hpp"
 #include "serve/service.hpp"
 #include "sim/dynamic.hpp"
+#include "sim/regional.hpp"
 #include "sim/scenario.hpp"
 
 namespace dagsfc::serve {
@@ -37,58 +43,67 @@ struct TimedRequest {
   Request request;
 };
 
-/// A reproducible serving workload: the scenario (network) plus the
-/// arrival schedule. The network must outlive any service solving into it.
+/// The one request generator: \p count arrivals of rate \p arrival_rate
+/// into \p network, each with a fresh DAG-SFC (sim::make_sfc under
+/// \p base), endpoints uniform over the nodes (distinct), base's flow rate
+/// and size, and an exponential holding time of mean
+/// \p mean_holding_time. Request ids are 1..count.
+[[nodiscard]] std::vector<TimedRequest> make_arrivals(
+    Rng& rng, const net::Network& network, const sim::ExperimentConfig& base,
+    double arrival_rate, double mean_holding_time, std::size_t count);
+
+/// A reproducible flat workload: the scenario (network) plus the arrival
+/// schedule. The network must outlive any service solving into it.
 struct Workload {
   sim::Scenario scenario;
   std::vector<TimedRequest> arrivals;
 };
 
-/// Materializes the schedule for \p cfg (cfg.num_arrivals arrivals into a
-/// cfg.base scenario). Deterministic in \p seed; uses the same scenario /
-/// SFC generators as sim::run_dynamic.
+/// Materializes cfg.num_arrivals arrivals into a cfg.base scenario.
+/// Deterministic in \p seed.
 [[nodiscard]] Workload make_workload(const sim::DynamicConfig& cfg,
                                      std::uint64_t seed);
 
-/// Observability knobs forwarded to the EmbeddingService the drivers build
-/// internally, plus a hook to reach the live service (e.g. to attach a
-/// /metrics HTTP endpoint to its registry for the duration of the run).
-struct ServiceTuning {
-  std::chrono::nanoseconds slow_solve_threshold{0};  ///< 0 = watchdog off
-  std::chrono::nanoseconds watchdog_period{0};       ///< 0 = threshold/4
-  /// Forwarded to EmbeddingService::Options::tracing — request-lifecycle
-  /// spans + tail-sampled flight recorder. Reach the recorders through the
-  /// service in on_start/on_finish.
-  TracingOptions tracing;
-  /// Called once, after the service starts and before any submit.
-  std::function<void(EmbeddingService&)> on_start;
-  /// Called once, after the drain and final metrics capture but before the
-  /// service (and its registry) is destroyed — detach anything on_start
-  /// attached here, or it dangles.
-  std::function<void(EmbeddingService&)> on_finish;
+/// The regional counterpart: a region-labeled substrate
+/// (sim::make_regional_scenario) and the same arrival recipe, endpoints
+/// uniform over the whole substrate — so the fraction of cross-region
+/// requests follows from the region geometry, not from the driver.
+struct RegionalWorkloadConfig {
+  sim::RegionalConfig regional;     ///< substrate shape + pricing
+  double arrival_rate = 1.0;        ///< Poisson arrivals per time unit
+  double mean_holding_time = 10.0;  ///< exponential holding mean
+  std::size_t num_arrivals = 200;
+
+  void validate() const;
 };
+
+struct RegionalWorkload {
+  sim::RegionalScenario scenario;
+  std::vector<TimedRequest> arrivals;
+};
+
+/// Deterministic in \p seed.
+[[nodiscard]] RegionalWorkload make_regional_workload(
+    const RegionalWorkloadConfig& cfg, std::uint64_t seed);
 
 struct DriverResult {
   MetricsSnapshot metrics;
   double simulated_time = 0.0;   ///< last arrival's virtual instant
-  std::uint64_t final_epoch = 0; ///< ledger epoch after the full drain
+  std::uint64_t final_epoch = 0; ///< EmbeddingService::epoch after the drain
   /// Residuals returned to nominal after every accepted flow departed —
   /// the conservation invariant, checked on every run.
   bool conserved = false;
 };
 
-/// Replays \p workload closed-loop through a fresh EmbeddingService with
-/// \p workers solver threads, releasing departures in virtual time, then
-/// drains the remaining in-service flows. Deterministic in the workload
-/// and seed for any worker count.
+/// Replays \p arrivals closed-loop through \p service, releasing
+/// departures in virtual time, then releases the remaining in-service
+/// flows. Deterministic in the arrivals and the service's seed for any
+/// worker count.
 [[nodiscard]] DriverResult run_closed_loop(
-    const Workload& workload, const core::Embedder& embedder,
-    std::size_t workers, const AdmissionPolicy& admission = {},
-    std::uint64_t seed = 0x5eedbeefULL, const ServiceTuning& tuning = {});
+    EmbeddingService& service, std::span<const TimedRequest> arrivals);
 
-/// Open-loop replay: contention mode for the bench and the CLI.
+/// Open-loop replay: contention mode for the benches and the CLI.
 struct OpenLoopConfig {
-  std::size_t workers = 4;
   /// Producer threads; each submits its stride of the schedule with up to
   /// `window` responses outstanding before it settles the oldest, so the
   /// service sees many concurrent requests (windowed open loop).
@@ -98,11 +113,8 @@ struct OpenLoopConfig {
   /// oldest accepted flows beyond its share, racing departures against the
   /// other producers' commits.
   std::size_t target_load = 16;
-  AdmissionPolicy admission;
-  std::uint64_t seed = 0x5eedbeefULL;
   /// Per-request deadline measured from submit; zero disables.
   std::chrono::nanoseconds deadline{0};
-  ServiceTuning tuning;
 };
 
 struct OpenLoopResult {
@@ -117,13 +129,13 @@ struct OpenLoopResult {
   }
 };
 
-/// Replays \p workload open-loop (cfg.producers submitting threads, many
-/// requests in flight) through a fresh EmbeddingService. This is the mode
-/// that actually exercises optimistic commits: snapshots go stale while
-/// other workers commit, so the validated-commit and conflict counters are
-/// live. Releases every flow and drains before returning.
-[[nodiscard]] OpenLoopResult run_open_loop(const Workload& workload,
-                                           const core::Embedder& embedder,
-                                           const OpenLoopConfig& cfg);
+/// Replays \p arrivals open-loop (cfg.producers submitting threads, many
+/// requests in flight) through \p service. This is the mode that actually
+/// exercises optimistic commits: views go stale while other workers
+/// commit, so the validated-commit and conflict counters are live.
+/// Releases every flow and drains before returning.
+[[nodiscard]] OpenLoopResult run_open_loop(
+    EmbeddingService& service, std::span<const TimedRequest> arrivals,
+    const OpenLoopConfig& cfg);
 
 }  // namespace dagsfc::serve

@@ -7,7 +7,7 @@
 
 namespace dagsfc::serve {
 
-ServiceMetrics::ServiceMetrics()
+ServiceMetrics::ServiceMetrics(std::size_t num_shards)
     : registry_(std::make_unique<util::MetricRegistry>()) {
   util::MetricRegistry& r = *registry_;
   submitted_ = r.counter("dagsfc_serve_submitted_total");
@@ -23,31 +23,53 @@ ServiceMetrics::ServiceMetrics()
   validated_commits_ = r.counter("dagsfc_serve_validated_commits_total");
   releases_ = r.counter("dagsfc_serve_releases_total");
   slow_solves_ = r.counter("dagsfc_serve_slow_solves_total");
-  queue_depth_ = r.gauge("dagsfc_serve_queue_depth");
+  cross_region_ = r.counter("dagsfc_serve_cross_region_requests_total");
   workers_busy_ = r.gauge("dagsfc_serve_workers_busy");
   latency_ms_ = r.histogram("dagsfc_serve_latency_ms", {}, 1e-3, 1e6);
   solve_ms_ = r.histogram("dagsfc_serve_solve_ms", {}, 1e-3, 1e6);
   cost_ = r.histogram("dagsfc_serve_cost", {}, 1e-1, 1e9);
   group_commit_batch_ = r.histogram("dagsfc_serve_group_commit_batch", {},
                                     1.0, 1e4);
+  per_shard_.reserve(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const util::MetricLabels labels{{"shard", std::to_string(s)}};
+    per_shard_.push_back(PerShard{
+        r.counter("dagsfc_serve_commits_total", labels),
+        r.counter("dagsfc_serve_conflicts_total", labels),
+        r.gauge("dagsfc_serve_queue_depth", labels),
+    });
+  }
 }
 
 void ServiceMetrics::on_submitted() { submitted_.inc(); }
+
+void ServiceMetrics::on_cross_region() { cross_region_.inc(); }
 
 void ServiceMetrics::on_release() { releases_.inc(); }
 
 void ServiceMetrics::on_slow_solve() { slow_solves_.inc(); }
 
-void ServiceMetrics::on_group_commit(std::size_t size) {
-  group_commit_batch_.observe(static_cast<double>(size));
-}
-
-void ServiceMetrics::set_queue_depth(std::size_t depth) {
-  queue_depth_.set(static_cast<double>(depth));
+void ServiceMetrics::set_queue_depth(shard::RegionId shard,
+                                     std::size_t depth) {
+  DAGSFC_CHECK(shard < per_shard_.size());
+  per_shard_[shard].queue_depth.set(static_cast<double>(depth));
 }
 
 void ServiceMetrics::add_workers_busy(double delta) {
   workers_busy_.add(delta);
+}
+
+void ServiceMetrics::on_commit(const shard::CommitResult& result) {
+  group_commit_batch_.observe(1.0);
+  if (result.ok) {
+    for (const shard::RegionId r : result.touched) {
+      DAGSFC_CHECK(r < per_shard_.size());
+      per_shard_[r].commits.inc();
+    }
+  } else {
+    DAGSFC_CHECK(result.conflict_region < per_shard_.size());
+    per_shard_[result.conflict_region].conflicts.inc();
+  }
 }
 
 void ServiceMetrics::on_response(const Response& r) {
@@ -77,7 +99,12 @@ void ServiceMetrics::on_response(const Response& r) {
       break;
   }
   commit_conflicts_.inc(r.conflicts);
-  if (r.solves > 1) retries_.inc(r.solves - 1);
+  // A fresh attempt follows every conflict but a LostConflict request's
+  // last, so this is attempts − 1 however many candidates each attempt
+  // solved.
+  const std::uint32_t retries =
+      r.outcome == Outcome::LostConflict ? r.conflicts - 1 : r.conflicts;
+  if (retries > 0) retries_.inc(retries);
   // Exemplars: each latency bucket remembers the request id of its worst
   // observation, linking the histogram to the flight recorder. They live
   // registry-side only, so snapshot() above stays bitwise-comparable.
@@ -100,12 +127,19 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.validated_commits = validated_commits_.value();
   s.releases = releases_.value();
   s.slow_solves = slow_solves_.value();
-  s.queue_depth = queue_depth_.value();
+  s.cross_region_requests = cross_region_.value();
   s.workers_busy = workers_busy_.value();
   s.latency_ms = latency_ms_.snapshot();
   s.solve_ms = solve_ms_.snapshot();
   s.cost = cost_.snapshot();
   s.group_commit_batch = group_commit_batch_.snapshot();
+  s.shards.reserve(per_shard_.size());
+  for (const PerShard& p : per_shard_) {
+    s.shards.push_back(ShardStatsSnapshot{p.commits.value(),
+                                          p.conflicts.value(),
+                                          p.queue_depth.value()});
+    s.queue_depth += s.shards.back().queue_depth;
+  }
   return s;
 }
 
@@ -122,6 +156,7 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"stamp_commits\":" << stamp_commits
      << ",\"validated_commits\":" << validated_commits
      << ",\"releases\":" << releases << ",\"slow_solves\":" << slow_solves
+     << ",\"cross_region_requests\":" << cross_region_requests
      << ",\"conflict_rate\":" << util::json_number(conflict_rate())
      << ",\"queue_depth\":" << util::json_number(queue_depth)
      << ",\"workers_busy\":" << util::json_number(workers_busy)
@@ -140,7 +175,16 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"p99\":" << util::json_number(cost.p99()) << "}"
      << ",\"group_commit_batch\":{\"count\":" << group_commit_batch.count()
      << ",\"mean\":" << util::json_number(group_commit_batch.mean())
-     << ",\"max\":" << util::json_number(group_commit_batch.max()) << "}}";
+     << ",\"max\":" << util::json_number(group_commit_batch.max()) << "}"
+     << ",\"shards\":[";
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (i > 0) os << ",";
+    os << "{\"shard\":" << i << ",\"commits\":" << shards[i].commits
+       << ",\"conflicts\":" << shards[i].conflicts
+       << ",\"queue_depth\":" << util::json_number(shards[i].queue_depth)
+       << "}";
+  }
+  os << "]}";
   return os.str();
 }
 

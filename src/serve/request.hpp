@@ -53,15 +53,12 @@ struct Response {
   RequestId id = 0;
   Outcome outcome = Outcome::RejectedInfeasible;
   double cost = 0.0;           ///< objective (1); meaningful iff Accepted
-  std::uint32_t solves = 0;    ///< solver invocations (1 + retries)
+  /// Solver invocations: one per stage-one candidate tried, per attempt.
+  std::uint32_t solves = 0;
   std::uint32_t conflicts = 0; ///< commits rejected by epoch validation
-  /// Epoch the winning solve snapshotted at and the ledger epoch right
-  /// after its commit (only meaningful when Accepted).
-  std::uint64_t snapshot_epoch = 0;
-  std::uint64_t commit_epoch = 0;
-  /// True when the ledger epoch had moved past snapshot_epoch at commit
-  /// time, so the commit had to be validated; false for fast-path commits
-  /// (epoch unchanged).
+  /// True when some touched shard's epoch had moved past the snapshot at
+  /// commit time, so the commit had to be validated; false for fast-path
+  /// commits (epochs unchanged).
   bool epoch_validated = false;
   /// True when a moved epoch was reconciled by MVCC stamp validation alone
   /// (no resource in the solution's footprint changed since the snapshot,

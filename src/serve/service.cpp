@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "shard/hier.hpp"
 #include "util/log.hpp"
 
 namespace dagsfc::serve {
@@ -14,7 +17,7 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Solver RNG stream for (service seed, request, retry): splitmix64 over
+/// Solver RNG stream for (service seed, request, attempt): splitmix64 over
 /// the mixed words gives independent streams, so outcomes are a pure
 /// function of the request identity — never of worker scheduling.
 std::uint64_t solve_seed(std::uint64_t base, RequestId id,
@@ -24,43 +27,121 @@ std::uint64_t solve_seed(std::uint64_t base, RequestId id,
   return splitmix64(state);
 }
 
+/// Touched-shard set as a bitmask for the commit span's arg (regions past
+/// 63 are simply not representable — the span is a breadcrumb, the full
+/// list lives in the per-shard metrics).
+std::uint64_t shard_mask(const std::vector<shard::RegionId>& regions) {
+  std::uint64_t mask = 0;
+  for (const shard::RegionId r : regions) {
+    if (r < 64) mask |= std::uint64_t{1} << r;
+  }
+  return mask;
+}
+
+CommitClass commit_class(shard::CommitPath p) {
+  switch (p) {
+    case shard::CommitPath::kFast: return CommitClass::kFast;
+    case shard::CommitPath::kStamp: return CommitClass::kStamp;
+    case shard::CommitPath::kValidated: return CommitClass::kValidated;
+    case shard::CommitPath::kConflict: return CommitClass::kConflict;
+  }
+  return CommitClass::kConflict;
+}
+
+/// The one-region partition of a flat service's network.
+shard::RegionPartition whole_network(const net::Network& network) {
+  return shard::RegionPartition::from_labels(
+      std::vector<std::uint32_t>(network.num_nodes(), 0));
+}
+
 }  // namespace
 
 EmbeddingService::EmbeddingService(const net::Network& network,
                                    const core::Embedder& embedder,
                                    Options options)
-    : net_(&network),
+    : own_substrate_(std::make_unique<const shard::ShardedSubstrate>(
+          network, whole_network(network))),
+      substrate_(own_substrate_.get()),
       embedder_(&embedder),
+      region_paths_(1),
       opts_(options),
-      ledger_(network),
-      queue_(options.admission.queue_capacity) {
+      ledger_(*substrate_),
+      metrics_(1) {
+  start();
+}
+
+EmbeddingService::EmbeddingService(const shard::ShardedSubstrate& substrate,
+                                   const core::Embedder& inner,
+                                   std::size_t region_paths, Options options)
+    : substrate_(&substrate),
+      embedder_(&inner),
+      region_paths_(region_paths),
+      opts_(options),
+      ledger_(substrate),
+      metrics_(substrate.num_regions()) {
+  DAGSFC_CHECK(region_paths_ >= 1);
+  start();
+}
+
+void EmbeddingService::start() {
   opts_.admission.validate();
   DAGSFC_CHECK(opts_.workers >= 1);
   DAGSFC_CHECK(opts_.slow_solve_threshold.count() >= 0);
   DAGSFC_CHECK(opts_.watchdog_period.count() >= 0);
-  // Journal depth: enough to cover many full-footprint commits between a
-  // worker's syncs, so replicas replay deltas instead of recopying.
-  ledger_.enable_journal(std::max<std::size_t>(
-      4096, 32 * (network.num_links() + network.num_instances())));
+  const std::size_t regions = substrate_->num_regions();
+  const std::size_t lanes = regions * opts_.workers;
   if (opts_.tracing.enabled) {
-    spans_ = std::make_unique<util::SpanRecorder>(
-        opts_.workers, opts_.tracing.ring_capacity);
+    spans_ = std::make_unique<util::SpanRecorder>(lanes,
+                                                  opts_.tracing.ring_capacity);
     flight_ = std::make_unique<FlightRecorder>(opts_.tracing.flight_capacity);
   }
-  watch_slots_.resize(opts_.workers);
+  watch_slots_.resize(lanes);
   if (opts_.slow_solve_threshold.count() > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
-  workers_.reserve(opts_.workers);
-  for (std::size_t w = 0; w < opts_.workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+  pools_.reserve(regions);
+  for (std::size_t r = 0; r < regions; ++r) {
+    pools_.push_back(std::make_unique<Pool>(opts_.admission.queue_capacity));
+  }
+  // Pools exist before any worker starts, so worker_loop's pools_ indexing
+  // never races the construction loop.
+  for (std::size_t r = 0; r < regions; ++r) {
+    pools_[r]->workers.reserve(opts_.workers);
+    for (std::size_t w = 0; w < opts_.workers; ++w) {
+      const std::size_t lane = r * opts_.workers + w;
+      pools_[r]->workers.emplace_back([this, r, lane] {
+        worker_loop(static_cast<shard::RegionId>(r), lane);
+      });
+    }
   }
 }
 
 EmbeddingService::~EmbeddingService() { shutdown(); }
 
 std::future<Response> EmbeddingService::submit(Request req) {
+  core::EmbeddingProblem problem;
+  problem.network = &substrate_->network();
+  problem.sfc = &req.sfc;
+  problem.flow = req.flow;
+  try {
+    problem.validate();
+  } catch (const ContractViolation& e) {
+    throw std::invalid_argument("request " + std::to_string(req.id) +
+                                " is malformed: " + e.what());
+  }
+  {
+    std::lock_guard lock(flows_mu_);
+    if (!flows_.try_emplace(req.id).second) {
+      throw std::invalid_argument("request id " + std::to_string(req.id) +
+                                  " is already queued, in flight or in "
+                                  "service");
+    }
+  }
   metrics_.on_submitted();
+  const shard::RegionId home = substrate_->region_of_node(req.flow.source);
+  if (substrate_->region_of_node(req.flow.destination) != home) {
+    metrics_.on_cross_region();
+  }
   {
     std::lock_guard lock(drain_mu_);
     ++outstanding_;
@@ -69,8 +150,9 @@ std::future<Response> EmbeddingService::submit(Request req) {
   job.req = std::move(req);
   job.submitted = Clock::now();
   std::future<Response> fut = job.promise.get_future();
-  if (queue_.try_push(std::move(job))) {
-    metrics_.set_queue_depth(queue_.size());
+  Pool& pool = *pools_[home];
+  if (pool.queue.try_push(std::move(job))) {
+    metrics_.set_queue_depth(home, pool.queue.size());
   } else {
     // try_push moves from its argument only on success, so the job — and
     // the promise backing `fut` — is intact on the reject path.
@@ -83,6 +165,11 @@ std::future<Response> EmbeddingService::submit(Request req) {
 }
 
 void EmbeddingService::finish(Job&& job, Response&& resp) {
+  if (!resp.accepted()) {
+    // Only committed flows keep their flow-table entry (and so their id).
+    std::lock_guard lock(flows_mu_);
+    flows_.erase(resp.id);
+  }
   metrics_.on_response(resp);
   job.promise.set_value(std::move(resp));
   {
@@ -93,21 +180,22 @@ void EmbeddingService::finish(Job&& job, Response&& resp) {
   drain_cv_.notify_all();
 }
 
-void EmbeddingService::worker_loop(std::size_t slot) {
-  // Per-worker solver state: solves run outside the commit lock, so each
-  // worker warms its own search buffers and its ledger replica's path
-  // cache for the life of the thread.
-  WorkerState state;
+void EmbeddingService::worker_loop(shard::RegionId region, std::size_t lane) {
+  // Per-worker solver state: solves run outside every lock, so each worker
+  // warms its own search buffers and its composed view's path cache for
+  // the life of the thread.
+  WorkerState state(*substrate_);
+  Pool& pool = *pools_[region];
   const bool watched = opts_.slow_solve_threshold.count() > 0;
-  while (auto job = queue_.pop()) {
-    metrics_.set_queue_depth(queue_.size());
+  while (auto job = pool.queue.pop()) {
+    metrics_.set_queue_depth(region, pool.queue.size());
     metrics_.add_workers_busy(1.0);
-    if (watched) begin_watch(slot, job->req.id);
+    if (watched) begin_watch(lane, job->req.id);
     // This worker is the lane's single writer for the request's lifetime.
-    RequestTrace trace(spans_.get(), slot, job->req.id);
+    RequestTrace trace(spans_.get(), lane, job->req.id);
     const std::uint64_t t_submit = trace.at(job->submitted);
     Response resp = process(*job, state, trace);
-    if (watched) resp.watchdog_flagged = end_watch(slot);
+    if (watched) resp.watchdog_flagged = end_watch(lane);
     trace.outcome(resp.outcome, t_submit, trace.now(), resp.cost);
     maybe_promote(trace, resp);
     metrics_.add_workers_busy(-1.0);
@@ -138,16 +226,16 @@ void EmbeddingService::maybe_promote(const RequestTrace& trace,
   flight_->promote(std::move(ft));
 }
 
-void EmbeddingService::begin_watch(std::size_t slot, RequestId id) {
+void EmbeddingService::begin_watch(std::size_t lane, RequestId id) {
   std::lock_guard lock(watch_mu_);
-  watch_slots_[slot] =
+  watch_slots_[lane] =
       WatchSlot{id, Clock::now(), /*active=*/true, /*warned=*/false};
 }
 
-bool EmbeddingService::end_watch(std::size_t slot) {
+bool EmbeddingService::end_watch(std::size_t lane) {
   std::lock_guard lock(watch_mu_);
-  watch_slots_[slot].active = false;
-  return watch_slots_[slot].warned;
+  watch_slots_[lane].active = false;
+  return watch_slots_[lane].warned;
 }
 
 std::chrono::nanoseconds EmbeddingService::watchdog_period() const {
@@ -182,67 +270,6 @@ void EmbeddingService::watchdog_loop() {
   }
 }
 
-std::uint64_t EmbeddingService::sync_replica(WorkerState& state) {
-  std::lock_guard lock(commit_mu_);
-  if (!state.replica) {
-    state.replica = std::make_unique<net::CapacityLedger>(ledger_);
-  } else {
-    state.replica->sync_from(ledger_);
-  }
-  return state.replica->epoch();
-}
-
-void EmbeddingService::decide(PendingCommit& p) {
-  const bool moved = ledger_.epoch() != p.snapshot_epoch;
-  p.epoch_moved = moved;
-  bool admit = !moved;
-  if (!admit && ledger_.footprint_unchanged_since(
-                    p.usage.link_uses, p.usage.instance_uses,
-                    p.snapshot_epoch)) {
-    // Every resource this solution touches still carries the residual the
-    // solver saw — feasible then implies feasible now, no re-check needed.
-    admit = true;
-    p.stamp_validated = true;
-  }
-  if (!admit) {
-    admit = ledger_.can_apply(p.usage.link_uses, p.usage.instance_uses,
-                              p.rate);
-  }
-  if (admit) {
-    ledger_.apply(p.usage.link_uses, p.usage.instance_uses, p.rate);
-    p.commit_epoch = ledger_.epoch();
-    committed_.emplace(p.id, CommittedFlow{std::move(p.usage), p.rate});
-    p.status = PendingCommit::Status::kCommitted;
-  } else {
-    p.status = PendingCommit::Status::kConflict;
-  }
-}
-
-bool EmbeddingService::group_commit(PendingCommit& pc) {
-  {
-    std::lock_guard plock(pending_mu_);
-    pending_.push_back(&pc);
-  }
-  // Block until the commit mutex is ours. A leader that drained our entry
-  // in the meantime decided it before releasing the mutex, so an entry
-  // still kWaiting here is guaranteed to still be in pending_.
-  std::lock_guard lock(commit_mu_);
-  std::vector<PendingCommit*> batch;
-  {
-    std::lock_guard plock(pending_mu_);
-    if (pc.status == PendingCommit::Status::kWaiting) batch.swap(pending_);
-  }
-  if (!batch.empty()) {
-    // Leader: validate and apply the whole batch (our own entry included)
-    // in this one critical section. Entries are decided in arrival order
-    // against the evolving ledger, so overlapping solutions within a batch
-    // degrade to stamp/residual validation exactly like cross-batch ones.
-    metrics_.on_group_commit(batch.size());
-    for (PendingCommit* p : batch) decide(*p);
-  }
-  return pc.status == PendingCommit::Status::kCommitted;
-}
-
 Response EmbeddingService::process(Job& job, WorkerState& state,
                                    RequestTrace& trace) {
   const Clock::time_point dequeued = Clock::now();
@@ -258,12 +285,19 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
   }
 
   core::EmbeddingProblem problem;
-  problem.network = net_;
+  problem.network = &substrate_->network();
   problem.sfc = &job.req.sfc;
   problem.flow = job.req.flow;
   const core::ModelIndex index(problem);
   const core::Evaluator evaluator(index);
   const double rate = job.req.flow.rate;
+
+  // Stage one: deterministic candidate region sets, cheapest summary
+  // first. Computed once per request — the region graph is structural and
+  // its summaries only change on explicit repricing.
+  shard::candidate_region_sets(*substrate_, job.req.flow.source,
+                               job.req.flow.destination, region_paths_,
+                               state.candidates);
 
   const std::uint32_t max_attempts = 1 + opts_.admission.max_retries;
   for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -271,59 +305,60 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
       const auto backoff = opts_.admission.backoff_before(attempt);
       if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
     }
-
-    // Snapshot: a private, consistent view of the shared residual state
-    // plus the epoch it was taken at — the worker's persistent replica,
-    // caught up by an O(delta) journal replay that keeps its path cache
-    // warm.
-    const std::uint64_t t_solve0 = trace.now();
-    const std::uint64_t snapshot_epoch = sync_replica(state);
-
-    // Solve outside the lock — the expensive, parallel part. solve() takes
-    // the ledger const, so the replica survives for the next request.
     Rng rng(solve_seed(opts_.seed, job.req.id, attempt));
-    const core::SolveResult r =
-        embedder_->solve(index, *state.replica, rng, nullptr, &state.ws);
-    ++resp.solves;
     const std::uint16_t att = static_cast<std::uint16_t>(attempt);
-    trace.solve(att, r.ok(), t_solve0, trace.now(), snapshot_epoch,
-                r.ok() ? r.cost : 0.0);
-    if (!r.ok()) {
-      // Infeasible against a consistent snapshot: a genuine reject, not a
-      // race — retrying against an even fuller ledger cannot help.
+    bool solved_any = false;
+    for (std::size_t c = 0; c < state.candidates.size(); ++c) {
+      const std::vector<shard::RegionId>& regions = state.candidates[c];
+      // Compose the candidate's view, then solve outside every lock — the
+      // expensive, parallel part. solve() takes the view const, so it (and
+      // its path cache) survives for the next request.
+      const std::uint64_t t_solve0 = trace.now();
+      ledger_.compose(regions, state.view);
+      const core::SolveResult r =
+          embedder_->solve(index, state.view.ledger(), rng, nullptr, &state.ws);
+      ++resp.solves;
+      trace.solve(att, r.ok(), t_solve0, trace.now(), c,
+                  r.ok() ? r.cost : 0.0);
+      if (!r.ok()) continue;
+      solved_any = true;
+
+      core::ResourceUsage usage = evaluator.usage(*r.solution);
+      const std::uint64_t t_commit0 = trace.now();
+      const shard::CommitResult commit =
+          ledger_.try_commit(usage, rate, regions, state.view.epochs());
+      trace.commit(att, commit_class(commit.path), t_commit0, trace.now(),
+                   shard_mask(commit.touched));
+      metrics_.on_commit(commit);
+      if (!commit.ok) {
+        // The world changed under us and the solution no longer fits:
+        // commit conflict. Start a fresh attempt from fresh views.
+        ++resp.conflicts;
+        break;
+      }
+      {
+        std::lock_guard lock(flows_mu_);
+        Flow& flow = flows_.at(job.req.id);
+        flow.usage = std::move(usage);
+        flow.rate = rate;
+        flow.committed = true;
+        ++in_service_;
+      }
+      resp.outcome = Outcome::Accepted;
+      resp.cost = r.cost;
+      resp.epoch_validated = commit.path != shard::CommitPath::kFast;
+      resp.stamp_validated = commit.path == shard::CommitPath::kStamp;
+      resp.solve_ms = ms_between(dequeued, Clock::now());
+      return resp;
+    }
+    if (!solved_any) {
+      // Every candidate infeasible against consistent views: a genuine
+      // reject, not a race — retrying against an even fuller ledger cannot
+      // help.
       resp.outcome = Outcome::RejectedInfeasible;
       resp.solve_ms = ms_between(dequeued, Clock::now());
       return resp;
     }
-
-    core::ResourceUsage usage = evaluator.usage(*r.solution);
-
-    const std::uint64_t t_commit0 = trace.now();
-    PendingCommit pc;
-    pc.id = job.req.id;
-    pc.usage = std::move(usage);
-    pc.rate = rate;
-    pc.snapshot_epoch = snapshot_epoch;
-    if (group_commit(pc)) {
-      trace.commit(att,
-                   pc.stamp_validated ? CommitClass::kStamp
-                   : pc.epoch_moved  ? CommitClass::kValidated
-                                     : CommitClass::kFast,
-                   t_commit0, trace.now(), pc.commit_epoch);
-      resp.outcome = Outcome::Accepted;
-      resp.cost = r.cost;
-      resp.snapshot_epoch = snapshot_epoch;
-      resp.commit_epoch = pc.commit_epoch;
-      resp.epoch_validated = pc.epoch_moved;
-      resp.stamp_validated = pc.stamp_validated;
-      resp.solve_ms = ms_between(dequeued, Clock::now());
-      return resp;
-    }
-    // The world changed under us and the solution no longer fits: commit
-    // conflict. Loop back for a fresh snapshot.
-    trace.commit(att, CommitClass::kConflict, t_commit0, trace.now(),
-                 snapshot_epoch);
-    ++resp.conflicts;
   }
 
   resp.outcome = Outcome::LostConflict;
@@ -332,23 +367,23 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
 }
 
 bool EmbeddingService::release(RequestId id) {
-  CommittedFlow flow;
+  Flow flow;
   {
-    std::lock_guard lock(commit_mu_);
-    auto it = committed_.find(id);
-    if (it == committed_.end()) return false;
+    std::lock_guard lock(flows_mu_);
+    auto it = flows_.find(id);
+    if (it == flows_.end() || !it->second.committed) return false;
     flow = std::move(it->second);
-    committed_.erase(it);
-    ledger_.unapply(flow.usage.link_uses, flow.usage.instance_uses,
-                    flow.rate);
+    flows_.erase(it);
+    --in_service_;
   }
+  ledger_.release(flow.usage, flow.rate);
   metrics_.on_release();
   return true;
 }
 
 std::size_t EmbeddingService::in_service() const {
-  std::lock_guard lock(commit_mu_);
-  return committed_.size();
+  std::lock_guard lock(flows_mu_);
+  return in_service_;
 }
 
 void EmbeddingService::drain() {
@@ -359,9 +394,11 @@ void EmbeddingService::drain() {
 void EmbeddingService::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  queue_.close();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
+  for (auto& pool : pools_) pool->queue.close();
+  for (auto& pool : pools_) {
+    for (std::thread& t : pool->workers) {
+      if (t.joinable()) t.join();
+    }
   }
   {
     std::lock_guard lock(watch_mu_);
@@ -372,13 +409,9 @@ void EmbeddingService::shutdown() {
 }
 
 net::CapacityLedger EmbeddingService::ledger_snapshot() const {
-  std::lock_guard lock(commit_mu_);
-  return ledger_;
+  return ledger_.residuals();
 }
 
-std::uint64_t EmbeddingService::epoch() const {
-  std::lock_guard lock(commit_mu_);
-  return ledger_.epoch();
-}
+std::uint64_t EmbeddingService::epoch() const { return ledger_.epoch(); }
 
 }  // namespace dagsfc::serve

@@ -1,49 +1,60 @@
 #pragma once
 /// \file service.hpp
-/// The concurrent online embedding service.
+/// The concurrent online embedding service — one serving core for a flat
+/// network and for a sharded substrate alike.
 ///
-/// Lifecycle of a request (snapshot → solve → validate → commit):
+/// The commit domain is always a shard::ShardedLedger, one shard per region
+/// of a shard::ShardedSubstrate. A sharded service runs HIER's pipeline:
+/// its stage-one candidates are up to region_paths region sets, and its
+/// embedder is HIER's inner solver. A flat service (built from a Network)
+/// is the one-region case: it builds a one-region substrate over its
+/// network, and every request's only candidate is that region.
 ///
-///   1. submit() stamps the request, tries the bounded MPMC queue, and
-///      returns a future; a full queue resolves it immediately as
-///      RejectedQueueFull.
+/// Lifecycle of a request (route → compose → solve → commit):
+///
+///   1. submit() validates the request, routes it to the *home region* of
+///      its flow's source and tries that region's bounded MPMC queue; a
+///      full queue resolves the returned future at once as
+///      RejectedQueueFull. Each region has its own pool of
+///      Options::workers threads.
 ///   2. A worker dequeues, sheds the request if its deadline already
-///      passed, then *snapshots* the shared CapacityLedger: it catches its
-///      persistent ledger *replica* up under the commit mutex with
-///      CapacityLedger::sync_from — an O(delta) journal replay instead of
-///      an O(E+V) copy, which also keeps the replica's path cache warm
-///      across requests (only entries whose footprint a committed mutation
-///      flipped are evicted) — and notes the ledger's epoch().
-///   3. The embedder solves against the replica, completely outside the
-///      lock — this is where the milliseconds go, and why workers scale.
-///   4. Commit, with validation against the live ledger:
-///        - epoch unchanged → the residuals the solver saw are the live
-///          residuals; apply directly (fast commit).
-///        - epoch moved, but no resource in the solution's footprint
-///          changed since the snapshot (per-resource version stamps,
-///          footprint_unchanged_since) → the residuals the solver saw are
-///          still live; apply directly (stamp-validated commit).
-///        - footprint overlap → re-check the solution against the live
-///          residuals (CapacityLedger::can_apply). Still fits → apply
-///          (validated commit). Doesn't fit → commit conflict: drop the
-///          solution, back off, and re-solve from a fresh snapshot, up to
+///      passed, and computes the stage-one candidates (cheapest summary
+///      first).
+///   3. Per attempt, per candidate: ShardedLedger::compose brings the
+///      worker's private ComposedView up to the live residuals of exactly
+///      the candidate's regions (off-path regions read as exhausted) —
+///      incrementally, copying only what changed, so the view's path cache
+///      stays warm across requests — and the embedder solves against it,
+///      outside every lock. The first feasible solve goes to commit.
+///   4. Commit: ShardedLedger::try_commit locks only the shards owning the
+///      footprint (ascending region order) and validates per shard:
+///        - no shard epoch moved since compose → apply (fast commit);
+///        - epochs moved but no footprint resource changed (per-resource
+///          stamps) → the residuals the solver saw are still live; apply
+///          (stamp-validated commit);
+///        - footprint changed → re-check against the live residuals; still
+///          fits → apply (validated commit). Doesn't fit → commit conflict:
+///          drop the solution, back off, and start a fresh attempt, up to
 ///          AdmissionPolicy::max_retries times before the request counts
 ///          as LostConflict.
-///   5. Accepted flows land in the committed-flow table; release(id)
-///      (a departure) credits their exact usage back to the ledger.
+///      When no candidate of an attempt is feasible the request is
+///      RejectedInfeasible — the views were consistent, so retrying against
+///      an even fuller ledger cannot help.
+///   5. Accepted flows stay in the flow table; release(id) (a departure)
+///      credits their exact usage back to the owning shards.
 ///
 /// The service never locks the ledger around a solve, so solutions are
 /// optimistic by construction; validation at commit is what keeps the
-/// ledger's no-oversubscription invariant exact under concurrency.
+/// no-oversubscription invariant exact under concurrency. Requests whose
+/// footprints live in disjoint regions commit on disjoint shards and never
+/// serialize against each other. Across candidates the service is
+/// *first-feasible* (latency over optimality); the standalone
+/// shard::HierarchicalEmbedder is best-of-k.
 ///
-/// ## Group commit
-///
-/// Workers publish their solutions to a pending list and the first one
-/// through the commit mutex becomes the *leader*, validating and applying
-/// the whole batch in one critical section while the followers wait at the
-/// mutex. A follower finding its entry already decided simply returns;
-/// statuses are always decided before the deciding leader releases the
-/// mutex, so no condition variable is needed and every request terminates.
+/// Determinism: solver RNG streams are a pure function of (seed, request
+/// id, attempt) and candidate order is deterministic, so under the
+/// closed-loop driver (one request in flight) every counter — per-shard
+/// ones included — is bit-identical across worker counts.
 
 #include <chrono>
 #include <condition_variable>
@@ -56,12 +67,13 @@
 #include <vector>
 
 #include "core/embedder.hpp"
-#include "net/ledger.hpp"
 #include "serve/admission.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/trace.hpp"
+#include "shard/ledger.hpp"
+#include "shard/substrate.hpp"
 #include "util/span_recorder.hpp"
 
 namespace dagsfc::serve {
@@ -69,11 +81,13 @@ namespace dagsfc::serve {
 class EmbeddingService {
  public:
   struct Options {
+    /// Worker threads per region (a flat service has one region).
     std::size_t workers = 1;
+    /// queue_capacity is per region.
     AdmissionPolicy admission;
     /// Base seed of the per-request solver RNG streams: request id and
-    /// retry number are mixed in, so results depend on (seed, id, retry)
-    /// and never on which worker picked the job up.
+    /// attempt number are mixed in, so results depend on (seed, id,
+    /// attempt) and never on which worker picked the job up.
     std::uint64_t seed = 0x5eedbeefULL;
     /// Slow-solve watchdog: when nonzero, a monitor thread samples the ages
     /// of in-flight requests and logs a one-time structured warning (and
@@ -84,33 +98,44 @@ class EmbeddingService {
     /// clamped to [1ms, 250ms].
     std::chrono::nanoseconds watchdog_period{0};
     /// Request-lifecycle tracing (serve/trace.hpp): when enabled, every
-    /// request gets queue-wait / per-attempt solve / per-attempt commit /
-    /// outcome spans in a per-worker ring, and trigger-matching requests
-    /// are promoted to the flight recorder. Observation only — solve
-    /// results and outcome counters are bit-identical with tracing on or
-    /// off. Note queue-full rejects resolve on the submit path and never
+    /// request gets queue-wait / per-candidate solve / per-attempt commit /
+    /// outcome spans in a ring lane per worker, and trigger-matching
+    /// requests are promoted to the flight recorder. Observation only —
+    /// solve results and outcome counters are bit-identical with tracing
+    /// on or off. Queue-full rejects resolve on the submit path and never
     /// reach a worker lane, so they are counted but not traced.
     TracingOptions tracing;
   };
 
+  /// Flat service: one region spanning \p network, solved by \p embedder.
   /// The network and embedder must outlive the service. The embedder must
   /// be safe for concurrent solve() calls (all library embedders are —
-  /// they are stateless; the Monte-Carlo runner already shares them across
-  /// threads).
+  /// they are stateless).
   EmbeddingService(const net::Network& network, const core::Embedder& embedder,
+                   Options options);
+  /// Sharded service: one worker pool and ledger shard per region of
+  /// \p substrate, HIER stage one with up to \p region_paths candidates,
+  /// and \p inner solving each candidate's composed view. The substrate
+  /// and the solver must outlive the service.
+  EmbeddingService(const shard::ShardedSubstrate& substrate,
+                   const core::Embedder& inner, std::size_t region_paths,
                    Options options);
   ~EmbeddingService();
 
   EmbeddingService(const EmbeddingService&) = delete;
   EmbeddingService& operator=(const EmbeddingService&) = delete;
 
-  /// Hands the request to the worker pool. Always returns a valid future;
-  /// queue-full rejections resolve it immediately.
+  /// Hands the request to its home region's pool. Always returns a valid
+  /// future; queue-full rejections resolve it immediately. Throws
+  /// std::invalid_argument, before anything is counted, for a request the
+  /// solver model would reject (an endpoint that is not a node, a
+  /// non-positive rate or size, an SFC naming unknown types) and for an id
+  /// that is already queued, in flight or in service.
   [[nodiscard]] std::future<Response> submit(Request req);
 
   /// Departure: credits the committed flow's exact resource usage back to
-  /// the ledger (bumping the epoch). Returns false for ids that are not in
-  /// service (never accepted, or already released).
+  /// the ledger. Returns false for ids that are not in service (never
+  /// accepted, or already released).
   bool release(RequestId id);
 
   /// Flows currently holding resources.
@@ -120,7 +145,7 @@ class EmbeddingService {
   /// during a drain are allowed and also waited for.
   void drain();
 
-  /// Closes the queue and joins the workers; queued requests are still
+  /// Closes every queue and joins the workers; queued requests are still
   /// served. Idempotent; the destructor calls it.
   void shutdown();
 
@@ -137,18 +162,29 @@ class EmbeddingService {
     return metrics_.registry();
   }
 
-  /// Consistent copy of the shared ledger (taken under the commit mutex).
+  /// The live residuals of every resource, bit for bit (see
+  /// shard::ShardedLedger::residuals).
   [[nodiscard]] net::CapacityLedger ledger_snapshot() const;
+  /// Resource mutations applied so far (ShardedLedger::epoch).
   [[nodiscard]] std::uint64_t epoch() const;
 
-  [[nodiscard]] const net::Network& network() const noexcept { return *net_; }
+  [[nodiscard]] const net::Network& network() const noexcept {
+    return substrate_->network();
+  }
+  [[nodiscard]] const shard::ShardedSubstrate& substrate() const noexcept {
+    return *substrate_;
+  }
+  [[nodiscard]] const shard::ShardedLedger& ledger() const noexcept {
+    return ledger_;
+  }
   [[nodiscard]] const Options& options() const noexcept { return opts_; }
 
   /// Tail-sampled trace store; null unless Options::tracing.enabled.
   [[nodiscard]] const FlightRecorder* flight_recorder() const noexcept {
     return flight_.get();
   }
-  /// The always-on span ring; null unless Options::tracing.enabled.
+  /// The always-on span ring, one lane per worker (region * workers +
+  /// worker); null unless Options::tracing.enabled.
   [[nodiscard]] const util::SpanRecorder* span_recorder() const noexcept {
     return spans_.get();
   }
@@ -160,37 +196,32 @@ class EmbeddingService {
     Clock::time_point submitted{};
   };
 
-  struct CommittedFlow {
+  /// Flow-table entry: one per id that is queued, in flight or in service;
+  /// the usage is filled in when the request commits.
+  struct Flow {
     core::ResourceUsage usage;
     double rate = 0.0;
+    bool committed = false;
   };
 
-  /// Long-lived per-worker solver state: the warm search workspace and the
-  /// ledger replica whose path cache survives across requests.
+  /// Long-lived per-worker solver state: the warm search workspace, the
+  /// composed view whose path cache survives across requests, and the
+  /// stage-one candidate buffers.
   struct WorkerState {
+    explicit WorkerState(const shard::ShardedSubstrate& substrate)
+        : view(substrate) {}
     graph::SearchWorkspace ws;
-    std::unique_ptr<net::CapacityLedger> replica;
+    shard::ComposedView view;
+    std::vector<std::vector<shard::RegionId>> candidates;
   };
 
-  /// One solution queued for group commit. Lives on the submitting
-  /// worker's stack; the worker blocks on commit_mu_ until some leader
-  /// (possibly itself) has decided it, so the pointer in pending_ never
-  /// dangles.
-  struct PendingCommit {
-    enum class Status : std::uint8_t { kWaiting, kCommitted, kConflict };
-    RequestId id = 0;
-    core::ResourceUsage usage;
-    double rate = 0.0;
-    std::uint64_t snapshot_epoch = 0;
-    // Decided by the leader, read by the owner after it acquires
-    // commit_mu_ (the leader wrote while holding it — no race).
-    Status status = Status::kWaiting;
-    std::uint64_t commit_epoch = 0;
-    bool epoch_moved = false;
-    bool stamp_validated = false;
+  struct Pool {
+    explicit Pool(std::size_t queue_capacity) : queue(queue_capacity) {}
+    BoundedQueue<Job> queue;
+    std::vector<std::thread> workers;
   };
 
-  /// One in-flight request per worker, watched by the monitor thread.
+  /// One in-flight request per worker lane, watched by the monitor thread.
   struct WatchSlot {
     RequestId id = 0;
     Clock::time_point started{};
@@ -198,7 +229,11 @@ class EmbeddingService {
     bool warned = false;  ///< one-time: a slow request warns exactly once
   };
 
-  void worker_loop(std::size_t slot);
+  /// Shared tail of both constructors: validates options, builds the
+  /// tracing plane, the pools and the watchdog, and starts the workers.
+  void start();
+  /// \p lane is the worker's global lane: region * workers + worker.
+  void worker_loop(shard::RegionId region, std::size_t lane);
   [[nodiscard]] Response process(Job& job, WorkerState& state,
                                  RequestTrace& trace);
   void finish(Job&& job, Response&& resp);
@@ -206,40 +241,27 @@ class EmbeddingService {
   /// matches a TracingOptions trigger.
   void maybe_promote(const RequestTrace& trace, const Response& resp);
 
-  /// Snapshot: catches state.replica up to the shared ledger under
-  /// commit_mu_ and returns the snapshot epoch.
-  [[nodiscard]] std::uint64_t sync_replica(WorkerState& state);
-  /// Queues \p pc and waits through commit_mu_ until it is decided —
-  /// becoming the batch leader if it arrives undecided. Returns true iff
-  /// committed.
-  bool group_commit(PendingCommit& pc);
-  /// Leader-side validate+apply of one pending commit. commit_mu_ held.
-  void decide(PendingCommit& pc);
-
-  void begin_watch(std::size_t slot, RequestId id);
-  /// Deactivates the slot; returns true iff the watchdog warned on the
-  /// request that just finished (the watchdog-fire tail-sampling trigger).
-  bool end_watch(std::size_t slot);
+  void begin_watch(std::size_t lane, RequestId id);
+  /// Deactivates the lane's slot; returns true iff the watchdog warned on
+  /// the request that just finished (the watchdog tail-sampling trigger).
+  bool end_watch(std::size_t lane);
   void watchdog_loop();
   [[nodiscard]] std::chrono::nanoseconds watchdog_period() const;
 
-  const net::Network* net_;
+  /// The flat service's one-region substrate (null for a sharded one).
+  std::unique_ptr<const shard::ShardedSubstrate> own_substrate_;
+  const shard::ShardedSubstrate* substrate_;
   const core::Embedder* embedder_;
+  std::size_t region_paths_;
   Options opts_;
 
-  /// Guards ledger_ and committed_ (commits, releases, snapshots).
-  mutable std::mutex commit_mu_;
-  net::CapacityLedger ledger_;
-  std::unordered_map<RequestId, CommittedFlow> committed_;
-
-  /// Group-commit intake. Lock order: commit_mu_ before pending_mu_ when
-  /// both are needed; publishing holds only pending_mu_. Never acquire
-  /// commit_mu_ while holding pending_mu_.
-  std::mutex pending_mu_;
-  std::vector<PendingCommit*> pending_;
-
-  BoundedQueue<Job> queue_;
+  shard::ShardedLedger ledger_;
   ServiceMetrics metrics_;
+
+  /// Guards flows_ and in_service_.
+  mutable std::mutex flows_mu_;
+  std::unordered_map<RequestId, Flow> flows_;
+  std::size_t in_service_ = 0;  ///< committed entries of flows_
 
   /// Tracing plane (null when Options::tracing.enabled is false): one ring
   /// lane per worker, plus the tail-sampled flight recorder.
@@ -251,15 +273,16 @@ class EmbeddingService {
   std::condition_variable drain_cv_;
   std::size_t outstanding_ = 0;
 
-  /// Watchdog state: one slot per worker plus the monitor thread. Guarded
-  /// by watch_mu_; the monitor wakes every watchdog_period() or on stop.
+  /// Watchdog state: one slot per worker lane plus the monitor thread.
+  /// Guarded by watch_mu_; the monitor wakes every watchdog_period() or
+  /// on stop.
   mutable std::mutex watch_mu_;
   std::condition_variable watch_cv_;
   std::vector<WatchSlot> watch_slots_;
   bool watch_stop_ = false;
   std::thread watchdog_;
 
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Pool>> pools_;  ///< one per region
   bool shut_down_ = false;
 };
 

@@ -1,6 +1,6 @@
 #pragma once
 /// \file serve/trace.hpp
-/// Request-lifecycle tracing for the serve/shard plane: the span vocabulary
+/// Request-lifecycle tracing for the serving plane: the span vocabulary
 /// (queue wait, solve attempt, commit attempt, outcome), the per-request
 /// RequestTrace context worker threads thread through processing, and the
 /// tail-sampled FlightRecorder that retains only the traces worth keeping.
@@ -38,8 +38,8 @@ namespace dagsfc::serve {
 /// Span vocabulary carried in util::SpanRecord::kind.
 enum class SpanKind : std::uint8_t {
   kQueueWait = 1,  ///< submit → dequeue; arg unused
-  kSolve = 2,      ///< one solver attempt; detail = feasible, arg = snapshot epoch
-  kCommit = 3,     ///< one commit attempt; detail = CommitClass, arg = epoch / shard mask
+  kSolve = 2,      ///< one solve; detail = feasible, arg = candidate index
+  kCommit = 3,     ///< one commit attempt; detail = CommitClass, arg = shard mask
   kOutcome = 4,    ///< whole request; detail = Outcome, value = cost
 };
 
@@ -53,8 +53,7 @@ enum class SpanKind : std::uint8_t {
   return "unknown";
 }
 
-/// How one commit attempt resolved — the serve-plane MVCC pipeline and the
-/// shard ledger both classify into this set (shard::CommitPath maps 1:1).
+/// How one commit attempt resolved — shard::CommitPath, one to one.
 enum class CommitClass : std::uint8_t {
   kFast = 0,       ///< epoch unmoved; committed without validation
   kStamp = 1,      ///< epoch moved; footprint stamps proved residuals live
@@ -83,8 +82,7 @@ enum TraceTrigger : std::uint8_t {
 /// "latency,lost_conflict" — sorted by bit, empty string for 0.
 [[nodiscard]] std::string trigger_names(std::uint8_t triggers);
 
-/// Knobs threaded through serve::EmbeddingService::Options and
-/// shard::ShardedEmbeddingService::Options.
+/// Knobs threaded through serve::EmbeddingService::Options.
 struct TracingOptions {
   bool enabled = false;
   /// Span records per worker lane — the ring holds the most recent
@@ -145,10 +143,8 @@ class RequestTrace {
     add(SpanKind::kQueueWait, 0, 0, t0, t1, 0, 0.0);
   }
   void solve(std::uint16_t attempt, bool feasible, std::uint64_t t0,
-             std::uint64_t t1, std::uint64_t snapshot_epoch,
-             double cost) noexcept {
-    add(SpanKind::kSolve, attempt, feasible ? 1 : 0, t0, t1, snapshot_epoch,
-        cost);
+             std::uint64_t t1, std::uint64_t candidate, double cost) noexcept {
+    add(SpanKind::kSolve, attempt, feasible ? 1 : 0, t0, t1, candidate, cost);
   }
   void commit(std::uint16_t attempt, CommitClass cls, std::uint64_t t0,
               std::uint64_t t1, std::uint64_t arg) noexcept {

@@ -36,11 +36,13 @@ void DagSfc::validate(const VnfCatalog& catalog) const {
   DAGSFC_CHECK_MSG(!layers_.empty(), "DAG-SFC has no layers");
   for (const Layer& l : layers_) {
     DAGSFC_CHECK_MSG(!l.vnfs.empty(), "empty layer");
-    std::set<VnfTypeId> seen;
-    for (VnfTypeId t : l.vnfs) {
-      DAGSFC_CHECK_MSG(catalog.is_regular(t),
+    // Parallel sets are a few VNFs wide: a scan of the earlier entries finds
+    // duplicates without allocating (the serving plane validates every
+    // submitted request).
+    for (auto it = l.vnfs.begin(); it != l.vnfs.end(); ++it) {
+      DAGSFC_CHECK_MSG(catalog.is_regular(*it),
                        "layers may only contain regular VNF categories");
-      DAGSFC_CHECK_MSG(seen.insert(t).second,
+      DAGSFC_CHECK_MSG(std::find(l.vnfs.begin(), it, *it) == it,
                        "duplicate VNF type inside one parallel set");
     }
   }

@@ -29,6 +29,23 @@ std::unique_ptr<core::Embedder> make_inner_embedder(InnerAlgorithm algorithm) {
   return nullptr;
 }
 
+void candidate_region_sets(const ShardedSubstrate& substrate, NodeId src,
+                           NodeId dst, std::size_t k,
+                           std::vector<std::vector<RegionId>>& out) {
+  const RegionId from = substrate.region_of_node(src);
+  if (from == substrate.region_of_node(dst)) {
+    out.resize(1);
+    out[0].assign(1, from);
+    return;
+  }
+  const auto paths = substrate.region_paths(src, dst, k);
+  out.resize(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    out[i] = paths[i];
+    std::sort(out[i].begin(), out[i].end());
+  }
+}
+
 void restrict_to_regions(const ShardedSubstrate& substrate,
                          std::span<const RegionId> regions,
                          net::CapacityLedger& ledger) {
@@ -66,8 +83,9 @@ core::SolveResult HierarchicalEmbedder::do_solve(
   const core::Flow& flow = index.problem().flow;
 
   // Stage one: candidate region sets, cheapest summary first.
-  const auto candidates = substrate_->region_paths(
-      flow.source, flow.destination, opts_.region_paths);
+  std::vector<std::vector<RegionId>> candidates;
+  candidate_region_sets(*substrate_, flow.source, flow.destination,
+                        opts_.region_paths, candidates);
 
   core::SolveResult best;
   best.failure_reason = candidates.empty()
@@ -77,11 +95,7 @@ core::SolveResult HierarchicalEmbedder::do_solve(
   // Stage two: solve inside each candidate's restricted view; keep the
   // cheapest admission. Effort counters aggregate across every inner
   // attempt — HIER's reported work is the work it actually did.
-  for (const auto& path : candidates) {
-    std::vector<RegionId> regions(path.begin(), path.end());
-    std::sort(regions.begin(), regions.end());
-    regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
-
+  for (const std::vector<RegionId>& regions : candidates) {
     net::CapacityLedger restricted(ledger);
     restrict_to_regions(*substrate_, regions, restricted);
     core::SolveResult attempt =

@@ -27,6 +27,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/embedder.hpp"
 #include "shard/substrate.hpp"
@@ -62,10 +63,19 @@ struct HierOptions {
   bool flat_fallback = false;
 };
 
+/// Stage one: up to \p k candidate region sets for a src→dst flow, cheapest
+/// summary first (ShardedSubstrate::region_paths), each sorted ascending.
+/// Region paths are loopless, so every set is duplicate-free. Written into
+/// \p out, whose buffers are reused; empty when the endpoints' regions are
+/// disconnected. Shared by this embedder and the serving plane.
+void candidate_region_sets(const ShardedSubstrate& substrate, NodeId src,
+                           NodeId dst, std::size_t k,
+                           std::vector<std::vector<RegionId>>& out);
+
 /// Zeroes, in place, the residual of every resource owned by a region
-/// outside \p regions (sorted ascending). The shard layer's restriction
-/// primitive, shared by this embedder (on ledger copies) and by
-/// ShardedLedger::compose (on scratch views).
+/// outside \p regions (sorted ascending) — this embedder's restriction of
+/// a ledger copy; the serving plane's ShardedLedger::compose zeroes its
+/// views the same way.
 void restrict_to_regions(const ShardedSubstrate& substrate,
                          std::span<const RegionId> regions,
                          net::CapacityLedger& ledger);

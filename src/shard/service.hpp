@@ -1,186 +1,61 @@
 #pragma once
 /// \file service.hpp
-/// ShardedEmbeddingService — the online embedding service over a sharded
-/// substrate, one worker pool per shard.
+/// The sharded serving plane's former entry point, kept as a constructor
+/// adapter: a ShardedEmbeddingService *is* the one serve::EmbeddingService,
+/// built over a substrate from the former option set, with the inner
+/// solver HierOptions::inner names. New code constructs
+/// serve::EmbeddingService(substrate, inner, region_paths, options)
+/// directly.
 ///
-/// Requests are routed to the *home shard* of their flow's source node and
-/// queue on that shard's own bounded queue. A worker serving the home
-/// shard runs the hierarchical pipeline per request:
-///
-///   1. Stage one: candidate region sequences between the source and
-///      destination regions on the contracted region graph (cheapest
-///      summary first).
-///   2. Per candidate: compose a restricted snapshot of exactly the
-///      candidate's shards into the worker's scratch ledger
-///      (ShardedLedger::compose — off-path regions read as exhausted), and
-///      run the flat inner embedder on it. The solve touches no locks.
-///   3. First feasible solve wins: commit it via ShardedLedger::try_commit,
-///      which locks only the shards owning the footprint (ascending region
-///      order) and revalidates per shard — fast / stamp / validated, the
-///      MVCC classification of the flat serve plane, per shard. A conflict
-///      sends the request back to step 2 with fresh snapshots, up to
-///      AdmissionPolicy::max_retries times.
-///
-/// Requests whose region paths are disjoint commit on disjoint shard sets
-/// and never serialize against each other — that is the scaling story the
-/// shard_scaling bench measures. The service is *first-feasible* across
-/// candidates (latency over optimality); the standalone
-/// HierarchicalEmbedder is best-of-k (cost over latency) — the two share
-/// stage one and the restriction machinery but deliberately not the
-/// selection rule.
-///
-/// Determinism: solver RNG streams are a pure function of (service seed,
-/// request id, attempt) and candidate order is deterministic, so under the
-/// closed-loop driver (one request in flight) every counter — per-shard
-/// commits included — is bit-identical across workers_per_shard.
+/// Header-only on purpose: the shard library sits below the serve library
+/// (serve's commit domain is shard::ShardedLedger), so this adapter needs
+/// dagsfc::serve at link time, like any other serve::EmbeddingService user.
 
-#include <condition_variable>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
-#include "core/embedder.hpp"
-#include "serve/admission.hpp"
-#include "serve/queue.hpp"
-#include "serve/request.hpp"
-#include "serve/trace.hpp"
+#include "serve/service.hpp"
 #include "shard/hier.hpp"
-#include "shard/ledger.hpp"
-#include "shard/metrics.hpp"
-#include "util/span_recorder.hpp"
 
 namespace dagsfc::shard {
 
-class ShardedEmbeddingService {
+using ShardMetricsSnapshot = serve::MetricsSnapshot;
+
+namespace detail {
+/// Owns the adapter's inner solver. A base listed before
+/// serve::EmbeddingService, so the solver is built before the service
+/// starts its workers and destroyed after it joins them.
+struct InnerSolver {
+  std::unique_ptr<const core::Embedder> inner;
+};
+}  // namespace detail
+
+class ShardedEmbeddingService : private detail::InnerSolver,
+                                public serve::EmbeddingService {
  public:
   struct Options {
     std::size_t workers_per_shard = 1;
     serve::AdmissionPolicy admission;  ///< queue_capacity is per shard
     HierOptions hier;                  ///< region_paths + inner algorithm
-    /// Base seed of the per-request solver RNG streams (same mixing rule
-    /// as the flat service: (seed, id, attempt), worker-independent).
     std::uint64_t seed = 0x5eedbeefULL;
-    /// Request-lifecycle tracing (serve/trace.hpp), shared with the flat
-    /// plane: one ring lane per (shard, worker), commit spans carrying the
-    /// touched-shard set as a bitmask, triggered traces promoted to the
-    /// flight recorder. Observation only — outcomes are unchanged.
     serve::TracingOptions tracing;
   };
 
   /// The substrate must outlive the service.
-  ShardedEmbeddingService(const ShardedSubstrate& substrate, Options options);
-  ~ShardedEmbeddingService();
-
-  ShardedEmbeddingService(const ShardedEmbeddingService&) = delete;
-  ShardedEmbeddingService& operator=(const ShardedEmbeddingService&) = delete;
-
-  /// Routes the request to its home shard's pool. Always returns a valid
-  /// future; queue-full rejections resolve it immediately.
-  [[nodiscard]] std::future<serve::Response> submit(serve::Request req);
-
-  /// Departure: credits the flow's usage back to its owning shards.
-  bool release(serve::RequestId id);
-
-  [[nodiscard]] std::size_t in_service() const;
-
-  /// Blocks until every submitted request has a response.
-  void drain();
-
-  /// Closes every queue and joins all pools; queued requests are still
-  /// served. Idempotent; the destructor calls it.
-  void shutdown();
-
-  [[nodiscard]] ShardMetricsSnapshot metrics() const {
-    return metrics_.snapshot();
-  }
-  /// The registry behind /metrics — per-service, like the flat plane.
-  [[nodiscard]] const util::MetricRegistry& metrics_registry() const noexcept {
-    return metrics_.registry();
-  }
-  /// Mutable access, so callers can register extra instruments (e.g.
-  /// util::ProcessMetrics) on the same registry the endpoint scrapes.
-  [[nodiscard]] util::MetricRegistry& metrics_registry() noexcept {
-    return metrics_.registry();
-  }
-
-  [[nodiscard]] const ShardedSubstrate& substrate() const noexcept {
-    return *substrate_;
-  }
-  [[nodiscard]] const ShardedLedger& ledger() const noexcept {
-    return ledger_;
-  }
-  [[nodiscard]] const Options& options() const noexcept { return opts_; }
-
-  /// Tail-sampled trace store; null unless Options::tracing.enabled.
-  [[nodiscard]] const serve::FlightRecorder* flight_recorder() const noexcept {
-    return flight_.get();
-  }
-  /// The always-on span ring; null unless Options::tracing.enabled.
-  [[nodiscard]] const util::SpanRecorder* span_recorder() const noexcept {
-    return spans_.get();
-  }
+  ShardedEmbeddingService(const ShardedSubstrate& substrate,
+                          const Options& options)
+      : detail::InnerSolver{make_inner_embedder(options.hier.inner)},
+        serve::EmbeddingService(substrate, *inner, options.hier.region_paths,
+                                service_options(options)) {}
 
  private:
-  struct Job {
-    serve::Request req;
-    std::promise<serve::Response> promise;
-    serve::Clock::time_point submitted{};
-  };
-
-  struct CommittedFlow {
-    core::ResourceUsage usage;
-    double rate = 0.0;
-  };
-
-  /// Long-lived per-worker solver state: warm search buffers plus the
-  /// scratch ledger compose() overwrites per candidate (its path cache
-  /// survives across requests — unchanged regions rewrite bitwise-equal
-  /// residuals, which set_*_residual turns into no-ops).
-  struct WorkerState {
-    graph::SearchWorkspace ws;
-    std::unique_ptr<net::CapacityLedger> scratch;
-    std::vector<std::uint64_t> epochs;
-  };
-
-  struct ShardPool {
-    explicit ShardPool(std::size_t queue_capacity) : queue(queue_capacity) {}
-    serve::BoundedQueue<Job> queue;
-    std::vector<std::thread> workers;
-  };
-
-  /// \p lane is the worker's global SpanRecorder lane:
-  /// shard * workers_per_shard + worker.
-  void worker_loop(RegionId shard, std::size_t lane);
-  [[nodiscard]] serve::Response process(Job& job, WorkerState& state,
-                                        serve::RequestTrace& trace);
-  void finish(Job&& job, serve::Response&& resp);
-  /// Tail sampling: promotes \p trace iff \p resp matches a trigger.
-  void maybe_promote(const serve::RequestTrace& trace,
-                     const serve::Response& resp);
-
-  const ShardedSubstrate* substrate_;
-  Options opts_;
-  std::unique_ptr<core::Embedder> inner_;
-  ShardedLedger ledger_;
-  ShardMetrics metrics_;
-
-  /// Tracing plane (null when Options::tracing.enabled is false): one ring
-  /// lane per (shard, worker), one shared flight recorder.
-  std::unique_ptr<util::SpanRecorder> spans_;
-  std::unique_ptr<serve::FlightRecorder> flight_;
-
-  mutable std::mutex flows_mu_;
-  std::unordered_map<serve::RequestId, CommittedFlow> flows_;
-
-  mutable std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  std::size_t outstanding_ = 0;
-
-  std::vector<std::unique_ptr<ShardPool>> pools_;
-  bool shut_down_ = false;
+  static serve::EmbeddingService::Options service_options(const Options& o) {
+    serve::EmbeddingService::Options s;
+    s.workers = o.workers_per_shard;
+    s.admission = o.admission;
+    s.seed = o.seed;
+    s.tracing = o.tracing;
+    return s;
+  }
 };
 
 }  // namespace dagsfc::shard

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <limits>
 
-#include "graph/dijkstra.hpp"
 #include "graph/yen.hpp"
 
 namespace dagsfc::shard {
 
 ShardedSubstrate::ShardedSubstrate(const net::Network& network,
-                                   RegionPartition partition, SummaryMode mode)
-    : net_(&network), partition_(std::move(partition)), mode_(mode) {
+                                   RegionPartition partition)
+    : net_(&network), partition_(std::move(partition)) {
   partition_.validate(network.topology());
   const std::size_t k = partition_.num_regions();
   const graph::Graph& g = network.topology();
@@ -33,20 +32,6 @@ ShardedSubstrate::ShardedSubstrate(const net::Network& network,
     const RegionId r = partition_.region(network.instance(id).node);
     instance_owner_[id] = r;
     region_instances_[r].push_back(id);
-  }
-
-  // Border node lists (ascending, deduped) for the kBorderDistance
-  // summaries; structural, so built once here.
-  region_border_nodes_.resize(k);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!border_link_[e]) continue;
-    const graph::Edge& edge = g.edge(e);
-    region_border_nodes_[partition_.region(edge.u)].push_back(edge.u);
-    region_border_nodes_[partition_.region(edge.v)].push_back(edge.v);
-  }
-  for (auto& nodes : region_border_nodes_) {
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   }
 
   // Region-graph topology: scan border links once, one arc per adjacent
@@ -96,43 +81,6 @@ void ShardedSubstrate::refresh_summaries() {
   for (RegionId r = 0; r < k; ++r) {
     if (intra_count[r] > 0) {
       transit_price_[r] /= static_cast<double>(intra_count[r]);
-    }
-  }
-
-  // kBorderDistance: replace the per-link average with the mean
-  // border-to-border shortest-path distance inside the region — one flat
-  // search over its intra links per border node, read at the border nodes
-  // after it. Regions where the measure is undefined (fewer than two border
-  // nodes, or border pairs the intra links don't connect) keep the
-  // mean-price value computed above.
-  if (mode_ == SummaryMode::kBorderDistance) {
-    const graph::Graph& g = net_->topology();
-    for (RegionId r = 0; r < k; ++r) {
-      const std::vector<NodeId>& borders = region_border_nodes_[r];
-      if (borders.size() < 2) continue;
-      summary_mask_.assign(g.num_edges(), false);
-      for (const EdgeId e : region_links_[r]) {
-        if (!border_link_[e]) summary_mask_.set(e);
-      }
-      const graph::EdgeMask mask = summary_mask_.view();
-      double sum = 0.0;
-      std::size_t pairs = 0;
-      bool connected = true;
-      for (std::size_t i = 0; i + 1 < borders.size() && connected; ++i) {
-        graph::dijkstra_into(g, borders[i], summary_ws_, &mask);
-        for (std::size_t j = i + 1; j < borders.size(); ++j) {
-          const double d = summary_ws_.dist(borders[j]);
-          if (d == graph::kInfCost) {
-            connected = false;
-            break;
-          }
-          sum += d;
-          ++pairs;
-        }
-      }
-      if (connected && pairs > 0) {
-        transit_price_[r] = sum / static_cast<double>(pairs);
-      }
     }
   }
 

@@ -32,8 +32,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/edge_mask.hpp"
-#include "graph/workspace.hpp"
+#include "graph/graph.hpp"
 #include "net/network.hpp"
 #include "shard/partition.hpp"
 
@@ -43,26 +42,11 @@ using net::EdgeId;
 using net::InstanceId;
 using net::NodeId;
 
-/// How transit(R) — the "cost of crossing region R" term in the contracted
-/// arc weights — is summarized at each refresh_summaries().
-enum class SummaryMode {
-  /// Mean intra-region link price (the original formula; the default, and
-  /// what the existing contraction tests pin down).
-  kMeanPrice,
-  /// Mean shortest-path distance between R's border nodes, restricted to
-  /// R's intra-region links — a real traversal cost instead of a per-link
-  /// average, computed with one flat dijkstra_into per border node. Falls
-  /// back to kMeanPrice for a region with fewer than two border nodes or
-  /// with border pairs that the intra-region links do not connect.
-  kBorderDistance,
-};
-
 class ShardedSubstrate {
  public:
   /// Both referents must outlive the substrate. The partition must cover
   /// exactly the network's node set (validated).
-  ShardedSubstrate(const net::Network& network, RegionPartition partition,
-                   SummaryMode mode = SummaryMode::kMeanPrice);
+  ShardedSubstrate(const net::Network& network, RegionPartition partition);
 
   [[nodiscard]] const net::Network& network() const noexcept { return *net_; }
   [[nodiscard]] const RegionPartition& partition() const noexcept {
@@ -115,21 +99,11 @@ class ShardedSubstrate {
     return region_graph_;
   }
 
-  /// transit(R) of \p r as of the last refresh — mean intra link price
-  /// under SummaryMode::kMeanPrice, mean border-to-border distance under
-  /// kBorderDistance (with the documented fallbacks); 0 when the region has
-  /// no intra links.
+  /// transit(R) of \p r as of the last refresh — its mean intra-region
+  /// link price; 0 when the region has no intra links.
   [[nodiscard]] double transit_price(RegionId r) const {
     DAGSFC_CHECK(r < transit_price_.size());
     return transit_price_[r];
-  }
-
-  [[nodiscard]] SummaryMode summary_mode() const noexcept { return mode_; }
-
-  /// Nodes of region \p r incident to at least one border link, ascending.
-  [[nodiscard]] std::span<const NodeId> border_nodes(RegionId r) const {
-    DAGSFC_CHECK(r < region_border_nodes_.size());
-    return region_border_nodes_[r];
   }
 
   /// Recomputes every arc weight and transit price from the network's
@@ -154,7 +128,6 @@ class ShardedSubstrate {
  private:
   const net::Network* net_;
   RegionPartition partition_;
-  SummaryMode mode_;
 
   std::vector<RegionId> link_owner_;
   std::vector<RegionId> instance_owner_;
@@ -169,13 +142,6 @@ class ShardedSubstrate {
   graph::Graph region_graph_;
   std::vector<double> transit_price_;
   std::uint64_t summary_epoch_ = 0;
-
-  // kBorderDistance machinery: per-region border node lists (structural,
-  // built once) plus a reusable workspace/mask pair for the per-refresh
-  // border searches.
-  std::vector<std::vector<NodeId>> region_border_nodes_;
-  graph::SearchWorkspace summary_ws_;
-  graph::EdgeMaskBuffer summary_mask_;
 };
 
 }  // namespace dagsfc::shard

@@ -358,12 +358,13 @@ TEST(FlightPromotionShard, RefusalTraceCarriesPerCandidateSolves) {
   const shard::ShardedSubstrate substrate(
       scenario.network, shard::RegionPartition::from_labels(scenario.region_of));
 
-  shard::ShardedEmbeddingService::Options opts;
+  const core::MbbeEmbedder mbbe;
+  EmbeddingService::Options opts;
   opts.tracing.enabled = true;
   opts.tracing.on_refusal = true;
-  shard::ShardedEmbeddingService service(substrate, opts);
+  EmbeddingService service(substrate, mbbe, /*region_paths=*/4, opts);
   ASSERT_NE(service.span_recorder(), nullptr);
-  // One span lane per (shard, worker).
+  // One span lane per (region, worker).
   EXPECT_EQ(service.span_recorder()->num_lanes(), substrate.num_regions());
 
   // A rate far above any capacity: every candidate solve is infeasible, so

@@ -241,7 +241,7 @@ TEST(RequestTrace, KeepsInlineCopyAndEmitsToRing) {
   serve::RequestTrace trace(&rec, /*lane=*/1, /*id=*/7);
   ASSERT_TRUE(trace.active());
   trace.queue_wait(10, 20);
-  trace.solve(0, true, 20, 30, /*snapshot_epoch=*/5, /*cost=*/12.5);
+  trace.solve(0, true, 20, 30, /*candidate=*/5, /*cost=*/12.5);
   trace.commit(0, serve::CommitClass::kStamp, 30, 40, /*arg=*/6);
   trace.outcome(serve::Outcome::Accepted, 10, 40, 12.5);
 

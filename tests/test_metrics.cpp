@@ -29,7 +29,6 @@
 #include "core/backtracking.hpp"
 #include "serve/http.hpp"
 #include "serve/service.hpp"
-#include "shard/metrics.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
 #include "util/build_info.hpp"
@@ -313,8 +312,8 @@ bool matches_convention(const std::string& name) {
 }
 
 /// Every name that actually lands in a registry — the serve layer's
-/// instruments, the shard plane's (per-shard labelled families included),
-/// the sim roll-up, and the phase meters — stays within the
+/// instruments (a three-shard service's per-shard labelled families
+/// included), the sim roll-up, and the phase meters — stays within the
 /// Prometheus-clean namespace.
 TEST(Metrics, AllRegisteredNamesMatchConvention) {
   std::vector<RegistrySnapshot> snapshots;
@@ -345,7 +344,7 @@ TEST(Metrics, AllRegisteredNamesMatchConvention) {
   }
   snapshots.push_back(phase_registry.snapshot());
 
-  shard::ShardMetrics shard_metrics(3);
+  serve::ServiceMetrics shard_metrics(3);
   shard_metrics.on_submitted();
   shard_metrics.on_cross_region();
   shard::CommitResult commit;

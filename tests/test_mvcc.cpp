@@ -1,6 +1,5 @@
 /// MVCC battery: per-resource version stamps, footprint-scoped validation,
-/// the mutation journal and replica sync, and the concurrent conflict
-/// battery through EmbeddingService — the second ThreadSanitizer target of
+/// and the concurrent conflict battery through EmbeddingService — the second ThreadSanitizer target of
 /// scripts/check.sh.
 ///
 /// The core of the file is the shadow-ledger fuzz: a long random
@@ -310,75 +309,6 @@ TEST(MvccFuzz, RandomFootprintInterleavingsAgreeWithAShadowOracle) {
   }
   EXPECT_EQ(led.total_link_consumed(), 0.0);
   EXPECT_EQ(led.total_instance_consumed(), 0.0);
-}
-
-// -------------------------------------------------- journal + sync_from --
-
-void expect_bit_equal(const net::CapacityLedger& a,
-                      const net::CapacityLedger& b, const net::Network& n) {
-  EXPECT_EQ(a.epoch(), b.epoch());
-  for (graph::EdgeId e = 0; e < n.num_links(); ++e) {
-    EXPECT_EQ(a.link_residual(e), b.link_residual(e)) << "link " << e;
-    EXPECT_EQ(a.link_stamp(e), b.link_stamp(e)) << "link " << e;
-  }
-  for (net::InstanceId i = 0; i < n.num_instances(); ++i) {
-    EXPECT_EQ(a.instance_residual(i), b.instance_residual(i)) << "inst " << i;
-    EXPECT_EQ(a.instance_stamp(i), b.instance_stamp(i)) << "inst " << i;
-  }
-}
-
-TEST(MvccJournal, DeltaSyncReplaysTheJournalAndMatchesTheMaster) {
-  auto fx = test::canonical_fixture();
-  net::CapacityLedger master(fx->network);
-  master.enable_journal(16);
-  EXPECT_TRUE(master.journal_enabled());
-
-  net::CapacityLedger replica(master);
-  EXPECT_FALSE(replica.journal_enabled());  // never inherited
-
-  master.consume_link(0, 1.0);
-  master.consume_instance(0, 1.0);
-  master.consume_link(3, 2.5);
-  master.release_link(0, 0.5);
-  master.consume_instance(2, 4.0);
-
-  EXPECT_TRUE(replica.sync_from(master));  // 5 <= 16: delta path
-  expect_bit_equal(replica, master, fx->network);
-
-  // Idempotent: a second sync at equal epochs is a no-op delta.
-  EXPECT_TRUE(replica.sync_from(master));
-  expect_bit_equal(replica, master, fx->network);
-}
-
-TEST(MvccJournal, FallsBackToAFullCopyWhenTheRingIsOverrun) {
-  auto fx = test::canonical_fixture();
-  net::CapacityLedger master(fx->network);
-  master.enable_journal(4);
-  net::CapacityLedger replica(master);
-
-  for (int i = 0; i < 6; ++i) {  // 6 > 4: the ring no longer covers the gap
-    master.consume_link(static_cast<graph::EdgeId>(i % 3), 0.25);
-  }
-  EXPECT_FALSE(replica.sync_from(master));
-  expect_bit_equal(replica, master, fx->network);
-
-  // Once caught up, small deltas ride the journal again.
-  master.consume_link(4, 1.0);
-  master.release_link(0, 0.25);
-  EXPECT_TRUE(replica.sync_from(master));
-  expect_bit_equal(replica, master, fx->network);
-}
-
-TEST(MvccJournal, ReplicaCreatedBeforeJournalingUsesTheFullCopy) {
-  auto fx = test::canonical_fixture();
-  net::CapacityLedger master(fx->network);
-  master.consume_link(0, 1.0);  // pre-journal mutation
-  net::CapacityLedger replica(fx->network);  // fresh: epoch 0
-  master.enable_journal(8);
-  master.consume_link(1, 1.0);
-  // The replica's epoch predates journal_start_: the gap is not covered.
-  EXPECT_FALSE(replica.sync_from(master));
-  expect_bit_equal(replica, master, fx->network);
 }
 
 // ------------------------------------------- conflict battery (TSan run) --

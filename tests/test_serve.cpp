@@ -11,7 +11,9 @@
 #include <barrier>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <semaphore>
+#include <stdexcept>
 #include <vector>
 
 #include "core/backtracking.hpp"
@@ -297,6 +299,102 @@ TEST(EmbeddingService, ZeroRetriesLosesConflictedRequests) {
   EXPECT_EQ(service.metrics().lost_conflict, 1u);
 }
 
+// ------------------------------------------------ malformed submissions --
+
+/// one_slot_network with room for two rate-1 flows.
+net::Network two_slot_network() {
+  NetBuilder b(3, 1);
+  b.link(0, 1, 1.0, 10.0).link(1, 2, 1.0, 10.0);
+  b.put(1, 1, 5.0, 2.0);
+  return b.build();
+}
+
+TEST(EmbeddingService, MalformedRequestsThrowAtSubmitAndServingGoesOn) {
+  const net::Network network = one_slot_network();
+  const core::MbbeEmbedder mbbe;
+  EmbeddingService service(network, mbbe, {});
+
+  // What core::ModelIndex would reject on a worker thread: endpoints that
+  // are not nodes, non-positive (or NaN) rates and sizes.
+  const auto malformed = [](RequestId id, core::Flow flow) {
+    Request req = one_slot_request(id);
+    req.flow = flow;
+    return req;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const core::Flow bad_flows[] = {
+      {99, 2, 1.0, 1.0}, {0, 99, 1.0, 1.0}, {0, 2, 0.0, 1.0},
+      {0, 2, -1.0, 1.0}, {0, 2, nan, 1.0},  {0, 2, 1.0, 0.0},
+  };
+  RequestId id = 1;
+  for (const core::Flow& flow : bad_flows) {
+    EXPECT_THROW((void)service.submit(malformed(id++, flow)),
+                 std::invalid_argument);
+  }
+  // Nothing was counted for the refused requests...
+  EXPECT_EQ(service.metrics().submitted, 0u);
+
+  // ...and the service keeps serving, with capacity conserved.
+  const Response r = service.submit(one_slot_request(id)).get();
+  ASSERT_EQ(r.outcome, Outcome::Accepted);
+  EXPECT_TRUE(service.release(id));
+  service.drain();
+  const MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.completed(), 1u);
+  EXPECT_EQ(service.in_service(), 0u);
+  EXPECT_EQ(service.ledger_snapshot().instance_residual(0), 1.0);
+}
+
+TEST(EmbeddingService, DuplicateIdsThrowWhileQueuedInFlightOrInService) {
+  const net::Network network = two_slot_network();
+  const core::MbbeEmbedder mbbe;
+  const GateEmbedder gate(mbbe);
+  EmbeddingService::Options opts;
+  opts.workers = 1;
+  EmbeddingService service(network, gate, opts);
+
+  // In service: id 1 holds one of the two slots.
+  auto f1 = service.submit(one_slot_request(1));
+  gate.wait_entered();
+  gate.open(1);
+  ASSERT_EQ(f1.get().outcome, Outcome::Accepted);
+  EXPECT_THROW((void)service.submit(one_slot_request(1)),
+               std::invalid_argument);
+
+  // In flight: the worker holds id 2 inside its solve. Queued: id 3 waits
+  // behind it.
+  auto f2 = service.submit(one_slot_request(2));
+  gate.wait_entered();
+  auto f3 = service.submit(one_slot_request(3));
+  EXPECT_THROW((void)service.submit(one_slot_request(2)),
+               std::invalid_argument);
+  EXPECT_THROW((void)service.submit(one_slot_request(3)),
+               std::invalid_argument);
+  gate.open(8);
+  ASSERT_EQ(f2.get().outcome, Outcome::Accepted);
+  EXPECT_EQ(f3.get().outcome, Outcome::RejectedInfeasible);  // both held
+
+  // A refused request's id is free again once it has its response.
+  EXPECT_EQ(service.submit(one_slot_request(3)).get().outcome,
+            Outcome::RejectedInfeasible);
+
+  // Conservation: releasing every accepted flow returns every unit.
+  EXPECT_TRUE(service.release(1));
+  EXPECT_TRUE(service.release(2));
+  EXPECT_FALSE(service.release(3));
+  service.drain();
+  const MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.submitted, 4u);
+  EXPECT_EQ(m.accepted, 2u);
+  EXPECT_EQ(m.releases, 2u);
+  EXPECT_EQ(service.in_service(), 0u);
+  const net::CapacityLedger after = service.ledger_snapshot();
+  EXPECT_EQ(after.instance_residual(0), 2.0);
+  EXPECT_EQ(after.link_residual(0), 10.0);
+  EXPECT_EQ(after.link_residual(1), 10.0);
+}
+
 // --------------------------------------------------- stress (TSan target) --
 
 TEST(EmbeddingServiceStress, ManyProducersConserveCapacity) {
@@ -313,14 +411,16 @@ TEST(EmbeddingServiceStress, ManyProducersConserveCapacity) {
   const Workload workload = make_workload(cfg, 0xabcdef);
 
   const core::MbbeEmbedder mbbe;
+  EmbeddingService::Options opts;
+  opts.workers = 4;
+  opts.admission.queue_capacity = cfg.num_arrivals;
+  opts.admission.retry_backoff = std::chrono::nanoseconds(0);
+  EmbeddingService service(workload.scenario.network, mbbe, opts);
   OpenLoopConfig open;
-  open.workers = 4;
   open.producers = 4;
   open.window = 6;
   open.target_load = 24;
-  open.admission.queue_capacity = cfg.num_arrivals;
-  open.admission.retry_backoff = std::chrono::nanoseconds(0);
-  const OpenLoopResult r = run_open_loop(workload, mbbe, open);
+  const OpenLoopResult r = run_open_loop(service, workload.arrivals, open);
 
   const MetricsSnapshot& m = r.metrics;
   EXPECT_EQ(m.submitted, cfg.num_arrivals);
@@ -384,13 +484,21 @@ TEST(EmbeddingServiceStress, SubmitReleaseRaceOnTinyNetwork) {
 
 // --------------------------------------------------- driver determinism --
 
+EmbeddingService::Options closed_loop_options(std::size_t workers) {
+  EmbeddingService::Options opts;
+  opts.workers = workers;
+  opts.admission.retry_backoff = std::chrono::nanoseconds(0);
+  opts.seed = 0x5eed;
+  return opts;
+}
+
 MetricsSnapshot closed_loop_metrics(const Workload& w,
                                     const core::Embedder& e,
                                     std::size_t workers,
                                     DriverResult* out = nullptr) {
-  AdmissionPolicy admission;
-  admission.retry_backoff = std::chrono::nanoseconds(0);
-  DriverResult r = run_closed_loop(w, e, workers, admission, 0x5eed);
+  EmbeddingService service(w.scenario.network, e,
+                           closed_loop_options(workers));
+  DriverResult r = run_closed_loop(service, w.arrivals);
   if (out) *out = r;
   return r.metrics;
 }
@@ -473,36 +581,31 @@ TEST(ClosedLoopDriver, TracingOnOffIsBitIdentical) {
   cfg.num_arrivals = 50;
   const Workload workload = make_workload(cfg, 0x1234);
   const core::MbbeEmbedder mbbe;
-  const AdmissionPolicy admission;
 
   // Tracing is observation only: an aggressive configuration (a 1 ns
   // latency threshold that promotes every request, refusals promoted, a
   // tiny ring forcing constant wraparound) must not perturb a single
   // solve, commit decision, or counter relative to tracing disabled.
-  ServiceTuning off;
-  ServiceTuning on;
-  on.tracing.enabled = true;
-  on.tracing.ring_capacity = 8;
-  on.tracing.latency_over = std::chrono::nanoseconds(1);
-  on.tracing.on_refusal = true;
-  std::uint64_t spans_emitted = 0;
-  std::uint64_t promoted = 0;
-  on.on_finish = [&](EmbeddingService& s) {
-    ASSERT_NE(s.flight_recorder(), nullptr);
-    promoted = s.flight_recorder()->promoted();
-    for (std::size_t lane = 0; lane < s.span_recorder()->num_lanes();
-         ++lane) {
-      spans_emitted += s.span_recorder()->emitted(lane);
-    }
-  };
-
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    spans_emitted = 0;
-    promoted = 0;
-    const DriverResult a =
-        run_closed_loop(workload, mbbe, workers, admission, 0x5eed, off);
-    const DriverResult b =
-        run_closed_loop(workload, mbbe, workers, admission, 0x5eed, on);
+    EmbeddingService::Options off;
+    off.workers = workers;
+    off.seed = 0x5eed;
+    EmbeddingService::Options on = off;
+    on.tracing.enabled = true;
+    on.tracing.ring_capacity = 8;
+    on.tracing.latency_over = std::chrono::nanoseconds(1);
+    on.tracing.on_refusal = true;
+    EmbeddingService plain(workload.scenario.network, mbbe, off);
+    EmbeddingService traced(workload.scenario.network, mbbe, on);
+    const DriverResult a = run_closed_loop(plain, workload.arrivals);
+    const DriverResult b = run_closed_loop(traced, workload.arrivals);
+    ASSERT_NE(traced.flight_recorder(), nullptr);
+    const std::uint64_t promoted = traced.flight_recorder()->promoted();
+    std::uint64_t spans_emitted = 0;
+    for (std::size_t lane = 0; lane < traced.span_recorder()->num_lanes();
+         ++lane) {
+      spans_emitted += traced.span_recorder()->emitted(lane);
+    }
     EXPECT_GT(spans_emitted, 0u);
     EXPECT_GT(promoted, 0u);  // the 1 ns threshold catches every request
 

@@ -9,6 +9,8 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
@@ -18,11 +20,10 @@
 #include "core/backtracking.hpp"
 #include "core/layered.hpp"
 #include "core/validator.hpp"
-#include "shard/driver.hpp"
+#include "serve/driver.hpp"
 #include "shard/hier.hpp"
 #include "shard/ledger.hpp"
 #include "shard/partition.hpp"
-#include "shard/service.hpp"
 #include "shard/substrate.hpp"
 #include "sim/regional.hpp"
 #include "sim/scenario.hpp"
@@ -31,10 +32,9 @@
 namespace dagsfc {
 namespace {
 
-shard::ShardWorkloadConfig small_workload_config(std::size_t regions,
-                                                 std::size_t nodes_per_region,
-                                                 std::size_t arrivals) {
-  shard::ShardWorkloadConfig cfg;
+serve::RegionalWorkloadConfig small_workload_config(
+    std::size_t regions, std::size_t nodes_per_region, std::size_t arrivals) {
+  serve::RegionalWorkloadConfig cfg;
   cfg.regional.base.catalog_size = 8;
   cfg.regional.base.sfc_size = 3;
   cfg.regional.base.trials = 1;
@@ -208,61 +208,6 @@ TEST(Substrate, RefreshSummariesTracksRepricing) {
   }
 }
 
-TEST(Substrate, BorderDistanceSummariesMatchBruteForce) {
-  // The kBorderDistance substrate mode feeds region transit prices from the
-  // batched multi-source kernel; a per-pair early-exit Dijkstra over the
-  // same intra-region subgraph must reproduce them.
-  const graph::Graph topo = test::random_weighted_graph(24, 3.0, 11);
-  net::Network network(graph::Graph(topo), net::VnfCatalog(2));
-  const auto partition =
-      shard::make_partition(network.topology(), 3,
-                            shard::PartitionScheme::kStripe);
-  const shard::ShardedSubstrate plain(network, partition);
-  const shard::ShardedSubstrate summarized(
-      network, partition, shard::SummaryMode::kBorderDistance);
-  EXPECT_EQ(plain.summary_mode(), shard::SummaryMode::kMeanPrice);
-  EXPECT_EQ(summarized.summary_mode(), shard::SummaryMode::kBorderDistance);
-
-  const graph::Graph& g = network.topology();
-  graph::SearchWorkspace ws;
-  graph::EdgeMaskBuffer intra;
-  for (shard::RegionId r = 0; r < 3; ++r) {
-    const auto borders = summarized.border_nodes(r);
-    if (borders.size() < 2) {
-      EXPECT_EQ(summarized.transit_price(r), plain.transit_price(r));
-      continue;
-    }
-    intra.assign(g.num_edges(), false);
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const graph::Edge& edge = g.edge(e);
-      if (partition.region(edge.u) == r && partition.region(edge.v) == r) {
-        intra.set(e);
-      }
-    }
-    const graph::EdgeMask mask = intra.view();
-    double sum = 0.0;
-    std::size_t pairs = 0;
-    bool connected = true;
-    for (std::size_t i = 0; i < borders.size() && connected; ++i) {
-      for (std::size_t j = i + 1; j < borders.size(); ++j) {
-        const auto p =
-            graph::min_cost_path(g, borders[i], borders[j], ws, &mask);
-        if (!p) {
-          connected = false;
-          break;
-        }
-        sum += p->cost;
-        ++pairs;
-      }
-    }
-    if (connected && pairs > 0) {
-      EXPECT_EQ(summarized.transit_price(r), sum / static_cast<double>(pairs));
-    } else {
-      EXPECT_EQ(summarized.transit_price(r), plain.transit_price(r));
-    }
-  }
-}
-
 TEST(Substrate, RegionPathsAreDeterministicAndAnchored) {
   const sim::RegionalScenario s = small_scenario(4, 8, 43);
   const shard::ShardedSubstrate sub = make_substrate(s);
@@ -377,10 +322,69 @@ TEST(Hier, InnerAlgorithmNamesRoundTripAndRejectUnknown) {
                std::invalid_argument);
 }
 
+// ------------------------------------------------------- one-region HIER --
+
+TEST(Hier, OneRegionReturnsTheInnerSolutionBitForBit) {
+  // The flat service is the one-region case of the sharded one; this is
+  // the solver half of that claim. Over a one-region substrate, stage one
+  // yields the single region and the restriction zeroes nothing, so HIER
+  // must return its inner embedder's solution and cost bits on the
+  // 200-instance battery of test_search_flat.
+  sim::ExperimentConfig cfg;
+  cfg.network_size = 14;
+  cfg.network_connectivity = 3.0;
+  cfg.catalog_size = 6;
+  cfg.sfc_size = 3;
+  Rng seeder(0xf1a75ea5c4ull);
+  std::size_t solved = 0;
+  for (int i = 0; i < 200; ++i) {
+    SCOPED_TRACE("instance " + std::to_string(i));
+    Rng rng(seeder.fork_seed());
+    const sim::Scenario scenario = sim::make_scenario(rng, cfg);
+    const sfc::DagSfc dag = sim::make_sfc(rng, scenario.network.catalog(), cfg);
+    core::EmbeddingProblem problem;
+    problem.network = &scenario.network;
+    problem.sfc = &dag;
+    problem.flow = core::Flow{scenario.source, scenario.destination, 1.0, 1.0};
+    const core::ModelIndex index(problem);
+    const shard::ShardedSubstrate one(
+        scenario.network,
+        shard::make_partition(scenario.network.topology(), 1,
+                              shard::PartitionScheme::kStripe));
+    for (const shard::InnerAlgorithm inner :
+         {shard::InnerAlgorithm::kBbe, shard::InnerAlgorithm::kMbbe,
+          shard::InnerAlgorithm::kLayered}) {
+      shard::HierOptions opts;
+      opts.inner = inner;
+      const shard::HierarchicalEmbedder hier(one, opts);
+      Rng r1(2000 + i), r2(2000 + i);
+      const core::SolveResult flat = hier.inner().solve_fresh(index, r1);
+      const core::SolveResult restricted = hier.solve_fresh(index, r2);
+      ASSERT_EQ(flat.ok(), restricted.ok()) << shard::to_string(inner);
+      if (!flat.ok()) continue;
+      ++solved;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(restricted.cost),
+                std::bit_cast<std::uint64_t>(flat.cost))
+          << shard::to_string(inner);
+      EXPECT_EQ(test::solution_digest(*restricted.solution),
+                test::solution_digest(*flat.solution))
+          << shard::to_string(inner);
+    }
+    if (::testing::Test::HasFailure()) break;  // one instance is enough
+  }
+  EXPECT_GT(solved, 300u);
+}
+
 // --------------------------------------------------------------- service --
 
-void expect_same_metrics(const shard::ShardMetricsSnapshot& a,
-                         const shard::ShardMetricsSnapshot& b) {
+serve::EmbeddingService::Options service_options(std::size_t workers) {
+  serve::EmbeddingService::Options opts;
+  opts.workers = workers;
+  return opts;
+}
+
+void expect_same_metrics(const serve::MetricsSnapshot& a,
+                         const serve::MetricsSnapshot& b) {
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_EQ(a.accepted, b.accepted);
   EXPECT_EQ(a.rejected_infeasible, b.rejected_infeasible);
@@ -393,6 +397,7 @@ void expect_same_metrics(const shard::ShardMetricsSnapshot& a,
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.releases, b.releases);
   EXPECT_EQ(a.cross_region_requests, b.cross_region_requests);
+  EXPECT_TRUE(a.cost == b.cost);
   ASSERT_EQ(a.shards.size(), b.shards.size());
   for (std::size_t i = 0; i < a.shards.size(); ++i) {
     EXPECT_EQ(a.shards[i].commits, b.shards[i].commits)
@@ -403,64 +408,147 @@ void expect_same_metrics(const shard::ShardMetricsSnapshot& a,
 
 TEST(ShardService, ClosedLoopMetricsAreBitIdenticalAcrossWorkerCounts) {
   const auto cfg = small_workload_config(3, 8, 60);
-  const shard::ShardWorkload workload = shard::make_shard_workload(cfg, 77);
+  const serve::RegionalWorkload workload =
+      serve::make_regional_workload(cfg, 77);
   const shard::ShardedSubstrate substrate(
       workload.scenario.network,
       shard::RegionPartition::from_labels(workload.scenario.region_of));
 
-  shard::ShardedEmbeddingService::Options one;
-  one.workers_per_shard = 1;
-  shard::ShardedEmbeddingService::Options four = one;
-  four.workers_per_shard = 4;
-
-  const shard::ShardDriverResult a =
-      shard::run_sharded_closed_loop(workload, substrate, one);
-  const shard::ShardDriverResult b =
-      shard::run_sharded_closed_loop(workload, substrate, four);
+  const core::MbbeEmbedder mbbe;
+  serve::EmbeddingService one(substrate, mbbe, 4, service_options(1));
+  serve::EmbeddingService four(substrate, mbbe, 4, service_options(4));
+  const serve::DriverResult a = serve::run_closed_loop(one, workload.arrivals);
+  const serve::DriverResult b =
+      serve::run_closed_loop(four, workload.arrivals);
   EXPECT_TRUE(a.conserved);
   EXPECT_TRUE(b.conserved);
   EXPECT_GT(a.metrics.accepted, 0u);
+  EXPECT_EQ(a.final_epoch, b.final_epoch);
   expect_same_metrics(a.metrics, b.metrics);
 }
 
 TEST(ShardService, PerShardGaugesReachThePrometheusExposition) {
   const auto cfg = small_workload_config(2, 8, 30);
-  const shard::ShardWorkload workload = shard::make_shard_workload(cfg, 13);
+  const serve::RegionalWorkload workload =
+      serve::make_regional_workload(cfg, 13);
   const shard::ShardedSubstrate substrate(
       workload.scenario.network,
       shard::RegionPartition::from_labels(workload.scenario.region_of));
 
-  std::string exposition;
-  shard::ShardServiceTuning tuning;
-  tuning.on_finish = [&exposition](shard::ShardedEmbeddingService& s) {
-    exposition = s.metrics_registry().expose_prometheus();
-  };
-  const shard::ShardDriverResult r = shard::run_sharded_closed_loop(
-      workload, substrate, shard::ShardedEmbeddingService::Options{}, tuning);
+  const core::MbbeEmbedder mbbe;
+  serve::EmbeddingService service(substrate, mbbe, 4, service_options(1));
+  const serve::DriverResult r =
+      serve::run_closed_loop(service, workload.arrivals);
+  const std::string exposition =
+      service.metrics_registry().expose_prometheus();
   EXPECT_TRUE(r.conserved);
-  EXPECT_NE(exposition.find("dagsfc_shard_commits_total{shard=\"0\"}"),
+  EXPECT_NE(exposition.find("dagsfc_serve_commits_total{shard=\"0\"}"),
             std::string::npos);
-  EXPECT_NE(exposition.find("dagsfc_shard_commits_total{shard=\"1\"}"),
+  EXPECT_NE(exposition.find("dagsfc_serve_commits_total{shard=\"1\"}"),
             std::string::npos);
-  EXPECT_NE(exposition.find("dagsfc_shard_queue_depth{shard=\"0\"}"),
+  EXPECT_NE(exposition.find("dagsfc_serve_queue_depth{shard=\"0\"}"),
             std::string::npos);
-  EXPECT_NE(exposition.find("dagsfc_shard_submitted_total"),
+  EXPECT_NE(exposition.find("dagsfc_serve_submitted_total"),
             std::string::npos);
+}
+
+TEST(ShardService, HistogramsCoverEveryResponse) {
+  // The latency, solve and cost histograms of the one service, on the
+  // sharded plane: every terminal response lands in latency and solve
+  // time, every accepted one in cost.
+  const auto cfg = small_workload_config(3, 8, 60);
+  const serve::RegionalWorkload workload =
+      serve::make_regional_workload(cfg, 77);
+  const shard::ShardedSubstrate substrate(
+      workload.scenario.network,
+      shard::RegionPartition::from_labels(workload.scenario.region_of));
+  const core::MbbeEmbedder mbbe;
+  serve::EmbeddingService service(substrate, mbbe, 4, service_options(2));
+  const serve::DriverResult r =
+      serve::run_closed_loop(service, workload.arrivals);
+  const serve::MetricsSnapshot& m = r.metrics;
+  EXPECT_EQ(m.latency_ms.count(), m.completed());
+  EXPECT_EQ(m.solve_ms.count(), m.completed());
+  EXPECT_EQ(m.cost.count(), m.accepted);
+  EXPECT_GT(m.cost.p50(), 0.0);
+  const std::string exposition =
+      service.metrics_registry().expose_prometheus();
+  for (const char* family : {"dagsfc_serve_latency_ms_count",
+                             "dagsfc_serve_solve_ms_count",
+                             "dagsfc_serve_cost_count"}) {
+    EXPECT_NE(exposition.find(family), std::string::npos) << family;
+  }
 }
 
 TEST(ShardService, OpenLoopConservesAfterReleaseAll) {
   const auto cfg = small_workload_config(3, 8, 80);
-  const shard::ShardWorkload workload = shard::make_shard_workload(cfg, 29);
+  const serve::RegionalWorkload workload =
+      serve::make_regional_workload(cfg, 29);
   const shard::ShardedSubstrate substrate(
       workload.scenario.network,
       shard::RegionPartition::from_labels(workload.scenario.region_of));
-  shard::ShardOpenLoopConfig open;
+  const core::MbbeEmbedder mbbe;
+  serve::EmbeddingService service(substrate, mbbe, 4, service_options(2));
+  serve::OpenLoopConfig open;
   open.producers = 4;
-  open.service.workers_per_shard = 2;
-  const shard::ShardOpenLoopResult r =
-      shard::run_sharded_open_loop(workload, substrate, open);
+  const serve::OpenLoopResult r =
+      serve::run_open_loop(service, workload.arrivals, open);
   EXPECT_TRUE(r.conserved);
   EXPECT_EQ(r.metrics.completed(), 80u);
+}
+
+/// Wraps an embedder; every solve sleeps first, so the watchdog sees the
+/// request in flight.
+class SlowEmbedder : public core::Embedder {
+ public:
+  explicit SlowEmbedder(const core::Embedder& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::string name() const override { return "slow"; }
+
+ protected:
+  [[nodiscard]] core::SolveResult do_solve(
+      const core::ModelIndex& index, const net::CapacityLedger& ledger,
+      Rng& rng, core::TraceSink*,
+      graph::SearchWorkspace* workspace) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    return inner_->solve(index, ledger, rng, nullptr, workspace);
+  }
+
+ private:
+  const core::Embedder* inner_;
+};
+
+TEST(ShardService, WatchdogFiresOncePerSlowHierRequest) {
+  const sim::RegionalScenario s = small_scenario(3, 8, 11);
+  const shard::ShardedSubstrate sub = make_substrate(s);
+  const core::MbbeEmbedder mbbe;
+  const SlowEmbedder slow(mbbe);
+  serve::EmbeddingService::Options opts;
+  opts.workers = 1;
+  opts.slow_solve_threshold = std::chrono::milliseconds(10);
+  opts.watchdog_period = std::chrono::milliseconds(1);
+  serve::EmbeddingService service(sub, slow, 4, opts);
+
+  // A cross-region request at a rate no resource carries: every stage-one
+  // candidate is infeasible, so it runs one slow solve per region path.
+  serve::Request req;
+  req.id = 1;
+  req.sfc = sfc::DagSfc({sfc::Layer{{1}}});
+  req.flow = core::Flow{
+      0, static_cast<graph::NodeId>(s.network.num_nodes() - 1), 1e9, 1.0};
+  const serve::Response r1 = service.submit(req).get();
+  EXPECT_EQ(r1.outcome, serve::Outcome::RejectedInfeasible);
+  ASSERT_GE(r1.solves, 2u);
+  EXPECT_TRUE(r1.watchdog_flagged);
+  // The watchdog watches the request, not each solve: one warning.
+  EXPECT_EQ(service.metrics().slow_solves, 1u);
+
+  // A second slow request warns once more.
+  req.id = 2;
+  req.flow.rate = 1.0;
+  const serve::Response r2 = service.submit(req).get();
+  EXPECT_TRUE(r2.watchdog_flagged);
+  EXPECT_EQ(service.metrics().slow_solves, 2u);
 }
 
 // ------------------------------------------------ non-dyadic residuals --
@@ -502,12 +590,79 @@ TEST(ShardLedger, ComposeCopiesResidualsJustBelowZeroBitwise) {
 
   // compose() is a bitwise copy: try_commit's fast path applies without
   // re-checking because the view holds exactly what the shards hold.
-  net::CapacityLedger view(s.network);
-  ledger.compose(regions, view, epochs);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.link_residual(e)),
+  shard::ComposedView view(sub);
+  ledger.compose(regions, view);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.ledger().link_residual(e)),
             std::bit_cast<std::uint64_t>(link_left));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.instance_residual(id)),
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.ledger().instance_residual(id)),
             std::bit_cast<std::uint64_t>(instance_left));
+}
+
+TEST(ShardLedger, IncrementalComposeMatchesAFreshViewBitwise) {
+  // One long-lived view, recomposed over random region sets while random
+  // commits and releases move the shards, must always equal a view built
+  // from scratch: the stamp skip and the zero-on-leave rule lose nothing.
+  const sim::RegionalScenario s = small_scenario(4, 6, 23);
+  const shard::ShardedSubstrate sub = make_substrate(s);
+  shard::ShardedLedger ledger(sub);
+  shard::ComposedView view(sub);
+  Rng rng(0x1c0);
+  constexpr std::array<double, 3> kRates = {0.3, 0.7, 1.3};
+  std::vector<std::pair<core::ResourceUsage, double>> held;
+  std::vector<std::uint64_t> epochs;
+  std::size_t skipped_or_partial = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Mutate: commit a one- or two-region footprint, or release one.
+    if (!held.empty() && rng.index(3) == 0) {
+      const std::size_t k = rng.index(held.size());
+      ledger.release(held[k].first, held[k].second);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      core::ResourceUsage u;
+      u.link_uses.assign(s.network.num_links(), 0);
+      u.instance_uses.assign(s.network.num_instances(), 0);
+      u.link_uses[rng.index(s.network.num_links())] = 1;
+      u.instance_uses[rng.index(s.network.num_instances())] = 1;
+      const double rate = kRates[rng.index(kRates.size())];
+      std::vector<shard::RegionId> all(sub.num_regions());
+      std::iota(all.begin(), all.end(), shard::RegionId{0});
+      ledger.snapshot_epochs(all, epochs);
+      if (ledger.try_commit(u, rate, all, epochs).ok) {
+        held.emplace_back(std::move(u), rate);
+      }
+    }
+    // Recompose a random non-empty region set, both ways.
+    std::vector<shard::RegionId> regions;
+    for (shard::RegionId r = 0; r < sub.num_regions(); ++r) {
+      if (rng.index(2) == 0) regions.push_back(r);
+    }
+    if (regions.empty()) regions.push_back(0);
+    const std::uint64_t before = view.ledger().epoch();
+    ledger.compose(regions, view);
+    shard::ComposedView fresh(sub);
+    ledger.compose(regions, fresh);
+    if (view.ledger().epoch() - before <
+        fresh.ledger().epoch()) {
+      ++skipped_or_partial;  // the incremental view wrote less
+    }
+    ASSERT_TRUE(std::equal(view.epochs().begin(), view.epochs().end(),
+                           fresh.epochs().begin(), fresh.epochs().end()));
+    for (graph::EdgeId e = 0; e < s.network.num_links(); ++e) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(view.ledger().link_residual(e)),
+                std::bit_cast<std::uint64_t>(fresh.ledger().link_residual(e)))
+          << "link " << e;
+    }
+    for (net::InstanceId i = 0; i < s.network.num_instances(); ++i) {
+      ASSERT_EQ(
+          std::bit_cast<std::uint64_t>(view.ledger().instance_residual(i)),
+          std::bit_cast<std::uint64_t>(fresh.ledger().instance_residual(i)))
+          << "instance " << i;
+    }
+  }
+  EXPECT_GT(skipped_or_partial, 100u);
+  for (const auto& [u, rate] : held) ledger.release(u, rate);
+  EXPECT_TRUE(ledger.residuals_nominal());
 }
 
 TEST(ShardLedger, SetResidualStillRejectsBelowMinusEps) {
@@ -531,7 +686,7 @@ TEST(ShardService, NonDyadicRatesDrainToNominal) {
   cfg.regional.base.link_capacity = 4.0;
   cfg.regional.base.vnf_capacity = 3.0;
   cfg.mean_holding_time = 20.0;
-  shard::ShardWorkload workload = shard::make_shard_workload(cfg, 41);
+  serve::RegionalWorkload workload = serve::make_regional_workload(cfg, 41);
   constexpr std::array<double, 4> kRates = {0.3, 0.7, 1.0, 1.3};
   for (std::size_t i = 0; i < workload.arrivals.size(); ++i) {
     workload.arrivals[i].request.flow.rate = kRates[i % kRates.size()];
@@ -539,10 +694,10 @@ TEST(ShardService, NonDyadicRatesDrainToNominal) {
   const shard::ShardedSubstrate substrate(
       workload.scenario.network,
       shard::RegionPartition::from_labels(workload.scenario.region_of));
-  shard::ShardedEmbeddingService::Options options;
-  options.workers_per_shard = 2;
-  const shard::ShardDriverResult r =
-      shard::run_sharded_closed_loop(workload, substrate, options);
+  const core::MbbeEmbedder mbbe;
+  serve::EmbeddingService service(substrate, mbbe, 4, service_options(2));
+  const serve::DriverResult r =
+      serve::run_closed_loop(service, workload.arrivals);
   EXPECT_TRUE(r.conserved);
   EXPECT_EQ(r.metrics.completed(), 240u);
   EXPECT_GT(r.metrics.accepted, 0u);
