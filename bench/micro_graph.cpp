@@ -240,7 +240,8 @@ int main(int argc, char** argv) {
 
   // Path reconstruction from a solved search: exported-tree path_to vs
   // workspace extract_path (both use the hop-counted exact pre-size).
-  const graph::ShortestPathTree ref_tree = graph::reference::dijkstra(g, src);
+  const graph::reference::ShortestPathTree ref_tree =
+      graph::reference::dijkstra(g, src);
   graph::dijkstra_into(g, src, ws);
   results.push_back(run_kernel(
       "path_reconstruct", reps, 2000,

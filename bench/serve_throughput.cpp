@@ -7,7 +7,8 @@
 /// flows beyond the load target), so cells differ only in concurrency and
 /// load. Expectations: throughput rises with workers at a fixed load, and
 /// the stamp-commit counter is nonzero once concurrent commits overlap in
-/// time but not in footprint.
+/// time but not in footprint. The default schedule is long enough that
+/// every cell runs for over a second on a 4-vCPU host.
 
 #include <algorithm>
 #include <iostream>
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
 
   Flags flags;
   flags.define_workers(0)
-      .define_int("arrivals", 600, "requests replayed per cell")
+      .define_int("arrivals", 50000, "requests replayed per cell")
       .define_int("producers", 4, "submitting threads per cell")
       .define_int("network-size", 40, "nodes in the generated network")
       .define_int("sfc-size", 4, "VNFs per request SFC")

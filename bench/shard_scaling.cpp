@@ -8,8 +8,13 @@
 /// footprint owns. N = 1 is the flat service (one region, MBBE over the
 /// whole substrate). Restricted solves search a region-path-sized slice
 /// of the substrate instead of all of it, and disjoint region paths commit
-/// without serializing; the JSON records hw_threads for honest reading of
-/// the second effect.
+/// without serializing. Each N > 1 also runs a flat control on the same
+/// substrate and arrivals: one region served by N workers. Sharded against
+/// control separates the restricted-solve effect from the thread count;
+/// the JSON records hw_threads for honest reading of the latter. The
+/// default schedule is long enough that every cell runs for over a second
+/// on a 4-vCPU host, so a cell's throughput is not a few milliseconds'
+/// sample.
 ///
 /// Part B (cost gap): hierarchy trades optimality for locality — HIER's
 /// restricted search can never beat the flat inner algorithm on the full
@@ -36,7 +41,7 @@ int main(int argc, char** argv) {
   using namespace dagsfc;
 
   Flags flags;
-  flags.define_int("arrivals", 400, "requests replayed per scaling cell")
+  flags.define_int("arrivals", 50000, "requests replayed per scaling cell")
       .define_int("producers", 4, "submitting threads per cell")
       .define_int("total-nodes", 96, "substrate size, constant across N")
       .define_int("sfc-size", 4, "VNFs per request SFC")
@@ -106,9 +111,11 @@ int main(int argc, char** argv) {
        << ",\"scaling\":[";
 
   // ---- part A: throughput vs region count --------------------------------
-  Table table({"regions", "workers", "throughput rps", "accept%",
-               "cross-region", "conflicts", "validated", "conserved"});
+  Table table({"substrate regions", "served as regions", "workers",
+               "throughput rps", "accept%", "cross-region", "conflicts",
+               "validated", "conserved"});
   bool first = true;
+  const core::MbbeEmbedder inner;
   for (const std::size_t shards : shard_counts) {
     serve::RegionalWorkloadConfig scfg;
     scfg.regional.base = base;
@@ -125,39 +132,56 @@ int main(int argc, char** argv) {
                               workload.scenario.region_of));
 
     serve::EmbeddingService::Options opts;
-    opts.workers = 1;  // per region: N regions, N workers
     opts.admission.queue_capacity = scfg.num_arrivals;  // no queue rejects
     opts.admission.max_retries = static_cast<std::uint32_t>(retries);
     opts.admission.retry_backoff = std::chrono::microseconds(20);
     opts.seed = seed;
-    const core::MbbeEmbedder inner;
-    serve::EmbeddingService service(substrate, inner, hier_paths, opts);
-    serve::OpenLoopConfig open;
-    open.producers = producers;
-    open.target_load =
-        static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
-    open.window = std::max<std::size_t>(4, 2 * shards / producers);
-    const serve::OpenLoopResult r =
-        serve::run_open_loop(service, workload.arrivals, open);
-    const auto& m = r.metrics;
-    table.row()
-        .cell(shards)
-        .cell(shards)
-        .cell(r.throughput_rps(), 1)
-        .cell(m.acceptance_ratio() * 100.0, 1)
-        .cell(static_cast<std::size_t>(m.cross_region_requests))
-        .cell(static_cast<std::size_t>(m.commit_conflicts))
-        .cell(static_cast<std::size_t>(m.validated_commits))
-        .cell(r.conserved ? "yes" : "NO");
-    if (!first) json << ",";
-    first = false;
-    json << "{\"regions\":" << shards << ",\"workers\":" << shards
-         << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
-         << ",\"wall_s\":" << util::json_number(r.wall_seconds)
-         << ",\"conserved\":" << (r.conserved ? "true" : "false")
-         << ",\"metrics\":" << m.to_json() << "}";
-    std::cerr << "regions=" << shards << " done (" << r.throughput_rps()
-              << " rps)\n";
+    // Replays the workload through \p service, served as \p regions
+    // regions by \p workers workers in all, and records one cell.
+    const auto run_cell = [&](serve::EmbeddingService& service,
+                              std::size_t regions, std::size_t workers) {
+      serve::OpenLoopConfig open;
+      open.producers = producers;
+      open.target_load =
+          static_cast<std::size_t>(std::max(1.0, flags.get_double("load")));
+      open.window = std::max<std::size_t>(4, 2 * workers / producers);
+      const serve::OpenLoopResult r =
+          serve::run_open_loop(service, workload.arrivals, open);
+      const auto& m = r.metrics;
+      table.row()
+          .cell(shards)
+          .cell(regions)
+          .cell(workers)
+          .cell(r.throughput_rps(), 1)
+          .cell(m.acceptance_ratio() * 100.0, 1)
+          .cell(static_cast<std::size_t>(m.cross_region_requests))
+          .cell(static_cast<std::size_t>(m.commit_conflicts))
+          .cell(static_cast<std::size_t>(m.validated_commits))
+          .cell(r.conserved ? "yes" : "NO");
+      if (!first) json << ",";
+      first = false;
+      json << "{\"substrate_regions\":" << shards << ",\"regions\":" << regions
+           << ",\"workers\":" << workers
+           << ",\"throughput_rps\":" << util::json_number(r.throughput_rps())
+           << ",\"wall_s\":" << util::json_number(r.wall_seconds)
+           << ",\"conserved\":" << (r.conserved ? "true" : "false")
+           << ",\"metrics\":" << m.to_json() << "}";
+      std::cerr << "substrate_regions=" << shards << " regions=" << regions
+                << " workers=" << workers << " done (" << r.throughput_rps()
+                << " rps, " << r.wall_seconds << " s)\n";
+    };
+    {
+      opts.workers = 1;  // per region: N regions, N workers
+      serve::EmbeddingService service(substrate, inner, hier_paths, opts);
+      run_cell(service, shards, shards);
+    }
+    if (shards > 1) {
+      // The flat control: the same substrate and arrivals, one region, as
+      // many workers as the sharded cell.
+      opts.workers = shards;
+      serve::EmbeddingService service(workload.scenario.network, inner, opts);
+      run_cell(service, 1, shards);
+    }
   }
   json << "],";
 
@@ -233,7 +257,9 @@ int main(int argc, char** argv) {
   std::cout << "== shard scaling: the serving plane vs region count ==\n"
             << "expectation: throughput rises with region count (restricted "
                "solves shrink with region size, disjoint region paths commit "
-               "in parallel); 1 region is the flat service\n"
+               "in parallel); 1 region is the flat service, and the flat "
+               "control of each N > 1 (one region, N workers, same "
+               "substrate) shows how much of the rise is thread count\n"
             << "hardware threads: " << hw;
   if (hw < 2) {
     std::cout << " (single-core host: pool parallelism cannot show; the "

@@ -12,6 +12,26 @@
 
 namespace dagsfc::graph::reference {
 
+std::optional<Path> ShortestPathTree::path_to(NodeId target) const {
+  if (!reached(target)) return std::nullopt;
+  // One parent walk to count hops, then exact-size fills backwards — no
+  // push_back growth, no reverse.
+  std::size_t hops = 0;
+  for (NodeId v = target; v != source; v = parent[v]) ++hops;
+  Path p;
+  p.cost = dist[target];
+  p.nodes.resize(hops + 1);
+  p.edges.resize(hops);
+  NodeId v = target;
+  for (std::size_t i = hops; i > 0; --i) {
+    p.nodes[i] = v;
+    p.edges[i - 1] = parent_edge[v];
+    v = parent[v];
+  }
+  p.nodes[0] = source;
+  return p;
+}
+
 namespace {
 
 ShortestPathTree run_dijkstra(const Graph& g, NodeId source,

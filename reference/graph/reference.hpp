@@ -13,17 +13,41 @@
 ///   2. The honest "before" arm of bench/micro_graph, so the recorded
 ///      speedups compare against the real seed code, not a strawman.
 ///
+/// The seed kernels take the seed's edge predicate (EdgeFilter, a
+/// std::function) and return the seed's owning tree (ShortestPathTree).
+/// Both types live here, with the kernels: production code restricts its
+/// searches with an EdgeMask and reads results from a SearchWorkspace or a
+/// LazyTree.
+///
 /// Do not "optimize" anything in this library — its value is being a frozen
 /// baseline.
 
+#include <functional>
 #include <optional>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/steiner.hpp"
 
 namespace dagsfc::graph::reference {
+
+/// Predicate limiting which edges a search may traverse. Absent ⇒ all edges
+/// usable.
+using EdgeFilter = std::function<bool(EdgeId)>;
+
+/// Single-source shortest path tree by edge weight (price).
+struct ShortestPathTree {
+  NodeId source = kInvalidNode;
+  std::vector<double> dist;        // kInfCost if unreachable
+  std::vector<NodeId> parent;      // kInvalidNode for source/unreached
+  std::vector<EdgeId> parent_edge;
+
+  [[nodiscard]] bool reached(NodeId v) const {
+    return v < dist.size() && dist[v] < kInfCost;
+  }
+  /// Reconstructs the min-cost path source→target; nullopt if unreachable.
+  [[nodiscard]] std::optional<Path> path_to(NodeId target) const;
+};
 
 /// Seed Dijkstra: fresh O(V) arrays + std::priority_queue per call.
 [[nodiscard]] ShortestPathTree dijkstra(const Graph& g, NodeId source,

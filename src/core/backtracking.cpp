@@ -261,17 +261,15 @@ class MetaPaths {
     Anchor(MetaPaths& owner, const SearchTree& search_tree, bool toward_root)
         : tree(&search_tree),
           to_root(toward_root),
-          // Alternative real-paths in tree mode stay inside the search
-          // tree's node set: the paper's second/third-step candidates
-          // re-traverse the trees, not the whole graph.
-          usable([&owner, &search_tree](graph::EdgeId e) {
-            return owner.tree_usable(search_tree, e);
-          }),
           memo(owner.ctx_.g.num_nodes()) {}
 
     const SearchTree* tree;
     bool to_root;
-    graph::EdgeFilter usable;
+    // Tree mode with alternatives: the links Yen may use. Alternative
+    // real-paths stay inside the search tree's node set — the paper's
+    // second/third-step candidates re-traverse the trees, not the whole
+    // graph — and on links that can carry the flow.
+    graph::EdgeMaskBuffer usable;
     PathMemo memo;
     NodeId node = graph::kInvalidNode;
     // MBBE mode: the min-cost search from the anchor, held for the whole
@@ -282,7 +280,11 @@ class MetaPaths {
   void begin(Anchor& a, NodeId node) {
     a.node = node;
     a.memo.next();
-    if (opts_.min_cost_path_instantiation) a.sp = oracle_.search(node);
+    if (opts_.min_cost_path_instantiation) {
+      a.sp = oracle_.search(node);
+    } else if (opts_.paths_per_meta_path > 1) {
+      fill_tree_mask(*a.tree, a.usable);
+    }
   }
 
   PathRun candidates(Anchor& a, NodeId v) {
@@ -304,18 +306,24 @@ class MetaPaths {
     } else {
       push_tree_walk(*a.tree, v, a.to_root);
       if (k > 1) {
-        add_alternatives(oracle_.k_shortest_filtered(from, to, k, a.usable),
-                         first);
+        add_alternatives(
+            oracle_.k_shortest_filtered(from, to, k, a.usable.view()), first);
       }
     }
     return a.memo.put(v, screen(first));
   }
 
-  [[nodiscard]] bool tree_usable(const SearchTree& tree,
-                                 graph::EdgeId e) const {
-    const graph::Edge& ed = ctx_.g.edge(e);
-    return ctx_.ledger.link_can_carry(e, ctx_.rate) && tree.contains(ed.u) &&
-           tree.contains(ed.v);
+  /// Sets in \p mask exactly the links with both ends in \p tree that can
+  /// carry the flow.
+  void fill_tree_mask(const SearchTree& tree, graph::EdgeMaskBuffer& mask) {
+    mask.assign(ctx_.g.num_edges(), false);
+    for (graph::EdgeId e = 0; e < ctx_.g.num_edges(); ++e) {
+      const graph::Edge& ed = ctx_.g.edge(e);
+      if (ctx_.ledger.link_can_carry(e, ctx_.rate) && tree.contains(ed.u) &&
+          tree.contains(ed.v)) {
+        mask.set(e);
+      }
+    }
   }
 
   /// Father-pointer walk v → root of \p tree, reversed in place for a

@@ -1,6 +1,7 @@
 #include "core/baselines.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/path_oracle.hpp"
 #include "graph/dijkstra.hpp"
@@ -63,13 +64,11 @@ SolveResult assign_then_route(
     working.consume_instance(*net.find_instance(v, t), rate);
   }
 
-  // Meta-paths by minimum-cost path over links that can carry the flow.
-  // The residual network is fixed for the whole routing phase (the oracle
-  // only reads the ledger), so consecutive meta-paths leaving the same node
-  // — common, since a parallel block's branch paths all leave the preceding
-  // VNF's host — share one multi-target search via min_cost_paths(). Each
-  // returned path is bit-identical to the per-path query it replaces, and
-  // failure still reports at the first unroutable meta-path in input order.
+  // Meta-paths by minimum-cost path over links that can carry the flow,
+  // one oracle query each. The residual network is fixed for the whole
+  // routing phase (the oracle only reads the ledger), so meta-paths leaving
+  // the same node — a parallel block's branch paths all leave the
+  // preceding VNF's host — resume one cached search.
   PathOracle oracle(g, ledger, rate, workspace);
   auto record_counters = [&]() { result.path_queries = oracle.counters(); };
   Evaluator evaluator(index);
@@ -83,39 +82,22 @@ SolveResult assign_then_route(
     e.v0 = p.cost;
     tr(e);
   };
-  std::vector<NodeId> targets;
   auto route_all = [&](const std::vector<MetaPathDesc>& descs, bool inner,
                        std::vector<graph::Path>& out,
                        const char* fail_reason) -> bool {
-    std::size_t i = 0;
-    while (i < descs.size()) {
+    for (std::size_t i = 0; i < descs.size(); ++i) {
       const NodeId a = evaluator.resolve(descs[i].from, sol);
-      std::size_t j = i;
-      targets.clear();
-      while (j < descs.size() &&
-             evaluator.resolve(descs[j].from, sol) == a) {
-        const NodeId b = evaluator.resolve(descs[j].to, sol);
-        if (b != a) targets.push_back(b);
-        ++j;
+      const NodeId b = evaluator.resolve(descs[i].to, sol);
+      std::optional<graph::Path> p =
+          b == a ? std::optional<graph::Path>(trivial_path(a))
+                 : oracle.min_cost_path(a, b);
+      if (!p) {
+        result.failure_reason = fail_reason;
+        record_counters();
+        return false;
       }
-      auto found = targets.empty()
-                       ? std::vector<std::optional<graph::Path>>{}
-                       : oracle.min_cost_paths(a, targets);
-      std::size_t t = 0;
-      for (std::size_t idx = i; idx < j; ++idx) {
-        const NodeId b = evaluator.resolve(descs[idx].to, sol);
-        std::optional<graph::Path> p =
-            b == a ? std::optional<graph::Path>(trivial_path(a))
-                   : std::move(found[t++]);
-        if (!p) {
-          result.failure_reason = fail_reason;
-          record_counters();
-          return false;
-        }
-        routed_event(inner, idx, *p);
-        out.push_back(std::move(*p));
-      }
-      i = j;
+      routed_event(inner, i, *p);
+      out.push_back(std::move(*p));
     }
     return true;
   };

@@ -156,9 +156,15 @@ IlpModel IlpBuilder::build() {
     model.add_constraint(std::move(c));
   }
 
-  const graph::EdgeFilter usable = [&](graph::EdgeId e) {
-    return ledger_->link_can_carry(e, rate);
-  };
+  // Candidate paths run over the links that can carry the flow: one mask
+  // and one workspace for the whole build.
+  graph::EdgeMaskBuffer usable;
+  usable.assign(g.num_edges(), false);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (ledger_->link_can_carry(e, rate)) usable.set(e);
+  }
+  const graph::EdgeMask usable_mask = usable.view();
+  graph::SearchWorkspace ws;
 
   // Selection variables per meta-path (linearized (5)/(6)).
   auto build_selections = [&](const std::vector<MetaPathDesc>& metas,
@@ -179,7 +185,7 @@ IlpModel IlpBuilder::build() {
             paths.push_back(std::move(trivial));
           } else {
             paths = graph::k_shortest_paths(g, a, b, opts_.paths_per_pair,
-                                            usable);
+                                            &usable_mask, ws);
           }
           for (std::size_t rho = 0; rho < paths.size(); ++rho) {
             const VarId var = model.add_binary(

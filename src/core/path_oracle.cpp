@@ -50,18 +50,6 @@ std::optional<graph::Path> PathOracle::min_cost_path(NodeId a, NodeId b) {
   return t->path_to(b);
 }
 
-std::vector<std::optional<graph::Path>> PathOracle::min_cost_paths(
-    NodeId a, std::span<const NodeId> targets) {
-  std::vector<std::optional<graph::Path>> out;
-  out.reserve(targets.size());
-  const auto t = search(a);
-  for (const NodeId b : targets) {
-    settle(*t, b);
-    out.push_back(t->path_to(b));
-  }
-  return out;
-}
-
 std::vector<graph::Path> PathOracle::k_shortest(NodeId a, NodeId b,
                                                 std::size_t k) {
   return *ledger_->path_cache().k_paths(*g_, a, b, k, context(),
@@ -69,12 +57,8 @@ std::vector<graph::Path> PathOracle::k_shortest(NodeId a, NodeId b,
 }
 
 std::vector<graph::Path> PathOracle::k_shortest_filtered(
-    NodeId a, NodeId b, std::size_t k, const graph::EdgeFilter& filter) {
+    NodeId a, NodeId b, std::size_t k, const graph::EdgeMask& mask) {
   ++counters_.yen_calls;
-  // Materialize once (one filter call per edge) so the whole Yen run —
-  // every spur Dijkstra included — probes bits instead of the closure.
-  filtered_mask_.fill_from(*g_, filter);
-  const graph::EdgeMask mask = filtered_mask_.view();
   return graph::k_shortest_paths(*g_, a, b, k, &mask, *ws_);
 }
 

@@ -3,7 +3,7 @@
 /// The one gateway through which embedders ask shortest-path questions.
 ///
 /// A PathOracle binds the topology, the residual ledger and the flow rate,
-/// exposes the residual-capacity edge filter every solver uses, and answers
+/// restricts every query to the links that can carry the rate, and answers
 /// each query through the ledger's graph::PathCache, tallying
 /// graph::PathQueryCounters, which the embedders surface on SolveResult.
 ///
@@ -16,13 +16,15 @@
 /// Min-cost questions go through resumable searches (graph::LazyTree):
 /// search() hands out the ledger's cached search from a source, shared
 /// across queries and solves, and settle() runs it only until the
-/// asked-for target's distance is final. min_cost_path(s) settle it up to
-/// their targets; tree() settles everything (LAYERED and the EXACT test
-/// oracle read whole trees). Yen results are cached per (rate, endpoints, k).
+/// asked-for target's distance is final. min_cost_path() settles it up to
+/// its target, so several targets from one source share one search, one
+/// query each; tree() settles everything (LAYERED and the EXACT test
+/// oracle read whole trees). Yen results are cached per (rate, endpoints,
+/// k).
 ///
-/// Every answer is bit-identical to the seed kernels run from scratch with
-/// usable() as the filter: a search's settled nodes are a prefix of the
-/// full Dijkstra pop sequence with the same dist/parent bits, so the
+/// Every answer is bit-identical to the seed kernels run from scratch over
+/// the links that can carry the rate: a search's settled nodes are a prefix
+/// of the full Dijkstra pop sequence with the same dist/parent bits, so the
 /// parent chain of a settled target equals the early-exit run's and the
 /// full tree's (targets are finalized when popped; later relaxations cannot
 /// improve them), and cached Yen results are the same deterministic
@@ -33,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -57,19 +58,10 @@ class PathOracle {
       : g_(&g),
         ledger_(&ledger),
         rate_(rate),
-        usable_([this](graph::EdgeId e) {
-          return ledger_->link_can_carry(e, rate_);
-        }),
         ws_(ws != nullptr ? ws : &own_ws_) {}
 
   PathOracle(const PathOracle&) = delete;
   PathOracle& operator=(const PathOracle&) = delete;
-
-  /// Links that can carry the flow rate on the residual network — the
-  /// filter formerly rebuilt by every solver.
-  [[nodiscard]] const graph::EdgeFilter& usable() const noexcept {
-    return usable_;
-  }
 
   /// The workspace queries run through — for callers (ring searches) that
   /// share the oracle's buffers.
@@ -90,23 +82,15 @@ class PathOracle {
   /// Min-cost path a → b over usable links; nullopt when unreachable.
   [[nodiscard]] std::optional<graph::Path> min_cost_path(NodeId a, NodeId b);
 
-  /// Batched: min-cost paths a → targets[i], element i of the result
-  /// matching target i (nullopt where unreachable). Bit-identical to
-  /// calling min_cost_path per target: it settles one search up to the
-  /// farthest target. The baselines route all meta-paths sharing a source
-  /// through this.
-  [[nodiscard]] std::vector<std::optional<graph::Path>> min_cost_paths(
-      NodeId a, std::span<const NodeId> targets);
-
   /// Yen's k cheapest paths a → b over usable links.
   [[nodiscard]] std::vector<graph::Path> k_shortest(NodeId a, NodeId b,
                                                     std::size_t k);
 
-  /// Yen under a caller-supplied filter (e.g. restricted to a search-tree
-  /// node set). Never cached — the filter's identity is not keyable — but
-  /// still counted.
+  /// Yen under a caller-supplied mask (e.g. restricted to a search-tree
+  /// node set), which must cover the graph's edges. Never cached — the
+  /// mask's contents are not keyable — but still counted.
   [[nodiscard]] std::vector<graph::Path> k_shortest_filtered(
-      NodeId a, NodeId b, std::size_t k, const graph::EdgeFilter& filter);
+      NodeId a, NodeId b, std::size_t k, const graph::EdgeMask& mask);
 
   /// Minimum Steiner tree over usable links (the exact solvers' multicast
   /// pricing). Counted in PathQueryCounters::steiner_calls.
@@ -124,8 +108,9 @@ class PathOracle {
   }
 
  private:
-  /// Everything usable() depends on besides the ledger epoch, folded into
-  /// the cache key so e.g. flows of different rates never share entries.
+  /// Everything the usable-links mask depends on besides the ledger epoch,
+  /// folded into the cache key so e.g. flows of different rates never share
+  /// entries.
   [[nodiscard]] std::uint64_t context() const noexcept {
     return std::bit_cast<std::uint64_t>(rate_);
   }
@@ -142,7 +127,6 @@ class PathOracle {
   const graph::Graph* g_;
   const net::CapacityLedger* ledger_;
   double rate_;
-  graph::EdgeFilter usable_;
   graph::PathQueryCounters counters_;
 
   graph::SearchWorkspace own_ws_;
@@ -153,7 +137,6 @@ class PathOracle {
   std::uint64_t mask_epoch_ = 0;
   bool mask_ready_ = false;
   bool mask_full_ = false;  // no cleared bits in the current usable mask
-  graph::EdgeMaskBuffer filtered_mask_;  // k_shortest_filtered scratch
 };
 
 }  // namespace dagsfc::core

@@ -2,32 +2,6 @@
 
 namespace dagsfc::graph {
 
-BfsRings bfs_rings(const Graph& g, NodeId start, const NodeFilter& filter) {
-  DAGSFC_CHECK(g.has_node(start));
-  BfsRings out;
-  out.depth.assign(g.num_nodes(), BfsRings::kUnreached);
-  out.parent.assign(g.num_nodes(), kInvalidNode);
-  out.rings.push_back({start});
-  out.depth[start] = 0;
-  while (true) {
-    const auto& frontier = out.rings.back();
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      for (const Incidence& inc : g.neighbors(v)) {
-        const NodeId w = inc.neighbor;
-        if (out.depth[w] != BfsRings::kUnreached) continue;
-        if (filter && !filter(w)) continue;
-        out.depth[w] = out.depth[v] + 1;
-        out.parent[w] = v;
-        next.push_back(w);
-      }
-    }
-    if (next.empty()) break;
-    out.rings.push_back(std::move(next));
-  }
-  return out;
-}
-
 RingExpander::RingExpander(const Graph& g, NodeId start, NodeFilter filter,
                            SearchWorkspace* ws)
     : g_(g), filter_(std::move(filter)), ws_(ws != nullptr ? ws : &own_ws_) {

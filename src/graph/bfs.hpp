@@ -17,33 +17,12 @@ namespace dagsfc::graph {
 /// the forward-search node set).
 using NodeFilter = std::function<bool(NodeId)>;
 
-/// Result of an expanding ring search.
-struct BfsRings {
-  /// rings[q] lists the nodes first reached in iteration q; rings[0] is the
-  /// start node alone.
-  std::vector<std::vector<NodeId>> rings;
-  /// hop distance per node, or kUnreached.
-  std::vector<std::uint32_t> depth;
-  /// one BFS-tree parent per node (kInvalidNode for start/unreached).
-  std::vector<NodeId> parent;
-
-  static constexpr std::uint32_t kUnreached = static_cast<std::uint32_t>(-1);
-
-  [[nodiscard]] bool reached(NodeId v) const {
-    return v < depth.size() && depth[v] != kUnreached;
-  }
-};
-
-/// Full BFS from \p start. If \p filter is provided, nodes failing it are
-/// never entered (the start node is always included).
-[[nodiscard]] BfsRings bfs_rings(const Graph& g, NodeId start,
-                                 const NodeFilter& filter = {});
-
-/// Incremental ring expander: the caller pulls one ring at a time and stops
-/// when its own coverage condition holds — exactly the shape of the paper's
-/// forward search, which stops as soon as the accumulated node set hosts all
-/// VNFs of the layer. Also supports a hard cap on the visited-set size
-/// (MBBE strategy (1): |V^{F,l}| ≤ X_max).
+/// The one ring search, incremental: the caller pulls one ring at a time
+/// and stops when its own coverage condition holds — exactly the shape of
+/// the paper's forward search, which stops as soon as the accumulated node
+/// set hosts all VNFs of the layer. A caller that wants every ring expands
+/// until expand() returns empty. Also supports a hard cap on the
+/// visited-set size (MBBE strategy (1): |V^{F,l}| ≤ X_max).
 ///
 /// All working state lives in a SearchWorkspace's BFS section (stamps
 /// instead of a per-construction O(V) seen array). Pass the solver's

@@ -26,33 +26,13 @@ void append_chain(NodeId source, NodeId target, const LinkOf& link,
   nodes[n0] = source;
 }
 
-}  // namespace
-
-std::optional<Path> ShortestPathTree::path_to(NodeId target) const {
-  if (!reached(target)) return std::nullopt;
-  Path p;
-  p.cost = dist[target];
-  append_path_to(target, p.nodes, p.edges);
-  return p;
-}
-
-void ShortestPathTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
-                                      std::vector<EdgeId>& edges) const {
-  DAGSFC_CHECK(reached(target));
-  append_chain(
-      source, target,
-      [this](NodeId v) { return ParentLink{parent[v], parent_edge[v]}; },
-      nodes, edges);
-}
-
-namespace {
-
 /// The flat relaxation loop. Every search runs it: one-shot searches over a
-/// SearchWorkspace and the path cache's resumable LazyTrees. Templated on the label store, on the
-/// edge-admission test (so the unfiltered instantiation carries no per-edge
-/// branch on a mask pointer) and on the stop test. The scan streams the
-/// CSR incidence and weight arrays in lockstep — the only random access
-/// left per arc is the neighbor's dist slot.
+/// SearchWorkspace and the path cache's resumable LazyTrees. Templated on
+/// the label store, on the edge-admission test (so the unmasked
+/// instantiation carries no per-edge branch on a mask pointer) and on the
+/// stop test. The scan streams the CSR incidence and weight arrays in
+/// lockstep — the only random access left per arc is the neighbor's dist
+/// slot.
 ///
 /// Before settling the next final node — the heap's top once stale entries
 /// are dropped — the loop asks stop(top). On true it returns with that node
@@ -102,7 +82,8 @@ std::size_t settle_loop(const Graph& g, Labels& labels, SearchHeap& heap,
   return settled;
 }
 
-/// settle_loop over \p mask's edges (null ⇒ all).
+/// settle_loop over \p mask's edges (null ⇒ all). The entry points have
+/// checked that the mask covers the graph.
 template <typename Labels, typename Stop>
 std::size_t settle_masked(const Graph& g, Labels& labels, SearchHeap& heap,
                           const EdgeMask* mask, const Stop& stop) {
@@ -110,7 +91,6 @@ std::size_t settle_masked(const Graph& g, Labels& labels, SearchHeap& heap,
     return settle_loop(
         g, labels, heap, [](EdgeId) { return true; }, stop);
   }
-  DAGSFC_ASSERT(mask->num_edges() >= g.num_edges());
   const EdgeMask m = *mask;
   return settle_loop(
       g, labels, heap, [m](EdgeId e) { return m.allows(e); }, stop);
@@ -121,26 +101,13 @@ std::size_t settle_masked(const Graph& g, Labels& labels, SearchHeap& heap,
 std::size_t dijkstra_into(const Graph& g, NodeId source, SearchWorkspace& ws,
                           const EdgeMask* mask, NodeId stop_at) {
   DAGSFC_CHECK(g.has_node(source));
+  check_covers(mask, g);
   ws.prepare(g);
   ws.start(source);
   return settle_masked(g, ws, ws.heap(), mask,
                        [stop_at](SearchHeap::Item top) {
                          return top.node == stop_at;
                        });
-}
-
-ShortestPathTree export_tree(const SearchWorkspace& ws, std::size_t n) {
-  ShortestPathTree t;
-  t.source = ws.source();
-  t.dist.resize(n);
-  t.parent.resize(n);
-  t.parent_edge.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    t.dist[v] = ws.dist(v);
-    t.parent[v] = ws.parent(v);
-    t.parent_edge[v] = ws.parent_edge(v);
-  }
-  return t;
 }
 
 std::optional<Path> extract_path(const SearchWorkspace& ws, NodeId target) {
@@ -152,12 +119,6 @@ std::optional<Path> extract_path(const SearchWorkspace& ws, NodeId target) {
       [&ws](NodeId v) { return ParentLink{ws.parent(v), ws.parent_edge(v)}; },
       p.nodes, p.edges);
   return p;
-}
-
-ShortestPathTree dijkstra(const Graph& g, NodeId source, SearchWorkspace& ws,
-                          const EdgeMask* mask) {
-  dijkstra_into(g, source, ws, mask);
-  return export_tree(ws, g.num_nodes());
 }
 
 std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
@@ -224,6 +185,7 @@ std::size_t LazyTree::resume(const Graph& g, const EdgeMask* mask,
 std::size_t LazyTree::settle(const Graph& g, NodeId target,
                              const EdgeMask* mask) {
   DAGSFC_CHECK(target < dist.size());
+  check_covers(mask, g);
   if (is_final(target)) return 0;
   return resume(g, mask, [this, target](SearchHeap::Item top) {
     return top.key >= dist[target];  // is_final(target)
@@ -231,6 +193,7 @@ std::size_t LazyTree::settle(const Graph& g, NodeId target,
 }
 
 std::size_t LazyTree::settle_all(const Graph& g, const EdgeMask* mask) {
+  check_covers(mask, g);
   if (complete()) return 0;
   return resume(g, mask, [](SearchHeap::Item) { return false; });
 }
@@ -250,26 +213,6 @@ void LazyTree::append_path_to(NodeId target, std::vector<NodeId>& nodes,
   DAGSFC_ASSERT(is_final(target));
   append_chain(
       source, target, [this](NodeId v) { return links_[v]; }, nodes, edges);
-}
-
-// --- legacy tier -----------------------------------------------------------
-
-ShortestPathTree dijkstra(const Graph& g, NodeId source,
-                          const EdgeFilter& filter) {
-  SearchWorkspace& ws = thread_local_workspace();
-  if (!filter) return dijkstra(g, source, ws);
-  ws.scratch_mask().fill_from(g, filter);
-  const EdgeMask mask = ws.scratch_mask().view();
-  return dijkstra(g, source, ws, &mask);
-}
-
-std::optional<Path> min_cost_path(const Graph& g, NodeId source, NodeId target,
-                                  const EdgeFilter& filter) {
-  SearchWorkspace& ws = thread_local_workspace();
-  if (!filter) return min_cost_path(g, source, target, ws);
-  ws.scratch_mask().fill_from(g, filter);
-  const EdgeMask mask = ws.scratch_mask().view();
-  return min_cost_path(g, source, target, ws, &mask);
 }
 
 }  // namespace dagsfc::graph

@@ -1,19 +1,17 @@
 #pragma once
 /// \file edge_mask.hpp
-/// Flat bitset over edge ids — the fast-path replacement for the
-/// std::function EdgeFilter in the search kernels.
+/// Flat bitset over edge ids — the one way a search is told which edges it
+/// may traverse (links that can carry a flow, links inside a search tree,
+/// a Yen spur's surviving links).
 ///
-/// An EdgeFilter costs a type-erased indirect call per edge probe and often
-/// captures heap state (sets of banned edges, ledger pointers). An EdgeMask
-/// answers the same question — "may this search traverse edge e?" — with one
-/// inlined word load and bit test, and a mask buffer is reusable across
-/// searches: Yen's spur loops rebuild one buffer per spur (word-copy of the
-/// base mask, then clear the banned bits) instead of constructing a fresh
-/// closure around fresh std::sets per candidate.
-///
-/// Semantics are deliberately identical to the filters they replace: a mask
-/// materialized from a pure EdgeFilter allows exactly the edges the filter
-/// accepts, so any search is bit-identical under either representation.
+/// A kernel answers "may this search traverse edge e?" with one inlined
+/// word load and bit test, and a mask buffer is reusable across searches:
+/// Yen's spur loops rebuild one buffer per spur (word-copy of the base
+/// mask, then clear the banned bits). Callers fill their masks once per
+/// question: the PathOracle's usable-links mask once per ledger epoch, the
+/// backtracking engine's tree mask once per search-tree root. Every search
+/// entry point checks the mask's size once (check_covers()), so the per-arc
+/// probe needs no bounds check.
 
 #include <cstdint>
 #include <vector>
@@ -24,7 +22,7 @@ namespace dagsfc::graph {
 
 /// Non-owning view over a mask buffer; bit e set ⇔ edge e is traversable.
 /// Cheap to copy (pointer + size). No bounds checks in allows() — the
-/// kernels only probe ids below the buffer's edge count.
+/// kernels only probe ids below the edge count check_covers() verified.
 class EdgeMask {
  public:
   EdgeMask() = default;
@@ -42,7 +40,15 @@ class EdgeMask {
   std::size_t num_edges_ = 0;
 };
 
-/// Owning, reusable mask storage. assign()/fill_from() only allocate when
+/// The size check every search entry point makes once: \p mask (null ⇒
+/// every edge usable) holds a bit for each of \p g's edge ids. Throws
+/// ContractViolation when it is shorter.
+inline void check_covers(const EdgeMask* mask, const Graph& g) {
+  DAGSFC_CHECK_MSG(mask == nullptr || mask->num_edges() >= g.num_edges(),
+                   "edge mask shorter than the graph's edge count");
+}
+
+/// Owning, reusable mask storage. assign()/copy_from() only allocate when
 /// the edge count grows beyond the current capacity, so warm reuse across
 /// searches is allocation-free.
 class EdgeMaskBuffer {
@@ -52,17 +58,6 @@ class EdgeMaskBuffer {
     num_edges_ = num_edges;
     words_.assign(word_count(num_edges), value ? ~std::uint64_t{0} : 0);
     trim_tail();
-  }
-
-  /// Materializes \p filter: bit e = filter(e). A null filter allows all.
-  /// One filter evaluation per edge — callers amortize this over the many
-  /// probes a search (or a whole Yen run) would otherwise pay.
-  void fill_from(const Graph& g, const EdgeFilter& filter) {
-    assign(g.num_edges(), true);
-    if (!filter) return;
-    for (EdgeId e = 0; e < num_edges_; ++e) {
-      if (!filter(e)) clear(e);
-    }
   }
 
   void copy_from(const EdgeMaskBuffer& other) {

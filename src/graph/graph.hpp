@@ -15,11 +15,14 @@
 /// rows so relaxation loops stream one flat array instead of chasing
 /// vector<vector> pointers. CSR row order equals incidence-list insertion
 /// order, so switching views never changes any deterministic tie-break.
+///
+/// A search that may use only some links (those with residual bandwidth,
+/// those inside a search tree) takes an EdgeMask (edge_mask.hpp): the one
+/// edge predicate the kernels accept.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -37,12 +40,6 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 inline constexpr EdgeId kInvalidEdge = static_cast<EdgeId>(-1);
 
 inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
-
-/// Predicate limiting which edges a search may traverse (e.g. links with
-/// remaining bandwidth). Absent ⇒ all edges usable. This is the flexible,
-/// slow path; the search kernels prefer an EdgeMask (edge_mask.hpp), which
-/// the hot loops can test with one inlined bit probe.
-using EdgeFilter = std::function<bool(EdgeId)>;
 
 /// An undirected edge endpoint pair plus its weight (link price).
 struct Edge {

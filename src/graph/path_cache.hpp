@@ -7,8 +7,8 @@
 /// BBE/MBBE re-derive the min-cost paths of a sub-solution's end node once
 /// per parent, and the baselines route every meta-path from scratch. A
 /// PathCache memoizes those results keyed by (context, endpoints, k), where context
-/// is the flow rate bit-cast to uint64 — the one extra input the usability
-/// filter depends on — so flows of different rates never share entries.
+/// is the flow rate bit-cast to uint64 — the one extra input the usable-edge
+/// mask depends on — so flows of different rates never share entries.
 ///
 /// ## Resumable tree entries
 ///

@@ -97,6 +97,7 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
                                         const std::vector<NodeId>& terminals,
                                         const EdgeMask* mask,
                                         SearchWorkspace& ws) {
+  check_covers(mask, g);
   std::vector<NodeId> terms(terminals);
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
@@ -325,16 +326,6 @@ std::optional<SteinerTree> steiner_tree(const Graph& g,
   DAGSFC_ASSERT(out.cost <=
                 dp[static_cast<std::size_t>(full) * n + root] + 1e-9);
   return out;
-}
-
-std::optional<SteinerTree> steiner_tree(const Graph& g,
-                                        const std::vector<NodeId>& terminals,
-                                        const EdgeFilter& filter) {
-  SearchWorkspace& ws = thread_local_workspace();
-  if (!filter) return steiner_tree(g, terminals, nullptr, ws);
-  ws.scratch_mask().fill_from(g, filter);
-  const EdgeMask mask = ws.scratch_mask().view();
-  return steiner_tree(g, terminals, &mask, ws);
 }
 
 }  // namespace dagsfc::graph

@@ -27,23 +27,16 @@ struct SteinerTree {
   std::vector<EdgeId> edges;  // unique edges of the tree
 };
 
-/// Flat tier: minimum-weight tree connecting all \p terminals through the
-/// masked subgraph (null mask ⇒ all edges), using \p ws for the base-case
-/// Dijkstras (one dijkstra_into per terminal) and the subset relaxations'
-/// heap. The DP tables themselves are
-/// still allocated per call — this entry point exists for mask/workspace
-/// plumbing consistency, not allocation freedom (the DP dominates anyway).
-/// Bit-identical to the legacy overload below.
+/// Minimum-weight tree connecting all \p terminals (duplicates allowed
+/// and ignored; at most 14 distinct) through the masked subgraph (null
+/// \p mask ⇒ every edge). Returns nullopt when the terminals are not
+/// mutually reachable there; a single distinct terminal yields an empty
+/// zero-cost tree. \p ws runs the base-case Dijkstras (one dijkstra_into
+/// per terminal) and the subset relaxations' heap, and holds the DP tables
+/// in its scratch vectors. A mask shorter than g.num_edges() bits throws
+/// ContractViolation.
 [[nodiscard]] std::optional<SteinerTree> steiner_tree(
     const Graph& g, const std::vector<NodeId>& terminals, const EdgeMask* mask,
     SearchWorkspace& ws);
-
-/// Legacy tier: minimum-weight tree connecting all \p terminals (duplicates
-/// allowed and ignored). At most 14 distinct terminals. Returns nullopt when
-/// the terminals are not mutually reachable through the filtered subgraph.
-/// A single distinct terminal yields an empty zero-cost tree.
-[[nodiscard]] std::optional<SteinerTree> steiner_tree(
-    const Graph& g, const std::vector<NodeId>& terminals,
-    const EdgeFilter& filter = {});
 
 }  // namespace dagsfc::graph

@@ -4,11 +4,6 @@
 
 namespace dagsfc::graph {
 
-SearchWorkspace& thread_local_workspace() {
-  static thread_local SearchWorkspace ws;
-  return ws;
-}
-
 void SearchWorkspace::prepare(const Graph& g) {
   const std::size_t n = g.num_nodes();
   if (slots_.size() < n) {

@@ -18,13 +18,16 @@
 /// other; the Yen mask buffers are likewise dedicated so spur searches can
 /// run over them while a base mask stays pinned.
 ///
-/// Ownership: one workspace per solver instance or per worker thread —
-/// PathOracle embeds a fallback one, the serve layer keeps one per worker,
-/// the trial runner one per pool thread. Workspaces are not thread-safe and
-/// never shared concurrently. Reusing a workspace never changes results:
-/// every kernel fully re-initializes the slots it reads (that is the whole
-/// point of the stamps), which is what keeps flat search bit-identical to
-/// the seed implementation (graph::reference, under reference/).
+/// Ownership: every search takes its caller's workspace; there is no
+/// per-thread fallback. A PathOracle lends one to its solve (its own when
+/// the caller passes none), the serve layer keeps one per worker, the trial
+/// runner one per pool thread, and one-off callers (ILP bound generation,
+/// HIER's stage one without a loan) make a local one. Workspaces are not
+/// thread-safe and never shared concurrently. Reusing a workspace never
+/// changes results: every kernel fully re-initializes the slots it reads
+/// (that is the whole point of the stamps), which is what keeps flat search
+/// bit-identical to the seed implementation (graph::reference, under
+/// reference/).
 ///
 /// A warm call on a prepared workspace performs zero heap allocations
 /// (asserted by tests/test_search_workspace.cpp via a counting operator
@@ -39,14 +42,6 @@
 #include "graph/graph.hpp"
 
 namespace dagsfc::graph {
-
-class SearchWorkspace;
-
-/// Per-thread fallback workspace backing the legacy EdgeFilter entry points
-/// (callers that don't carry their own — ILP bound generation, one-off
-/// tests). Hot-path callers should own a workspace instead so reuse is
-/// explicit and measurable.
-[[nodiscard]] SearchWorkspace& thread_local_workspace();
 
 /// Parent pointer + the edge it came through, fused for one 8-byte store
 /// per relaxation.
@@ -256,13 +251,12 @@ class SearchWorkspace {
   std::vector<NodeId>& bfs_scratch() noexcept { return bfs_scratch_; }
 
   // --- Mask buffers (kernel API) ----------------------------------------
-  // Dedicated buffers so their lifetimes cannot collide: `base` holds a
-  // materialized caller filter for the duration of a Yen run, `spur` is
-  // rewritten per spur candidate, `scratch` backs one-shot legacy calls.
+  // Dedicated buffers so their lifetimes cannot collide: `base` holds the
+  // caller's mask for the duration of a Yen run, `spur` is rewritten per
+  // spur candidate.
 
   EdgeMaskBuffer& base_mask() noexcept { return base_mask_; }
   EdgeMaskBuffer& spur_mask() noexcept { return spur_mask_; }
-  EdgeMaskBuffer& scratch_mask() noexcept { return scratch_mask_; }
 
   // --- scratch vectors (kernel API) -------------------------------------
   // Typed spare buffers for kernels that need more than the per-node slots:
@@ -310,7 +304,6 @@ class SearchWorkspace {
 
   EdgeMaskBuffer base_mask_;
   EdgeMaskBuffer spur_mask_;
-  EdgeMaskBuffer scratch_mask_;
 
   std::vector<NodeId> scratch_nodes_;
   std::vector<double> scratch_f64_;

@@ -26,6 +26,7 @@ struct PathLess {
 std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
                                    NodeId target, std::size_t k,
                                    const EdgeMask* mask, SearchWorkspace& ws) {
+  check_covers(mask, g);
   std::vector<Path> result;
   if (k == 0) return result;
 
@@ -92,16 +93,6 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
     candidates.erase(candidates.begin());
   }
   return result;
-}
-
-std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
-                                   NodeId target, std::size_t k,
-                                   const EdgeFilter& filter) {
-  SearchWorkspace& ws = thread_local_workspace();
-  if (!filter) return k_shortest_paths(g, source, target, k, nullptr, ws);
-  ws.scratch_mask().fill_from(g, filter);
-  const EdgeMask mask = ws.scratch_mask().view();
-  return k_shortest_paths(g, source, target, k, &mask, ws);
 }
 
 }  // namespace dagsfc::graph

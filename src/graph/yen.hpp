@@ -12,21 +12,15 @@
 
 namespace dagsfc::graph {
 
-/// Flat tier: up to \p k cheapest simple paths source→target in ascending
-/// cost order, searching through \p ws (whose base/spur mask buffers the
-/// spur loop reuses — one word-copy per spur instead of a closure over fresh
-/// std::sets). A null \p mask admits every edge. Results are bit-identical
-/// to the legacy overload below.
+/// Up to \p k cheapest simple paths source→target in ascending cost
+/// order; fewer when the masked subgraph (null \p mask ⇒ every edge) does
+/// not contain them. Searches through \p ws, whose base/spur mask buffers
+/// the spur loop reuses — one word-copy per spur instead of a predicate
+/// over fresh std::sets. A mask shorter than g.num_edges() bits throws
+/// ContractViolation.
 [[nodiscard]] std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
                                                  NodeId target, std::size_t k,
                                                  const EdgeMask* mask,
                                                  SearchWorkspace& ws);
-
-/// Legacy tier: up to \p k cheapest simple paths source→target in ascending
-/// cost order. Honors \p filter the same way dijkstra() does. Returns fewer
-/// than k paths when the graph does not contain them.
-[[nodiscard]] std::vector<Path> k_shortest_paths(const Graph& g, NodeId source,
-                                                 NodeId target, std::size_t k,
-                                                 const EdgeFilter& filter = {});
 
 }  // namespace dagsfc::graph

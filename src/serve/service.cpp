@@ -38,16 +38,6 @@ std::uint64_t shard_mask(const std::vector<shard::RegionId>& regions) {
   return mask;
 }
 
-CommitClass commit_class(shard::CommitPath p) {
-  switch (p) {
-    case shard::CommitPath::kFast: return CommitClass::kFast;
-    case shard::CommitPath::kStamp: return CommitClass::kStamp;
-    case shard::CommitPath::kValidated: return CommitClass::kValidated;
-    case shard::CommitPath::kConflict: return CommitClass::kConflict;
-  }
-  return CommitClass::kConflict;
-}
-
 /// The one-region partition of a flat service's network.
 shard::RegionPartition whole_network(const net::Network& network) {
   return shard::RegionPartition::from_labels(
@@ -93,7 +83,7 @@ void EmbeddingService::start() {
   if (opts_.tracing.enabled) {
     spans_ = std::make_unique<util::SpanRecorder>(lanes,
                                                   opts_.tracing.ring_capacity);
-    flight_ = std::make_unique<FlightRecorder>(opts_.tracing.flight_capacity);
+    flight_ = std::make_unique<FlightRecorder>(kFlightCapacity);
   }
   watch_slots_.resize(lanes);
   if (opts_.slow_solve_threshold.count() > 0) {
@@ -297,7 +287,7 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
   // its summaries only change on explicit repricing.
   shard::candidate_region_sets(*substrate_, job.req.flow.source,
                                job.req.flow.destination, region_paths_,
-                               state.candidates);
+                               state.ws, state.candidates);
 
   const std::uint32_t max_attempts = 1 + opts_.admission.max_retries;
   for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -327,7 +317,7 @@ Response EmbeddingService::process(Job& job, WorkerState& state,
       const std::uint64_t t_commit0 = trace.now();
       const shard::CommitResult commit =
           ledger_.try_commit(usage, rate, regions, state.view.epochs());
-      trace.commit(att, commit_class(commit.path), t_commit0, trace.now(),
+      trace.commit(att, commit.path, t_commit0, trace.now(),
                    shard_mask(commit.touched));
       metrics_.on_commit(commit);
       if (!commit.ok) {

@@ -91,7 +91,7 @@ std::vector<FlightTrace> FlightRecorder::snapshot() const {
 namespace {
 
 /// detail decoded per kind — "feasible"/"infeasible" for solve spans, the
-/// commit class for commit spans, the outcome for outcome spans.
+/// commit path for commit spans, the outcome for outcome spans.
 std::string span_detail(const util::SpanRecord& r) {
   switch (static_cast<SpanKind>(r.kind)) {
     case SpanKind::kQueueWait:
@@ -99,7 +99,7 @@ std::string span_detail(const util::SpanRecord& r) {
     case SpanKind::kSolve:
       return r.detail != 0 ? "feasible" : "infeasible";
     case SpanKind::kCommit:
-      return to_string(static_cast<CommitClass>(r.detail));
+      return to_string(static_cast<shard::CommitPath>(r.detail));
     case SpanKind::kOutcome:
       return to_string(static_cast<Outcome>(r.detail));
   }

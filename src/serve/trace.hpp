@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "serve/request.hpp"
+#include "shard/ledger.hpp"
 #include "util/span_recorder.hpp"
 
 namespace dagsfc::serve {
@@ -39,7 +40,7 @@ namespace dagsfc::serve {
 enum class SpanKind : std::uint8_t {
   kQueueWait = 1,  ///< submit → dequeue; arg unused
   kSolve = 2,      ///< one solve; detail = feasible, arg = candidate index
-  kCommit = 3,     ///< one commit attempt; detail = CommitClass, arg = shard mask
+  kCommit = 3,     ///< one commit attempt; detail = CommitPath, arg = shards
   kOutcome = 4,    ///< whole request; detail = Outcome, value = cost
 };
 
@@ -49,24 +50,6 @@ enum class SpanKind : std::uint8_t {
     case SpanKind::kSolve: return "solve";
     case SpanKind::kCommit: return "commit";
     case SpanKind::kOutcome: return "outcome";
-  }
-  return "unknown";
-}
-
-/// How one commit attempt resolved — shard::CommitPath, one to one.
-enum class CommitClass : std::uint8_t {
-  kFast = 0,       ///< epoch unmoved; committed without validation
-  kStamp = 1,      ///< epoch moved; footprint stamps proved residuals live
-  kValidated = 2,  ///< epoch moved; full residual re-check passed
-  kConflict = 3,   ///< validation failed; the attempt was rejected
-};
-
-[[nodiscard]] constexpr const char* to_string(CommitClass c) noexcept {
-  switch (c) {
-    case CommitClass::kFast: return "fast";
-    case CommitClass::kStamp: return "stamp";
-    case CommitClass::kValidated: return "validated";
-    case CommitClass::kConflict: return "conflict";
   }
   return "unknown";
 }
@@ -82,14 +65,16 @@ enum TraceTrigger : std::uint8_t {
 /// "latency,lost_conflict" — sorted by bit, empty string for 0.
 [[nodiscard]] std::string trigger_names(std::uint8_t triggers);
 
+/// Triggered traces a service's flight recorder retains; older promotions
+/// are evicted FIFO.
+inline constexpr std::size_t kFlightCapacity = 64;
+
 /// Knobs threaded through serve::EmbeddingService::Options.
 struct TracingOptions {
   bool enabled = false;
   /// Span records per worker lane — the ring holds the most recent
   /// ring_capacity spans each worker emitted (~64 B per record).
   std::size_t ring_capacity = 256;
-  /// Triggered traces retained; older promotions are evicted FIFO.
-  std::size_t flight_capacity = 64;
   /// Promote traces whose submit→finish latency exceeds this; 0 disables
   /// the latency trigger.
   std::chrono::nanoseconds latency_over{0};
@@ -146,9 +131,9 @@ class RequestTrace {
              std::uint64_t t1, std::uint64_t candidate, double cost) noexcept {
     add(SpanKind::kSolve, attempt, feasible ? 1 : 0, t0, t1, candidate, cost);
   }
-  void commit(std::uint16_t attempt, CommitClass cls, std::uint64_t t0,
-              std::uint64_t t1, std::uint64_t arg) noexcept {
-    add(SpanKind::kCommit, attempt, static_cast<std::uint8_t>(cls), t0, t1,
+  void commit(std::uint16_t attempt, shard::CommitPath path,
+              std::uint64_t t0, std::uint64_t t1, std::uint64_t arg) noexcept {
+    add(SpanKind::kCommit, attempt, static_cast<std::uint8_t>(path), t0, t1,
         arg, 0.0);
   }
   void outcome(Outcome o, std::uint64_t t0, std::uint64_t t1,

@@ -31,6 +31,7 @@ std::unique_ptr<core::Embedder> make_inner_embedder(InnerAlgorithm algorithm) {
 
 void candidate_region_sets(const ShardedSubstrate& substrate, NodeId src,
                            NodeId dst, std::size_t k,
+                           graph::SearchWorkspace& ws,
                            std::vector<std::vector<RegionId>>& out) {
   const RegionId from = substrate.region_of_node(src);
   if (from == substrate.region_of_node(dst)) {
@@ -38,7 +39,7 @@ void candidate_region_sets(const ShardedSubstrate& substrate, NodeId src,
     out[0].assign(1, from);
     return;
   }
-  const auto paths = substrate.region_paths(src, dst, k);
+  const auto paths = substrate.region_paths(src, dst, k, ws);
   out.resize(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     out[i] = paths[i];
@@ -82,10 +83,14 @@ core::SolveResult HierarchicalEmbedder::do_solve(
                    "ledger views a different Network than the substrate");
   const core::Flow& flow = index.problem().flow;
 
-  // Stage one: candidate region sets, cheapest summary first.
+  // Stage one: candidate region sets, cheapest summary first, searched
+  // through the solve's workspace loan (a local one without it).
+  graph::SearchWorkspace local_ws;
   std::vector<std::vector<RegionId>> candidates;
   candidate_region_sets(*substrate_, flow.source, flow.destination,
-                        opts_.region_paths, candidates);
+                        opts_.region_paths,
+                        workspace != nullptr ? *workspace : local_ws,
+                        candidates);
 
   core::SolveResult best;
   best.failure_reason = candidates.empty()

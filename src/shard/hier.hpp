@@ -67,9 +67,11 @@ struct HierOptions {
 /// summary first (ShardedSubstrate::region_paths), each sorted ascending.
 /// Region paths are loopless, so every set is duplicate-free. Written into
 /// \p out, whose buffers are reused; empty when the endpoints' regions are
-/// disconnected. Shared by this embedder and the serving plane.
+/// disconnected. Searches through the caller's \p ws. Shared by this
+/// embedder and the serving plane.
 void candidate_region_sets(const ShardedSubstrate& substrate, NodeId src,
                            NodeId dst, std::size_t k,
+                           graph::SearchWorkspace& ws,
                            std::vector<std::vector<RegionId>>& out);
 
 /// Zeroes, in place, the residual of every resource owned by a region

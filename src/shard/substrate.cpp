@@ -100,14 +100,14 @@ void ShardedSubstrate::refresh_summaries() {
 }
 
 std::vector<std::vector<RegionId>> ShardedSubstrate::region_paths(
-    NodeId src, NodeId dst, std::size_t k) const {
+    NodeId src, NodeId dst, std::size_t k, graph::SearchWorkspace& ws) const {
   DAGSFC_CHECK(k >= 1);
   const RegionId from = partition_.region(src);
   const RegionId to = partition_.region(dst);
   if (from == to) return {{from}};
   const auto paths = graph::k_shortest_paths(
       region_graph_, static_cast<graph::NodeId>(from),
-      static_cast<graph::NodeId>(to), k);
+      static_cast<graph::NodeId>(to), k, nullptr, ws);
   std::vector<std::vector<RegionId>> out;
   out.reserve(paths.size());
   for (const auto& p : paths) {

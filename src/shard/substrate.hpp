@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/workspace.hpp"
 #include "net/network.hpp"
 #include "shard/partition.hpp"
 
@@ -121,9 +122,10 @@ class ShardedSubstrate {
   /// the contracted graph, in ascending summary-cost order (deterministic —
   /// Yen with its fixed tie-breaks). A same-region pair yields the single
   /// one-element sequence. Each sequence is a set of regions an embedding
-  /// may use; order within it carries no constraint for stage two.
+  /// may use; order within it carries no constraint for stage two. Yen
+  /// searches through the caller's \p ws.
   [[nodiscard]] std::vector<std::vector<RegionId>> region_paths(
-      NodeId src, NodeId dst, std::size_t k) const;
+      NodeId src, NodeId dst, std::size_t k, graph::SearchWorkspace& ws) const;
 
  private:
   const net::Network* net_;

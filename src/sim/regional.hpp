@@ -2,8 +2,8 @@
 /// \file regional.hpp
 /// Regional scenario generation — the shard layer's substrate factory.
 ///
-/// Wraps graph::make_regional_waxman / make_regional_fat_tree with the same
-/// pricing and VNF deployment recipe as make_scenario (§5.1): VNF prices
+/// Wraps graph::make_regional_waxman with the same pricing and VNF
+/// deployment recipe as make_scenario (§5.1): VNF prices
 /// uniform around base_vnf_price, link prices uniform around
 /// base_vnf_price·average_price_ratio — except border links, whose price
 /// band is scaled by RegionSpec::inter_price_multiplier. The price gap is
@@ -45,11 +45,5 @@ struct RegionalScenario {
 /// Regional Waxman substrate, priced and deployed. Deterministic in \p rng.
 [[nodiscard]] RegionalScenario make_regional_scenario(
     Rng& rng, const RegionalConfig& cfg);
-
-/// Region-labeled fat-tree variant (region 0 = cores, region 1+p = pod p),
-/// priced and deployed with the same recipe.
-[[nodiscard]] RegionalScenario make_regional_fat_tree_scenario(
-    Rng& rng, std::size_t k, const ExperimentConfig& base,
-    double inter_price_multiplier = 4.0);
 
 }  // namespace dagsfc::sim

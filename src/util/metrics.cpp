@@ -7,7 +7,6 @@
 
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 
 namespace dagsfc::util {
 
@@ -411,89 +410,6 @@ std::string RegistrySnapshot::json() const {
     os << '}';
   }
   os << "]}";
-  return os.str();
-}
-
-MetricsReporter::MetricsReporter(const MetricRegistry& registry,
-                                 std::chrono::nanoseconds period,
-                                 Callback callback)
-    : registry_(&registry), period_(period), callback_(std::move(callback)) {
-  DAGSFC_CHECK(period_.count() > 0);
-  prev_ = registry_->snapshot();
-  thread_ = std::thread([this] { loop(); });
-}
-
-MetricsReporter::~MetricsReporter() { stop(); }
-
-void MetricsReporter::stop() {
-  {
-    std::lock_guard lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void MetricsReporter::loop() {
-  std::unique_lock lock(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lock, period_, [this] { return stop_; })) break;
-    report_locked();
-  }
-}
-
-void MetricsReporter::report_now() {
-  std::lock_guard lock(mu_);
-  report_locked();
-}
-
-void MetricsReporter::report_locked() {
-  RegistrySnapshot cur = registry_->snapshot();
-  if (callback_) {
-    callback_(cur, prev_);
-  } else {
-    const std::string line = format_deltas(cur, prev_);
-    if (!line.empty()) DAGSFC_INFO("metrics: " << line);
-  }
-  prev_ = std::move(cur);
-}
-
-std::string MetricsReporter::format_deltas(const RegistrySnapshot& cur,
-                                           const RegistrySnapshot& prev) {
-  std::ostringstream os;
-  bool first = true;
-  const auto sep = [&]() -> std::ostringstream& {
-    if (!first) os << "; ";
-    first = false;
-    return os;
-  };
-  for (const MetricSample& s : cur.samples) {
-    const MetricSample* p = prev.find(s.name, s.labels);
-    const std::string id = s.name + render_label_set(s.labels);
-    switch (s.kind) {
-      case MetricKind::Counter: {
-        const std::uint64_t before = p != nullptr ? p->counter : 0;
-        if (s.counter != before) {
-          sep() << id << " +" << (s.counter - before);
-        }
-        break;
-      }
-      case MetricKind::Gauge: {
-        const double before = p != nullptr ? p->gauge : 0.0;
-        if (s.gauge != before) sep() << id << '=' << json_number(s.gauge);
-        break;
-      }
-      case MetricKind::Histogram: {
-        const std::uint64_t before =
-            p != nullptr ? p->histogram.count() : 0;
-        if (s.histogram.count() != before) {
-          sep() << id << " +" << (s.histogram.count() - before);
-        }
-        break;
-      }
-    }
-  }
   return os.str();
 }
 

@@ -29,16 +29,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -261,46 +258,6 @@ class MetricRegistry {
 
   mutable std::mutex mu_;
   std::map<Key, Instrument> instruments_;
-};
-
-/// Periodic delta reporter: snapshots \p registry every \p period and hands
-/// (current, previous) to the callback — by default a DAGSFC_INFO line of
-/// the instruments that moved (format_deltas). report_now() forces a tick
-/// synchronously (tests, final flush).
-class MetricsReporter {
- public:
-  using Callback =
-      std::function<void(const RegistrySnapshot& current,
-                         const RegistrySnapshot& previous)>;
-
-  MetricsReporter(const MetricRegistry& registry,
-                  std::chrono::nanoseconds period, Callback callback = {});
-  ~MetricsReporter();
-
-  MetricsReporter(const MetricsReporter&) = delete;
-  MetricsReporter& operator=(const MetricsReporter&) = delete;
-
-  void report_now();
-  /// Idempotent; joins the reporter thread.
-  void stop();
-
-  /// "name{k=\"v\"} +5; name2=3.5" for every instrument whose value moved
-  /// between the snapshots; empty when nothing did.
-  [[nodiscard]] static std::string format_deltas(const RegistrySnapshot& cur,
-                                                 const RegistrySnapshot& prev);
-
- private:
-  void loop();
-  void report_locked();
-
-  const MetricRegistry* registry_;
-  const std::chrono::nanoseconds period_;
-  Callback callback_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  RegistrySnapshot prev_;
-  std::thread thread_;
 };
 
 /// Cumulative wall-time meter for one named phase:

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace dagsfc::graph {
 namespace {
@@ -18,43 +20,73 @@ Graph branchy() {
   return g;
 }
 
+/// Every ring of \p e's search, expanded to exhaustion: ring 0 is the start
+/// node alone, ring q the nodes first reached in iteration q.
+std::vector<std::vector<NodeId>> all_rings(RingExpander& e) {
+  std::vector<std::vector<NodeId>> rings{e.current_ring()};
+  for (auto ring = e.expand(); !ring.empty(); ring = e.expand()) {
+    rings.push_back(ring);
+  }
+  return rings;
+}
+
+/// Hop distance from \p start to every node by repeated edge relaxation —
+/// an oracle independent of the ring search; -1 where unreachable.
+std::vector<int> hop_distances(const Graph& g, NodeId start) {
+  std::vector<int> d(g.num_nodes(), -1);
+  d[start] = 0;
+  for (std::size_t round = 0; round < g.num_nodes(); ++round) {
+    for (const Edge& e : g.edges()) {
+      for (const auto& [a, b] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+        if (d[a] >= 0 && (d[b] < 0 || d[a] + 1 < d[b])) d[b] = d[a] + 1;
+      }
+    }
+  }
+  return d;
+}
+
 TEST(BfsRings, RingsHoldHopDistances) {
   const Graph g = branchy();
-  const BfsRings r = bfs_rings(g, 0);
-  ASSERT_EQ(r.rings.size(), 4u);
-  EXPECT_EQ(r.rings[0], std::vector<NodeId>{0});
-  EXPECT_EQ(r.rings[1], std::vector<NodeId>{1});
-  const std::set<NodeId> ring2(r.rings[2].begin(), r.rings[2].end());
+  RingExpander e(g, 0);
+  const auto rings = all_rings(e);
+  ASSERT_EQ(rings.size(), 4u);
+  EXPECT_EQ(rings[0], std::vector<NodeId>{0});
+  EXPECT_EQ(rings[1], std::vector<NodeId>{1});
+  const std::set<NodeId> ring2(rings[2].begin(), rings[2].end());
   EXPECT_EQ(ring2, (std::set<NodeId>{2, 4}));
-  EXPECT_EQ(r.rings[3], std::vector<NodeId>{3});
-  EXPECT_EQ(r.depth[3], 3u);
-  EXPECT_TRUE(r.reached(4));
+  EXPECT_EQ(rings[3], std::vector<NodeId>{3});
+  EXPECT_EQ(e.iterations(), 4u);  // the fourth expand() found nothing
+  EXPECT_TRUE(e.contains(4));
 }
 
 TEST(BfsRings, ParentsFormTree) {
   const Graph g = branchy();
-  const BfsRings r = bfs_rings(g, 0);
-  EXPECT_EQ(r.parent[0], kInvalidNode);
-  EXPECT_EQ(r.parent[1], 0u);
-  EXPECT_EQ(r.parent[2], 1u);
-  EXPECT_EQ(r.parent[4], 1u);
-  EXPECT_EQ(r.parent[3], 2u);
+  RingExpander e(g, 0);
+  (void)all_rings(e);
+  EXPECT_EQ(e.bfs_parent(0), kInvalidNode);
+  EXPECT_EQ(e.bfs_parent(1), 0u);
+  EXPECT_EQ(e.bfs_parent(2), 1u);
+  EXPECT_EQ(e.bfs_parent(4), 1u);
+  EXPECT_EQ(e.bfs_parent(3), 2u);
 }
 
 TEST(BfsRings, FilterBlocksNodes) {
   const Graph g = branchy();
-  const BfsRings r = bfs_rings(g, 0, [](NodeId v) { return v != 2; });
-  EXPECT_TRUE(r.reached(4));
-  EXPECT_FALSE(r.reached(2));
-  EXPECT_FALSE(r.reached(3));  // only reachable through 2
+  RingExpander e(g, 0, [](NodeId v) { return v != 2; });
+  (void)all_rings(e);
+  EXPECT_TRUE(e.contains(4));
+  EXPECT_FALSE(e.contains(2));
+  EXPECT_FALSE(e.contains(3));  // only reachable through 2
 }
 
 TEST(BfsRings, DisconnectedNodeUnreached) {
   Graph g(3);
   (void)g.add_edge(0, 1, 1.0);
-  const BfsRings r = bfs_rings(g, 0);
-  EXPECT_FALSE(r.reached(2));
-  EXPECT_EQ(r.depth[2], BfsRings::kUnreached);
+  RingExpander e(g, 0);
+  const auto rings = all_rings(e);
+  EXPECT_FALSE(e.contains(2));
+  EXPECT_EQ(e.bfs_parent(2), kInvalidNode);
+  EXPECT_EQ(rings.size(), 2u);
 }
 
 TEST(RingExpander, StartsWithStartNode) {
@@ -69,12 +101,16 @@ TEST(RingExpander, StartsWithStartNode) {
 
 TEST(RingExpander, ExpandMatchesBfsRings) {
   const Graph g = branchy();
-  const BfsRings full = bfs_rings(g, 0);
+  const std::vector<int> hops = hop_distances(g, 0);
+  const int max_hops = *std::max_element(hops.begin(), hops.end());
   RingExpander e(g, 0);
-  for (std::size_t q = 1; q < full.rings.size(); ++q) {
+  for (int q = 1; q <= max_hops; ++q) {
     const auto ring = e.expand();
-    std::set<NodeId> got(ring.begin(), ring.end());
-    std::set<NodeId> want(full.rings[q].begin(), full.rings[q].end());
+    const std::set<NodeId> got(ring.begin(), ring.end());
+    std::set<NodeId> want;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (hops[v] == q) want.insert(v);
+    }
     EXPECT_EQ(got, want) << "ring " << q;
   }
   EXPECT_TRUE(e.expand().empty());

@@ -90,7 +90,7 @@ FlightTrace make_trace(RequestId id, std::uint8_t triggers) {
   util::SpanRecord s;
   s.trace_id = id;
   s.kind = static_cast<std::uint8_t>(SpanKind::kCommit);
-  s.detail = static_cast<std::uint8_t>(CommitClass::kConflict);
+  s.detail = static_cast<std::uint8_t>(shard::CommitPath::kConflict);
   s.t0_ns = 100;
   s.t1_ns = 200;
   s.arg = 3;
@@ -265,7 +265,7 @@ TEST(FlightPromotion, LostConflictTraceIsPromotedAndServed) {
   EXPECT_EQ(t.spans[1].detail, 1);  // the losing solution was feasible
   EXPECT_EQ(t.spans[2].kind, static_cast<std::uint8_t>(SpanKind::kCommit));
   EXPECT_EQ(t.spans[2].detail,
-            static_cast<std::uint8_t>(CommitClass::kConflict));
+            static_cast<std::uint8_t>(shard::CommitPath::kConflict));
   EXPECT_EQ(t.spans[3].kind, static_cast<std::uint8_t>(SpanKind::kOutcome));
   for (const util::SpanRecord& s : t.spans) EXPECT_EQ(s.trace_id, lost.id);
 

@@ -27,6 +27,8 @@
 #include "core/validator.hpp"
 #include "graph/edge_mask.hpp"
 #include "graph/generator.hpp"
+#include "graph/reference.hpp"
+#include "graph/workspace.hpp"
 #include "net/io.hpp"
 #include "net/ledger.hpp"
 #include "net/network.hpp"
@@ -228,8 +230,9 @@ struct EmbedderSet {
   return g;
 }
 
-/// A random ~80%-permissive allow-set, expressed both ways: as an
-/// EdgeFilter and as an EdgeMask over the same bits.
+/// A random ~80%-permissive allow-set, expressed both ways: as an EdgeMask
+/// for the production kernels and as the seed kernels' EdgeFilter over the
+/// same bits.
 struct AllowSet {
   std::vector<char> allow;
   graph::EdgeMaskBuffer mask;
@@ -244,10 +247,28 @@ struct AllowSet {
     }
     view = mask.view();
   }
-  [[nodiscard]] graph::EdgeFilter filter() const {
+  [[nodiscard]] graph::reference::EdgeFilter filter() const {
     return [this](graph::EdgeId e) { return allow[e] != 0; };
   }
 };
+
+/// The last search in \p ws as the seed kernels' owning tree over \p n
+/// nodes (unreached slots filled as the seed fills them), so a one-shot
+/// search compares with graph::reference field by field.
+[[nodiscard]] inline graph::reference::ShortestPathTree tree_of(
+    const graph::SearchWorkspace& ws, std::size_t n) {
+  graph::reference::ShortestPathTree t;
+  t.source = ws.source();
+  t.dist.resize(n);
+  t.parent.resize(n);
+  t.parent_edge.resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    t.dist[v] = ws.dist(v);
+    t.parent[v] = ws.parent(v);
+    t.parent_edge[v] = ws.parent_edge(v);
+  }
+  return t;
+}
 
 // --- golden rows -----------------------------------------------------------
 //

@@ -230,7 +230,7 @@ TEST(RequestTrace, InactiveTraceIsANoOpSink) {
   EXPECT_EQ(trace.at(serve::Clock::now()), 0u);
   trace.queue_wait(0, 1);
   trace.solve(0, true, 1, 2, 3, 4.0);
-  trace.commit(0, serve::CommitClass::kFast, 2, 3, 0);
+  trace.commit(0, shard::CommitPath::kFast, 2, 3, 0);
   trace.outcome(serve::Outcome::Accepted, 0, 3, 4.0);
   EXPECT_TRUE(trace.spans().empty());
   EXPECT_EQ(trace.overflow(), 0u);
@@ -242,7 +242,7 @@ TEST(RequestTrace, KeepsInlineCopyAndEmitsToRing) {
   ASSERT_TRUE(trace.active());
   trace.queue_wait(10, 20);
   trace.solve(0, true, 20, 30, /*candidate=*/5, /*cost=*/12.5);
-  trace.commit(0, serve::CommitClass::kStamp, 30, 40, /*arg=*/6);
+  trace.commit(0, shard::CommitPath::kStamp, 30, 40, /*arg=*/6);
   trace.outcome(serve::Outcome::Accepted, 10, 40, 12.5);
 
   const std::span<const util::SpanRecord> spans = trace.spans();
@@ -254,7 +254,7 @@ TEST(RequestTrace, KeepsInlineCopyAndEmitsToRing) {
   EXPECT_EQ(spans[1].arg, 5u);
   EXPECT_DOUBLE_EQ(spans[1].value, 12.5);
   EXPECT_EQ(spans[2].detail,
-            static_cast<std::uint8_t>(serve::CommitClass::kStamp));
+            static_cast<std::uint8_t>(shard::CommitPath::kStamp));
   EXPECT_EQ(spans[3].kind,
             static_cast<std::uint8_t>(serve::SpanKind::kOutcome));
   for (const util::SpanRecord& s : spans) EXPECT_EQ(s.trace_id, 7u);
@@ -341,7 +341,7 @@ TEST(ServiceLifecycle, AcceptedRequestEmitsFullSpanChain) {
   EXPECT_EQ(solve->detail, 1);  // feasible
   EXPECT_DOUBLE_EQ(solve->value, r.cost);
   EXPECT_EQ(commit->detail,
-            static_cast<std::uint8_t>(serve::CommitClass::kFast));
+            static_cast<std::uint8_t>(shard::CommitPath::kFast));
   EXPECT_EQ(outcome->detail,
             static_cast<std::uint8_t>(serve::Outcome::Accepted));
   EXPECT_DOUBLE_EQ(outcome->value, r.cost);
@@ -406,7 +406,7 @@ TEST(SpanEmission, HotPathAllocatesNothing) {
     serve::RequestTrace trace(&rec, 0, static_cast<serve::RequestId>(i));
     trace.queue_wait(0, 1);
     trace.solve(0, true, 1, 2, 3, 4.0);
-    trace.commit(0, serve::CommitClass::kFast, 2, 3, 0);
+    trace.commit(0, shard::CommitPath::kFast, 2, 3, 0);
     trace.outcome(serve::Outcome::Accepted, 0, 3, 4.0);
   }
   EXPECT_EQ(g_news.load() - before, 0u);

@@ -447,33 +447,6 @@ TEST(MetricsThreads, EightThreadStripeMergeIsExact) {
   EXPECT_DOUBLE_EQ(snap.max(), 8.0);
 }
 
-// ------------------------------------------------------------- reporter --
-
-TEST(Metrics, ReporterDeliversDeltas) {
-  MetricRegistry reg;
-  Counter c = reg.counter("dagsfc_rep_total");
-  Gauge g = reg.gauge("dagsfc_rep_depth");
-
-  std::vector<std::string> deltas;
-  MetricsReporter reporter(
-      reg, std::chrono::hours(1),
-      [&](const RegistrySnapshot& cur, const RegistrySnapshot& prev) {
-        deltas.push_back(MetricsReporter::format_deltas(cur, prev));
-      });
-  reporter.report_now();  // nothing moved yet
-  c.inc(5);
-  g.set(2.0);
-  reporter.report_now();
-  reporter.report_now();  // nothing moved since the previous tick
-  reporter.stop();
-
-  ASSERT_EQ(deltas.size(), 3u);
-  EXPECT_EQ(deltas[0], "");
-  EXPECT_NE(deltas[1].find("dagsfc_rep_total +5"), std::string::npos);
-  EXPECT_NE(deltas[1].find("dagsfc_rep_depth=2"), std::string::npos);
-  EXPECT_EQ(deltas[2], "");
-}
-
 // -------------------------------------------------------- HTTP endpoint --
 
 std::string http_get(std::uint16_t port, const std::string& path) {

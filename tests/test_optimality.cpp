@@ -131,15 +131,16 @@ TEST(Optimality, ExactMatchesBruteForceOnOneLayerInstances) {
     ASSERT_TRUE(re.ok()) << re.failure_reason;
 
     const net::Network& net = inst->scenario.network;
-    const auto from_s = graph::dijkstra(net.topology(),
-                                        inst->problem.flow.source);
-    const auto from_t = graph::dijkstra(net.topology(),
-                                        inst->problem.flow.destination);
+    graph::SearchWorkspace from_s;
+    graph::SearchWorkspace from_t;
+    graph::dijkstra_into(net.topology(), inst->problem.flow.source, from_s);
+    graph::dijkstra_into(net.topology(), inst->problem.flow.destination,
+                         from_t);
     const net::VnfTypeId t = inst->dag.layer(0).vnfs[0];
     double best = graph::kInfCost;
     for (graph::NodeId v : net.nodes_with(t)) {
       const double price = net.instance(*net.find_instance(v, t)).price;
-      best = std::min(best, price + from_s.dist[v] + from_t.dist[v]);
+      best = std::min(best, price + from_s.dist(v) + from_t.dist(v));
     }
     EXPECT_NEAR(re.cost, best, 1e-6);
   }

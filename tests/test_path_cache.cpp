@@ -5,9 +5,10 @@
 /// golden rows recorded with the cache off through the seed kernels, across
 /// the serialized corpus and 200 random seeded instances — the resumable
 /// tree entries (graph::LazyTree): partial searches resumed in any order,
-/// across residual changes, answer like a fresh full dijkstra() — and the
-/// live PathOracle battery: every query kind on one long-lived ledger under
-/// random debits and credits equals the seed kernels run from scratch.
+/// across residual changes, answer like a fresh full one-shot search — and
+/// the live PathOracle battery: every query kind on one long-lived ledger
+/// under random debits and credits equals the seed kernels run from
+/// scratch.
 
 #include <gtest/gtest.h>
 
@@ -395,8 +396,9 @@ TEST(LedgerPathCache, CachingReducesDijkstraComputations) {
 
 // ---------------------------------------------------------------------------
 // Resumable entries: a tree entry settles only as far as its queries need
-// and resumes on demand. Every answer must equal a fresh full dijkstra()
-// bit for bit, whatever the interleaving of queries and residual changes.
+// and resumes on demand. Every answer must equal a fresh full
+// dijkstra_into() search bit for bit, whatever the interleaving of queries
+// and residual changes.
 
 /// Random connected graph. Half the time the weights are coarse integers,
 /// zero included, so distance ties — where the pop order alone decides
@@ -417,26 +419,26 @@ graph::Graph random_graph(Rng& rng, std::size_t n, double degree) {
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 /// \p t's answer for \p v — distance bits, nodes and edges — equals the
-/// full tree's. Requires v final in t.
-void expect_answer(const graph::LazyTree& t,
-                   const graph::ShortestPathTree& full, graph::NodeId v) {
+/// full search's in \p full. Requires v final in t.
+void expect_answer(const graph::LazyTree& t, const graph::SearchWorkspace& full,
+                   graph::NodeId v) {
   ASSERT_TRUE(t.is_final(v)) << "node " << v;
-  EXPECT_EQ(bits(t.dist[v]), bits(full.dist[v])) << "node " << v;
+  EXPECT_EQ(bits(t.dist[v]), bits(full.dist(v))) << "node " << v;
   const auto got = t.path_to(v);
-  const auto want = full.path_to(v);
+  const auto want = graph::extract_path(full, v);
   ASSERT_EQ(got.has_value(), want.has_value()) << "node " << v;
   if (got) expect_same_path(*got, *want);
 }
 
-/// Every node \p t reports final answers like the full tree, parent links
-/// included.
+/// Every node \p t reports final answers like the full search, parent
+/// links included.
 void expect_final_prefix(const graph::LazyTree& t,
-                         const graph::ShortestPathTree& full) {
-  for (graph::NodeId v = 0; v < full.dist.size(); ++v) {
+                         const graph::SearchWorkspace& full) {
+  for (graph::NodeId v = 0; v < t.dist.size(); ++v) {
     if (!t.is_final(v)) continue;
-    EXPECT_EQ(bits(t.dist[v]), bits(full.dist[v])) << "node " << v;
-    EXPECT_EQ(t.parent(v), full.parent[v]) << "node " << v;
-    EXPECT_EQ(t.parent_edge(v), full.parent_edge[v]) << "node " << v;
+    EXPECT_EQ(bits(t.dist[v]), bits(full.dist(v))) << "node " << v;
+    EXPECT_EQ(t.parent(v), full.parent(v)) << "node " << v;
+    EXPECT_EQ(t.parent_edge(v), full.parent_edge(v)) << "node " << v;
   }
 }
 
@@ -460,7 +462,8 @@ TEST(ResumableEntry, InterleavedQueriesMatchFreshDijkstra) {
     const graph::EdgeMask* mask = masked ? &view : nullptr;
 
     const auto source = static_cast<graph::NodeId>(rng.index(n));
-    const graph::ShortestPathTree full = graph::dijkstra(g, source, ws, mask);
+    graph::dijkstra_into(g, source, ws, mask);
+    const graph::SearchWorkspace& full = ws;
     graph::PathCache cache;
     graph::PathQueryCounters c;
     for (int q = 0; q < 12; ++q) {
@@ -566,8 +569,8 @@ TEST(ResumableEntry, DebitOnAScannedNonParentEdgeKeepsAndResumesExactly) {
   buf.assign(g.num_edges(), true);
   buf.clear(1);
   const graph::EdgeMask mask = buf.view();
-  graph::SearchWorkspace ws;
-  const graph::ShortestPathTree full = graph::dijkstra(g, 0, ws, &mask);
+  graph::SearchWorkspace full;
+  graph::dijkstra_into(g, 0, full, &mask);
   const auto again = cache.search(g, 0, ctx(1.0), c);
   EXPECT_EQ(again.get(), entry.get());
   again->settle(g, 3, &mask);
@@ -606,8 +609,8 @@ TEST(ResumableEntry, KeptEntriesResumeLikeFreshSearchesAfterRandomDebits) {
       const graph::Edge& ed = g.edge(e);
       cache.on_link_debit(e, ed.u, ed.v, 1.0, 0.0, kEps);
       const graph::EdgeMask after = buf.view();
-      const graph::ShortestPathTree full =
-          graph::dijkstra(g, source, ws, &after);
+      graph::dijkstra_into(g, source, ws, &after);
+      const graph::SearchWorkspace& full = ws;
       if (cache.num_trees() == 1) {
         ++kept;
         EXPECT_FALSE(entry->invalidated());
@@ -677,13 +680,12 @@ TEST(ResumableEntry, OracleCountsSearchesStartedNotResumes) {
   net::CapacityLedger ledger(network);
   core::PathOracle oracle(network.topology(), ledger, 1.0);
 
-  const std::vector<graph::NodeId> targets{5, 17, 42};
-  (void)oracle.min_cost_path(0, 1);
-  (void)oracle.min_cost_paths(0, targets);
-  (void)oracle.min_cost_path(0, 79);
+  for (const graph::NodeId t : {1, 5, 17, 42, 79}) {
+    (void)oracle.min_cost_path(0, t);
+  }
   EXPECT_EQ(oracle.counters().dijkstra_calls, 1u);
   EXPECT_EQ(oracle.counters().cache_misses, 1u);
-  EXPECT_EQ(oracle.counters().cache_hits, 2u);
+  EXPECT_EQ(oracle.counters().cache_hits, 4u);
   const std::size_t partial = oracle.counters().nodes_settled;
   EXPECT_GT(partial, 0u);
   EXPECT_LE(partial, 80u);
@@ -696,41 +698,39 @@ TEST(ResumableEntry, OracleCountsSearchesStartedNotResumes) {
 }
 
 // ---------------------------------------------------------------------------
-// PathOracle-level batching: min_cost_paths == per-target queries, with one
-// search for the whole fan-out.
+// Several targets from one source: one query per target, every query after
+// the first a cache hit that resumes the one search.
 
-TEST(Batched, PathOracleMinCostPathsMatchesPerTarget) {
+TEST(PerTarget, SharedSourceQueriesMatchSeedAndResumeOneSearch) {
   auto fx = test::canonical_fixture();
+  const graph::Graph& g = fx->network.topology();
   net::CapacityLedger ledger(fx->network);
-  const net::CapacityLedger cold(ledger);  // copies never share a cache
   graph::SearchWorkspace ws;
-  core::PathOracle batched(fx->network.topology(), ledger, 1.0, &ws);
-  core::PathOracle single(fx->network.topology(), cold, 1.0);
+  core::PathOracle oracle(g, ledger, 1.0, &ws);
+  const graph::reference::EdgeFilter usable = [&](graph::EdgeId e) {
+    return ledger.link_can_carry(e, 1.0);
+  };
 
   const std::vector<graph::NodeId> targets{4, 2, 4, 0, 5};
-  const auto got = batched.min_cost_paths(0, targets);
-  ASSERT_EQ(got.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    expect_same_opt_path(got[i], single.min_cost_path(0, targets[i]));
-    expect_same_opt_path(got[i],
-                         graph::reference::min_cost_path(
-                             fx->network.topology(), 0, targets[i],
-                             batched.usable()));
+  for (const graph::NodeId t : targets) {
+    expect_same_opt_path(oracle.min_cost_path(0, t),
+                         graph::reference::min_cost_path(g, 0, t, usable));
   }
-  // One search settled toward every target, against one search per
-  // per-target query that later queries resume.
-  EXPECT_EQ(batched.counters().dijkstra_calls, 1u);
-  EXPECT_EQ(batched.counters().cache_hits, 0u);
-  EXPECT_EQ(single.counters().dijkstra_calls, 1u);
-  EXPECT_EQ(single.counters().cache_hits, targets.size() - 1);
+  EXPECT_EQ(oracle.counters().dijkstra_calls, 1u);
+  EXPECT_EQ(oracle.counters().cache_misses, 1u);
+  EXPECT_EQ(oracle.counters().cache_hits, targets.size() - 1);
+  // No node settled twice: the queries together settled at most one full
+  // search's worth.
+  EXPECT_LE(oracle.counters().nodes_settled, g.num_nodes());
 }
 
 // ---------------------------------------------------------------------------
 // Live PathOracle battery: one long-lived ledger per graph takes random
 // debit/credit batches that flip link usability at the flow rate. After
 // every batch each query kind must equal the seed kernels
-// (graph::reference) run from scratch with oracle.usable() — distance and
-// cost bits, nodes and edges — whatever the cache kept, evicted or resumed.
+// (graph::reference) run from scratch over the links that can carry the
+// rate — distance and cost bits, nodes and edges — whatever the cache kept,
+// evicted or resumed.
 
 /// \p got equals \p want: nodes, edges and the cost's bit pattern.
 void expect_bitwise_path(const graph::Path& got, const graph::Path& want) {
@@ -761,11 +761,14 @@ struct LiveTally {
 };
 
 /// One round of every query kind against the seed kernels.
-void check_every_query(const graph::Graph& g, core::PathOracle& oracle,
-                       Rng& rng, LiveTally& tally) {
+void check_every_query(const graph::Graph& g,
+                       const net::CapacityLedger& ledger, double rate,
+                       core::PathOracle& oracle, Rng& rng, LiveTally& tally) {
   const std::size_t n = g.num_nodes();
   const auto node = [&] { return static_cast<graph::NodeId>(rng.index(n)); };
-  const graph::EdgeFilter& usable = oracle.usable();
+  const graph::reference::EdgeFilter usable = [&](graph::EdgeId e) {
+    return ledger.link_can_carry(e, rate);
+  };
   // Runs one point query; a cache hit that still had to settle nodes
   // resumed a partial entry.
   const auto counting_resumes = [&](const auto& query) {
@@ -782,7 +785,7 @@ void check_every_query(const graph::Graph& g, core::PathOracle& oracle,
     const graph::NodeId a = node();
     const graph::NodeId b = node();
     SCOPED_TRACE("query " + std::to_string(a) + " -> " + std::to_string(b));
-    const graph::ShortestPathTree full =
+    const graph::reference::ShortestPathTree full =
         graph::reference::dijkstra(g, a, usable);
 
     counting_resumes([&] {
@@ -803,19 +806,17 @@ void check_every_query(const graph::Graph& g, core::PathOracle& oracle,
     std::vector<graph::NodeId> targets(1 + rng.index(4));
     for (graph::NodeId& v : targets) v = node();
     counting_resumes([&] {
-      const auto batch = oracle.min_cost_paths(a, targets);
-      ASSERT_EQ(batch.size(), targets.size());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
+      for (const graph::NodeId v : targets) {
         expect_bitwise_opt_path(
-            batch[i],
-            graph::reference::min_cost_path(g, a, targets[i], usable));
+            oracle.min_cost_path(a, v),
+            graph::reference::min_cost_path(g, a, v, usable));
       }
     });
 
     // Whole trees from another source, so the point queries above keep
     // meeting partial entries.
     const graph::NodeId r = node();
-    const graph::ShortestPathTree full_r =
+    const graph::reference::ShortestPathTree full_r =
         graph::reference::dijkstra(g, r, usable);
     const auto tree = oracle.tree(r);
     ASSERT_TRUE(tree->complete());
@@ -830,15 +831,20 @@ void check_every_query(const graph::Graph& g, core::PathOracle& oracle,
                          graph::reference::k_shortest_paths(g, a, b, k,
                                                             usable));
 
-    // A caller filter: usable links restricted to a random ~80% subset.
+    // A caller mask: usable links restricted to a random ~80% subset.
     std::vector<char> allow(g.num_edges());
     for (char& bit : allow) bit = rng.bernoulli(0.8) ? 1 : 0;
-    const graph::EdgeFilter filter = [&](graph::EdgeId e) {
+    const graph::reference::EdgeFilter filter = [&](graph::EdgeId e) {
       return allow[e] != 0 && usable(e);
     };
-    expect_bitwise_paths(oracle.k_shortest_filtered(a, b, k, filter),
-                         graph::reference::k_shortest_paths(g, a, b, k,
-                                                            filter));
+    graph::EdgeMaskBuffer allowed;
+    allowed.assign(g.num_edges(), false);
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (filter(e)) allowed.set(e);
+    }
+    expect_bitwise_paths(
+        oracle.k_shortest_filtered(a, b, k, allowed.view()),
+        graph::reference::k_shortest_paths(g, a, b, k, filter));
 
     std::vector<graph::NodeId> terminals(1 + rng.index(4));
     for (graph::NodeId& v : terminals) v = node();
@@ -871,7 +877,7 @@ TEST(LivePathOracle, EveryQueryMatchesTheSeedKernelsAcrossDebitsAndCredits) {
 
     for (int batch = 0; batch < 16; ++batch) {
       SCOPED_TRACE("batch " + std::to_string(batch));
-      check_every_query(g, oracle, rng, tally);
+      check_every_query(g, ledger, kRate, oracle, rng, tally);
       if (::testing::Test::HasFailure()) return;
       // A random mix of debits (some drain a link below the rate) and
       // credits (some bring it back).

@@ -55,13 +55,14 @@ TEST_P(GraphProperties, DijkstraPathsAreConsistent) {
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     g.set_weight(e, rng.uniform_real(0.1, 5.0));
   }
-  const auto sp = graph::dijkstra(g, 0);
+  graph::SearchWorkspace sp;
+  graph::dijkstra_into(g, 0, sp);
   for (graph::NodeId v = 0; v < nodes; ++v) {
     ASSERT_TRUE(sp.reached(v));  // connected graph
-    const auto p = sp.path_to(v);
+    const auto p = graph::extract_path(sp, v);
     ASSERT_TRUE(p.has_value());
     EXPECT_TRUE(g.path_valid(*p));
-    EXPECT_NEAR(g.path_cost(*p), sp.dist[v], 1e-9);
+    EXPECT_NEAR(g.path_cost(*p), sp.dist(v), 1e-9);
   }
 }
 
@@ -88,16 +89,17 @@ TEST_P(SteinerProperty, SandwichBounds) {
   for (int i = 0; i < 5; ++i) {
     terms.push_back(static_cast<graph::NodeId>(rng.index(20)));
   }
-  const auto tree = graph::steiner_tree(g, terms);
+  graph::SearchWorkspace sp;
+  const auto tree = graph::steiner_tree(g, terms, nullptr, sp);
   ASSERT_TRUE(tree.has_value());
-  const auto sp = graph::dijkstra(g, terms[0]);
+  graph::dijkstra_into(g, terms[0], sp);
   double union_cost = 0.0;
   std::set<graph::EdgeId> uni;
   double max_pair = 0.0;
   for (graph::NodeId t : terms) {
-    const auto p = sp.path_to(t);
+    const auto p = graph::extract_path(sp, t);
     uni.insert(p->edges.begin(), p->edges.end());
-    max_pair = std::max(max_pair, sp.dist[t]);
+    max_pair = std::max(max_pair, sp.dist(t));
   }
   for (graph::EdgeId e : uni) union_cost += g.edge(e).weight;
   EXPECT_LE(tree->cost, union_cost + 1e-9);

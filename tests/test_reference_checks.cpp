@@ -50,10 +50,11 @@ TEST_P(DijkstraVsBellmanFord, DistancesAgree) {
     g.set_weight(e, rng.uniform_real(0.0, 5.0));  // zero weights included
   }
   const NodeId src = static_cast<NodeId>(rng.index(30));
-  const ShortestPathTree sp = dijkstra(g, src);
+  SearchWorkspace sp;
+  dijkstra_into(g, src, sp);
   const std::vector<double> bf = bellman_ford(g, src);
   for (NodeId v = 0; v < 30; ++v) {
-    EXPECT_NEAR(sp.dist[v], bf[v], 1e-9) << "node " << v;
+    EXPECT_NEAR(sp.dist(v), bf[v], 1e-9) << "node " << v;
   }
 }
 
@@ -116,7 +117,8 @@ TEST_P(SteinerVsBruteForce, OptimaAgreeOnTinyGraphs) {
   for (std::size_t i = 0; i < k; ++i) {
     terminals.push_back(static_cast<NodeId>(rng.index(8)));
   }
-  const auto tree = steiner_tree(g, terminals);
+  SearchWorkspace ws;
+  const auto tree = steiner_tree(g, terminals, nullptr, ws);
   ASSERT_TRUE(tree.has_value());
   EXPECT_NEAR(tree->cost, brute_force_steiner(g, terminals), 1e-9);
 }

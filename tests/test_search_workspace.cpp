@@ -145,14 +145,14 @@ TEST(WorkspaceStamps, GenerationWraparoundResetsCleanly) {
   ws.debug_set_generation(std::numeric_limits<std::uint32_t>::max());
   graph::dijkstra_into(g, 5, ws);
   EXPECT_EQ(ws.generation(), 1u);
-  const auto got = graph::export_tree(ws, g.num_nodes());
+  const auto got = test::tree_of(ws, g.num_nodes());
   EXPECT_EQ(want.dist, got.dist);
   EXPECT_EQ(want.parent, got.parent);
   // And the generations right after the wrap stay self-consistent.
   for (graph::NodeId s = 0; s < 5; ++s) {
     graph::dijkstra_into(g, s, ws);
     const auto ref = graph::reference::dijkstra(g, s);
-    EXPECT_EQ(ref.dist, graph::export_tree(ws, g.num_nodes()).dist);
+    EXPECT_EQ(ref.dist, test::tree_of(ws, g.num_nodes()).dist);
   }
 }
 

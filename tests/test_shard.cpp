@@ -213,16 +213,17 @@ TEST(Substrate, RegionPathsAreDeterministicAndAnchored) {
   const shard::ShardedSubstrate sub = make_substrate(s);
   const graph::NodeId src = 0;                       // region 0
   const graph::NodeId dst = 3 * 8;                   // region 3
-  const auto paths = sub.region_paths(src, dst, 4);
+  graph::SearchWorkspace ws;
+  const auto paths = sub.region_paths(src, dst, 4, ws);
   ASSERT_FALSE(paths.empty());
   for (const auto& p : paths) {
     ASSERT_FALSE(p.empty());
     EXPECT_EQ(p.front(), sub.region_of_node(src));
     EXPECT_EQ(p.back(), sub.region_of_node(dst));
   }
-  EXPECT_EQ(paths, sub.region_paths(src, dst, 4));
+  EXPECT_EQ(paths, sub.region_paths(src, dst, 4, ws));  // reused workspace
   // Same-region pair: the one singleton sequence.
-  const auto same = sub.region_paths(1, 2, 4);
+  const auto same = sub.region_paths(1, 2, 4, ws);
   ASSERT_EQ(same.size(), 1u);
   EXPECT_EQ(same[0], std::vector<shard::RegionId>{0});
 }

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "graph/generator.hpp"
 
 namespace dagsfc::graph {
 namespace {
+
+/// steiner_tree through a fresh workspace.
+std::optional<SteinerTree> steiner(const Graph& g,
+                                   const std::vector<NodeId>& terminals,
+                                   const EdgeMask* mask = nullptr) {
+  SearchWorkspace ws;
+  return steiner_tree(g, terminals, mask, ws);
+}
 
 /// Checks the returned edge set is a connected acyclic subgraph spanning the
 /// terminals with the claimed cost.
@@ -54,7 +63,7 @@ TEST(Steiner, TwoTerminalsIsShortestPath) {
   (void)g.add_edge(1, 2, 1.0);
   (void)g.add_edge(0, 3, 5.0);
   (void)g.add_edge(3, 2, 5.0);
-  const auto t = steiner_tree(g, {0, 2});
+  const auto t = steiner(g, {0, 2});
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->cost, 2.0);
   expect_valid_tree(g, *t, {0, 2});
@@ -66,7 +75,7 @@ TEST(Steiner, StarUsesTheHub) {
   (void)g.add_edge(0, 1, 1.0);
   (void)g.add_edge(0, 2, 1.0);
   (void)g.add_edge(0, 3, 1.0);
-  const auto t = steiner_tree(g, {1, 2, 3});
+  const auto t = steiner(g, {1, 2, 3});
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->cost, 3.0);
   expect_valid_tree(g, *t, {1, 2, 3});
@@ -82,7 +91,7 @@ TEST(Steiner, SteinerPointBeatsPairwisePaths) {
   (void)g.add_edge(0, 3, 1.0);
   (void)g.add_edge(1, 3, 1.0);
   (void)g.add_edge(2, 3, 1.0);
-  const auto t = steiner_tree(g, {0, 1, 2});
+  const auto t = steiner(g, {0, 1, 2});
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->cost, 3.0);
   bool uses_hub = false;
@@ -95,14 +104,14 @@ TEST(Steiner, SteinerPointBeatsPairwisePaths) {
 TEST(Steiner, SingleOrDuplicateTerminalsGiveEmptyTree) {
   Graph g(3);
   (void)g.add_edge(0, 1, 1.0);
-  auto t = steiner_tree(g, {1});
+  auto t = steiner(g, {1});
   ASSERT_TRUE(t.has_value());
   EXPECT_TRUE(t->edges.empty());
   EXPECT_DOUBLE_EQ(t->cost, 0.0);
-  t = steiner_tree(g, {1, 1, 1});
+  t = steiner(g, {1, 1, 1});
   ASSERT_TRUE(t.has_value());
   EXPECT_TRUE(t->edges.empty());
-  t = steiner_tree(g, {});
+  t = steiner(g, {});
   ASSERT_TRUE(t.has_value());
   EXPECT_TRUE(t->edges.empty());
 }
@@ -111,7 +120,7 @@ TEST(Steiner, DisconnectedTerminalsFail) {
   Graph g(4);
   (void)g.add_edge(0, 1, 1.0);
   (void)g.add_edge(2, 3, 1.0);
-  EXPECT_FALSE(steiner_tree(g, {0, 3}).has_value());
+  EXPECT_FALSE(steiner(g, {0, 3}).has_value());
 }
 
 TEST(Steiner, EdgeFilterIsHonored) {
@@ -119,8 +128,11 @@ TEST(Steiner, EdgeFilterIsHonored) {
   const EdgeId direct = g.add_edge(0, 2, 1.0);
   (void)g.add_edge(0, 1, 2.0);
   (void)g.add_edge(1, 2, 2.0);
-  const auto t = steiner_tree(g, {0, 2},
-                              [&](EdgeId e) { return e != direct; });
+  EdgeMaskBuffer mask;
+  mask.assign(g.num_edges(), true);
+  mask.clear(direct);
+  const EdgeMask view = mask.view();
+  const auto t = steiner(g, {0, 2}, &view);
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->cost, 4.0);
   for (EdgeId e : t->edges) EXPECT_NE(e, direct);
@@ -131,7 +143,7 @@ TEST(Steiner, TooManyTerminalsRejected) {
   for (NodeId v = 1; v < 20; ++v) (void)g.add_edge(0, v, 1.0);
   std::vector<NodeId> terms;
   for (NodeId v = 1; v <= 15; ++v) terms.push_back(v);
-  EXPECT_THROW((void)steiner_tree(g, terms), ContractViolation);
+  EXPECT_THROW((void)steiner(g, terms), ContractViolation);
 }
 
 TEST(Steiner, NeverWorseThanShortestPathUnionOnRandomGraphs) {
@@ -148,14 +160,15 @@ TEST(Steiner, NeverWorseThanShortestPathUnionOnRandomGraphs) {
     for (int i = 0; i < 4; ++i) {
       terms.push_back(static_cast<NodeId>(rng.index(25)));
     }
-    const auto t = steiner_tree(g, terms);
+    const auto t = steiner(g, terms);
     ASSERT_TRUE(t.has_value());
     expect_valid_tree(g, *t, terms);
     // Upper bound: union of shortest paths from terms[0].
-    const auto sp = dijkstra(g, terms[0]);
+    SearchWorkspace sp;
+    dijkstra_into(g, terms[0], sp);
     std::set<EdgeId> union_edges;
     for (NodeId term : terms) {
-      const auto p = sp.path_to(term);
+      const auto p = extract_path(sp, term);
       ASSERT_TRUE(p.has_value());
       union_edges.insert(p->edges.begin(), p->edges.end());
     }
@@ -166,7 +179,7 @@ TEST(Steiner, NeverWorseThanShortestPathUnionOnRandomGraphs) {
     // path (any spanning structure must connect that pair).
     double lb = 0.0;
     for (NodeId term : terms) {
-      lb = std::max(lb, std::min(sp.dist[term], kInfCost));
+      lb = std::max(lb, std::min(sp.dist(term), kInfCost));
     }
     EXPECT_GE(t->cost + 1e-9, lb);
   }
