@@ -62,11 +62,16 @@ guards=(
   # kernels.
   'asan test_path_cache\.LivePathOracle\.'
   'asan test_network\.Network\.FindInstanceAgreesWithInstanceScan'
-  # The sharded substrate, and non-dyadic rates: residuals a few ulps
-  # below zero compose bitwise.
+  # The sharded substrate, and non-dyadic rates: capacity is counted in
+  # exact units, so debits 0.3, 0.3, 0.3, 0.1 drain a 1.0 link to exactly
+  # zero, compose copies that count, and a drained service is at nominal.
   "asan test_shard"
   'asan test_shard\.ShardService\.NonDyadicRatesDrainToNominal'
-  'asan test_shard\.ShardLedger\.ComposeCopiesResidualsJustBelowZeroBitwise'
+  'asan test_shard\.ShardLedger\.ComposeCopiesAnExactlyDrainedResidual'
+  # Exact conservation over 10^7 admit/release steps, and multi-use debits
+  # that would overflow int64 refused cleanly (UBSan watches).
+  'asan test_ledger\.Ledger\.SoakDrainsToNominalExactlyOverTenMillionSteps'
+  'asan test_ledger\.Ledger\.HugeMultiUseDebitsRefuseWithoutOverflow'
   # Request-lifecycle tracing, the flight recorder and the HTTP endpoint.
   "asan test_lifecycle"
   "asan test_flight"

@@ -4,7 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "graph/yen.hpp"
+#include "core/path_oracle.hpp"
 
 namespace dagsfc::core {
 
@@ -156,15 +156,8 @@ IlpModel IlpBuilder::build() {
     model.add_constraint(std::move(c));
   }
 
-  // Candidate paths run over the links that can carry the flow: one mask
-  // and one workspace for the whole build.
-  graph::EdgeMaskBuffer usable;
-  usable.assign(g.num_edges(), false);
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (ledger_->link_can_carry(e, rate)) usable.set(e);
-  }
-  const graph::EdgeMask usable_mask = usable.view();
-  graph::SearchWorkspace ws;
+  // Candidate paths run over the links that can carry the flow.
+  PathOracle oracle(g, *ledger_, rate);
 
   // Selection variables per meta-path (linearized (5)/(6)).
   auto build_selections = [&](const std::vector<MetaPathDesc>& metas,
@@ -184,8 +177,7 @@ IlpModel IlpBuilder::build() {
             trivial.nodes.push_back(a);
             paths.push_back(std::move(trivial));
           } else {
-            paths = graph::k_shortest_paths(g, a, b, opts_.paths_per_pair,
-                                            &usable_mask, ws);
+            paths = oracle.k_shortest(a, b, opts_.paths_per_pair);
           }
           for (std::size_t rho = 0; rho < paths.size(); ++rho) {
             const VarId var = model.add_binary(

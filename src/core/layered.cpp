@@ -69,7 +69,8 @@ struct LayeredRun {
 
   PathOracle oracle;
   graph::CsrView csr;
-  graph::EdgeMaskBuffer usable_buf;
+  /// The oracle's usable-link mask: the ledger is constant for the solve,
+  /// so the mask stays valid throughout.
   graph::EdgeMask usable;
 
   /// Rent of a sequential layer's VNF per node, or a negative sentinel when
@@ -102,13 +103,8 @@ struct LayeredRun {
         // is reserved for the product sweep, and a mid-sweep Steiner or
         // tree query must not clobber the sweep's stamped state.
         oracle(g, led, prob.flow.rate, nullptr),
-        csr(g.csr()) {
-    usable_buf.assign(g.num_edges(), true);
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (!ledger.link_can_carry(e, rate)) usable_buf.clear(e);
-    }
-    usable = usable_buf.view();
-
+        csr(g.csr()),
+        usable(*oracle.usable_mask()) {
     seq_price.resize(omega);
     choices.resize(omega);
     merger_hosts.resize(omega);

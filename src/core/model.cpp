@@ -1,12 +1,15 @@
 #include "core/model.hpp"
 
+#include "net/ledger.hpp"
+
 namespace dagsfc::core {
 
 void EmbeddingProblem::validate() const {
   DAGSFC_CHECK(network != nullptr && sfc != nullptr);
   DAGSFC_CHECK(network->topology().has_node(flow.source));
   DAGSFC_CHECK(network->topology().has_node(flow.destination));
-  DAGSFC_CHECK_MSG(flow.rate > 0.0, "flow rate R must be positive");
+  DAGSFC_CHECK_MSG(net::CapacityLedger::valid_rate(flow.rate),
+                   "flow rate R must be finite and in [1e-9, ~9.2e9]");
   DAGSFC_CHECK_MSG(flow.size > 0.0, "flow size z must be positive");
   sfc->validate(network->catalog());
 }

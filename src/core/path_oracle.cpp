@@ -31,7 +31,7 @@ const graph::EdgeMask* PathOracle::effective_mask() {
 }
 
 std::shared_ptr<graph::LazyTree> PathOracle::search(NodeId source) {
-  return ledger_->path_cache().search(*g_, source, context(), counters_);
+  return ledger_->path_cache().search(*g_, source, context_, counters_);
 }
 
 bool PathOracle::settle(graph::LazyTree& t, NodeId target) {
@@ -40,7 +40,7 @@ bool PathOracle::settle(graph::LazyTree& t, NodeId target) {
 }
 
 std::shared_ptr<const graph::LazyTree> PathOracle::tree(NodeId source) {
-  return ledger_->path_cache().tree(*g_, source, context(), effective_mask(),
+  return ledger_->path_cache().tree(*g_, source, context_, effective_mask(),
                                     counters_);
 }
 
@@ -52,7 +52,7 @@ std::optional<graph::Path> PathOracle::min_cost_path(NodeId a, NodeId b) {
 
 std::vector<graph::Path> PathOracle::k_shortest(NodeId a, NodeId b,
                                                 std::size_t k) {
-  return *ledger_->path_cache().k_paths(*g_, a, b, k, context(),
+  return *ledger_->path_cache().k_paths(*g_, a, b, k, context_,
                                         usable_mask(), *ws_, counters_);
 }
 

@@ -20,7 +20,7 @@
 /// its target, so several targets from one source share one search, one
 /// query each; tree() settles everything (LAYERED and the EXACT test
 /// oracle read whole trees). Yen results are cached per (rate, endpoints,
-/// k).
+/// k); the ledger supplies the rate's cache context (its unit count).
 ///
 /// Every answer is bit-identical to the seed kernels run from scratch over
 /// the links that can carry the rate: a search's settled nodes are a prefix
@@ -31,7 +31,6 @@
 /// k_shortest_paths() output. tests/test_path_cache.cpp holds every query
 /// kind to that across debits and credits of one long-lived ledger.
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -58,6 +57,7 @@ class PathOracle {
       : g_(&g),
         ledger_(&ledger),
         rate_(rate),
+        context_(net::CapacityLedger::rate_context(rate)),
         ws_(ws != nullptr ? ws : &own_ws_) {}
 
   PathOracle(const PathOracle&) = delete;
@@ -107,18 +107,12 @@ class PathOracle {
     return counters_;
   }
 
- private:
-  /// Everything the usable-links mask depends on besides the ledger epoch,
-  /// folded into the cache key so e.g. flows of different rates never share
-  /// entries.
-  [[nodiscard]] std::uint64_t context() const noexcept {
-    return std::bit_cast<std::uint64_t>(rate_);
-  }
-
   /// The usable-links mask, rebuilt from link_can_carry only when the
-  /// ledger epoch has moved since the last query.
+  /// ledger epoch has moved since the last query. Valid until the next
+  /// call after the epoch moves.
   [[nodiscard]] const graph::EdgeMask* usable_mask();
 
+ private:
   /// usable_mask(), except it returns nullptr when no edge is currently
   /// masked out — the kernels then skip the per-arc bit test. Same
   /// admissible edge set either way.
@@ -127,6 +121,9 @@ class PathOracle {
   const graph::Graph* g_;
   const net::CapacityLedger* ledger_;
   double rate_;
+  /// The cache key part the usable-links mask depends on besides the
+  /// ledger epoch: flows whose rates differ in units never share entries.
+  std::uint64_t context_;
   graph::PathQueryCounters counters_;
 
   graph::SearchWorkspace own_ws_;

@@ -27,16 +27,20 @@ void PathCache::index_remove(ContextIndex& index, std::uint64_t context,
   if (it->second == 0) index.erase(it);
 }
 
-void PathCache::flipped_contexts(const ContextIndex& index, double before,
-                                 double after, double eps, bool debit,
-                                 std::vector<std::uint64_t>& out) {
-  for (const auto& [context, count] : index) {
-    const double rate = std::bit_cast<double>(context);
-    const bool flip =
-        debit ? usable(before, rate, eps) && !usable(after, rate, eps)
-              : !usable(before, rate, eps) && usable(after, rate, eps);
-    if (flip) out.push_back(context);
+std::vector<std::uint64_t> PathCache::flipped_contexts(std::int64_t before,
+                                                       std::int64_t after) {
+  const auto [low, high] = std::minmax(before, after);
+  std::vector<std::uint64_t> out;
+  for (const ContextIndex* index : {&tree_contexts_, &yen_contexts_}) {
+    for (const auto& [context, count] : *index) {
+      const auto threshold = static_cast<std::int64_t>(context);
+      if (high >= threshold && threshold > low) out.push_back(context);
+    }
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  inval_.flips += out.size();
+  return out;
 }
 
 template <typename Store>
@@ -116,21 +120,11 @@ void PathCache::evict_yen_context(std::uint64_t context) {
   index_remove(yen_contexts_, context, n);
 }
 
-void PathCache::on_link_debit(EdgeId e, NodeId u, NodeId v, double before,
-                              double after, double eps) {
+void PathCache::on_link_debit(EdgeId e, NodeId u, NodeId v,
+                              std::int64_t before, std::int64_t after) {
   ++inval_.link_debits;
-  // The common case exits here: no cached rate flips, nothing is walked.
-  std::vector<std::uint64_t> flipped;
-  flipped_contexts(tree_contexts_, before, after, eps, /*debit=*/true,
-                   flipped);
-  flipped_contexts(yen_contexts_, before, after, eps, /*debit=*/true,
-                   flipped);
-  if (flipped.empty()) return;
-  std::sort(flipped.begin(), flipped.end());
-  flipped.erase(std::unique(flipped.begin(), flipped.end()), flipped.end());
-  inval_.flips += flipped.size();
-
-  for (const std::uint64_t context : flipped) {
+  // In the common case no cached rate flips and nothing is walked.
+  for (const std::uint64_t context : flipped_contexts(before, after)) {
     // Trees: only entries whose parent-edge footprint (final or tentative)
     // contains e can change (exact — see the file comment); walk just this
     // context's range.
@@ -150,19 +144,10 @@ void PathCache::on_link_debit(EdgeId e, NodeId u, NodeId v, double before,
   }
 }
 
-void PathCache::on_link_credit(EdgeId /*e*/, double before, double after,
-                               double eps) {
+void PathCache::on_link_credit(EdgeId /*e*/, std::int64_t before,
+                               std::int64_t after) {
   ++inval_.link_credits;
-  std::vector<std::uint64_t> flipped;
-  flipped_contexts(tree_contexts_, before, after, eps, /*debit=*/false,
-                   flipped);
-  flipped_contexts(yen_contexts_, before, after, eps, /*debit=*/false,
-                   flipped);
-  if (flipped.empty()) return;
-  std::sort(flipped.begin(), flipped.end());
-  flipped.erase(std::unique(flipped.begin(), flipped.end()), flipped.end());
-  inval_.flips += flipped.size();
-  for (const std::uint64_t context : flipped) {
+  for (const std::uint64_t context : flipped_contexts(before, after)) {
     evict_tree_context(context);
     evict_yen_context(context);
   }

@@ -6,9 +6,10 @@
 /// between the same endpoints while the residual network has not changed:
 /// BBE/MBBE re-derive the min-cost paths of a sub-solution's end node once
 /// per parent, and the baselines route every meta-path from scratch. A
-/// PathCache memoizes those results keyed by (context, endpoints, k), where context
-/// is the flow rate bit-cast to uint64 — the one extra input the usable-edge
-/// mask depends on — so flows of different rates never share entries.
+/// PathCache memoizes those results keyed by (context, endpoints, k), where
+/// context is the flow rate in the owner's integer residual units — the one
+/// extra input the usable-edge mask depends on — so flows whose rates differ
+/// in units never share entries.
 ///
 /// ## Resumable tree entries
 ///
@@ -24,11 +25,12 @@
 ///
 /// Entries are kept alive by events, not by version keys: the owner (a
 /// net::CapacityLedger) forwards every link-residual change through
-/// on_link_debit() / on_link_credit() with the residual before and after.
-/// A change matters to the cached entries of rate r only when it flips the
-/// edge's usability at that rate (usable ⇔ residual ≥ r − eps); anything
-/// short of a flip leaves the rate-r usable-edge set — and therefore every
-/// rate-r result — untouched, so most commits evict nothing.
+/// on_link_debit() / on_link_credit() with the residual counts before and
+/// after. A change matters to the cached entries of rate r only when it
+/// flips the edge's usability at that rate (usable ⇔ residual ≥ r, compared
+/// exactly in units); anything short of a flip leaves the rate-r usable-edge
+/// set — and therefore every rate-r result — untouched, so most commits
+/// evict nothing.
 ///
 /// When a debit DOES flip an edge e = (u, v) unusable at rate r:
 ///   * Tree entries at rate r whose parent-edge footprint avoids e are
@@ -63,7 +65,6 @@
 /// thread-safe; it is owned per-CapacityLedger, and ledgers are not shared
 /// across threads.
 
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -134,8 +135,9 @@ class PathCache {
   /// The cached search from \p source, started on a miss with nothing
   /// settled. Callers settle it toward their targets (LazyTree::settle)
   /// under the current usable-edge mask at this rate. \p context must be
-  /// the flow rate bit-cast to uint64 — the invalidation hooks decode it to
-  /// evaluate usability flips. A miss counts one dijkstra call.
+  /// the flow rate in the owner's residual units — the invalidation hooks
+  /// compare it with residual counts to find usability flips. A miss counts
+  /// one dijkstra call.
   [[nodiscard]] std::shared_ptr<LazyTree> search(const Graph& g,
                                                  NodeId source,
                                                  std::uint64_t context,
@@ -155,14 +157,12 @@ class PathCache {
       std::uint64_t context, const EdgeMask* mask, SearchWorkspace& ws,
       PathQueryCounters& c);
 
-  /// Residual-change notifications (see the invalidation contract above).
-  /// \p eps is the owner's feasibility tolerance: usable ⇔ residual ≥
-  /// rate − eps, evaluated with the same expression the ledger uses so the
-  /// cache and the admission checks never disagree on a flip. A debit
-  /// carries the edge's endpoints \p u and \p v for the footprint test.
-  void on_link_debit(EdgeId e, NodeId u, NodeId v, double before,
-                     double after, double eps);
-  void on_link_credit(EdgeId e, double before, double after, double eps);
+  /// Residual-change notifications (see the invalidation contract above),
+  /// in the owner's residual units. A debit carries the edge's endpoints
+  /// \p u and \p v for the footprint test.
+  void on_link_debit(EdgeId e, NodeId u, NodeId v, std::int64_t before,
+                     std::int64_t after);
+  void on_link_credit(EdgeId e, std::int64_t before, std::int64_t after);
 
   [[nodiscard]] std::size_t num_trees() const noexcept {
     return trees_.size();
@@ -187,9 +187,6 @@ class PathCache {
     std::size_t k;
     auto operator<=>(const YenKey&) const = default;
   };
-  static bool usable(double residual, double rate, double eps) noexcept {
-    return residual >= rate - eps;
-  }
   /// Whether edge \p e = (u, v) is some node's final or tentative parent
   /// edge in \p t.
   static bool in_footprint(const LazyTree& t, EdgeId e, NodeId u,
@@ -198,7 +195,7 @@ class PathCache {
   }
 
   /// Refcounted index of the distinct contexts present in one store,
-  /// sorted by context bits. Mutation hooks consult it first: with no
+  /// sorted by context. Mutation hooks consult it first: with no
   /// cached rate flipping (the overwhelmingly common case — e.g. every
   /// residual a serving worker's compose copies into its scratch view),
   /// the hook is O(distinct rates), touches no entries and allocates
@@ -209,11 +206,11 @@ class PathCache {
   static void index_remove(ContextIndex& index, std::uint64_t context,
                            std::size_t n);
 
-  /// Appends the contexts of \p index whose usability of a residual change
-  /// flipped in the given direction.
-  static void flipped_contexts(const ContextIndex& index, double before,
-                               double after, double eps, bool debit,
-                               std::vector<std::uint64_t>& out);
+  /// The distinct cached contexts whose usability a residual change from
+  /// \p before to \p after flips, either way, ascending; counts them in
+  /// inval_.flips.
+  std::vector<std::uint64_t> flipped_contexts(std::int64_t before,
+                                              std::int64_t after);
 
   /// Evicts (and invalidates) every tree / k-path entry cached under
   /// \p context.

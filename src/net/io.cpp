@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/ledger.hpp"
+
 namespace dagsfc::net {
 
 namespace {
@@ -134,7 +136,9 @@ Network network_from_text(const std::string& text) {
 
   Network network(std::move(g), catalog);
   for (graph::EdgeId e = 0; e < caps.size(); ++e) {
-    if (caps[e] < 0) fail(links[e].line, "negative link capacity");
+    if (!CapacityLedger::countable(caps[e])) {
+      fail(links[e].line, "link capacity must be in [0, ~9.2e9]");
+    }
     network.set_link_capacity(e, caps[e]);
   }
   for (const VnfDecl& d : vnfs) {

@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include "net/ledger.hpp"
+
 namespace dagsfc::net {
 
 Network::Network(graph::Graph g, VnfCatalog catalog,
@@ -10,12 +12,12 @@ Network::Network(graph::Graph g, VnfCatalog catalog,
       node_instances_(g_.num_nodes()),
       type_nodes_(catalog_.num_types()),
       instance_at_(g_.num_nodes() * catalog_.num_types(), kInvalidInstance) {
-  DAGSFC_CHECK(default_link_capacity >= 0.0);
+  DAGSFC_CHECK(CapacityLedger::countable(default_link_capacity));
 }
 
 void Network::set_link_capacity(EdgeId e, double capacity) {
   DAGSFC_CHECK(e < link_capacity_.size());
-  DAGSFC_CHECK(capacity >= 0.0);
+  DAGSFC_CHECK(CapacityLedger::countable(capacity));
   link_capacity_[e] = capacity;
 }
 
@@ -24,7 +26,7 @@ InstanceId Network::deploy(NodeId node, VnfTypeId type, double price,
   DAGSFC_CHECK(g_.has_node(node));
   DAGSFC_CHECK(catalog_.valid(type));
   DAGSFC_CHECK_MSG(!catalog_.is_dummy(type), "the dummy VNF is not deployable");
-  DAGSFC_CHECK(price >= 0.0 && capacity >= 0.0);
+  DAGSFC_CHECK(price >= 0.0 && CapacityLedger::countable(capacity));
   DAGSFC_CHECK_MSG(!find_instance(node, type).has_value(),
                    "node already hosts an instance of this type");
   const auto id = static_cast<InstanceId>(instances_.size());

@@ -1,7 +1,6 @@
 #include "shard/ledger.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace dagsfc::shard {
@@ -105,12 +104,12 @@ void ShardedLedger::compose(std::span<const RegionId> regions,
           held == ComposedView::kZeroed || held == ComposedView::kNominal;
       for (const EdgeId e : substrate_->links_owned_by(r)) {
         if (whole || live.link_stamp(e) > held) {
-          out.set_link_residual(e, live.link_residual(e));
+          out.copy_link_residual(e, live);
         }
       }
       for (const InstanceId id : substrate_->instances_owned_by(r)) {
         if (whole || live.instance_stamp(id) > held) {
-          out.set_instance_residual(id, live.instance_residual(id));
+          out.copy_instance_residual(id, live);
         }
       }
       held = epoch;
@@ -142,24 +141,24 @@ void ShardedLedger::apply_owned(const core::ResourceUsage& usage, double rate,
   // Same order and arithmetic as CapacityLedger::apply/unapply, so each
   // shard sees the mutations a one-ledger apply would make of its slice.
   for (InstanceId id = 0; id < usage.instance_uses.size(); ++id) {
-    if (usage.instance_uses[id] == 0) continue;
+    const std::uint32_t uses = usage.instance_uses[id];
+    if (uses == 0) continue;
     net::CapacityLedger& ledger =
         shards_[substrate_->owner_of_instance(id)]->ledger;
-    const double amount = static_cast<double>(usage.instance_uses[id]) * rate;
     if (credit) {
-      ledger.release_instance(id, amount);
+      ledger.release_instance(id, rate, uses);
     } else {
-      ledger.consume_instance(id, amount);
+      ledger.consume_instance(id, rate, uses);
     }
   }
   for (EdgeId e = 0; e < usage.link_uses.size(); ++e) {
-    if (usage.link_uses[e] == 0) continue;
+    const std::uint32_t uses = usage.link_uses[e];
+    if (uses == 0) continue;
     net::CapacityLedger& ledger = shards_[substrate_->owner_of_link(e)]->ledger;
-    const double amount = static_cast<double>(usage.link_uses[e]) * rate;
     if (credit) {
-      ledger.release_link(e, amount);
+      ledger.release_link(e, rate, uses);
     } else {
-      ledger.consume_link(e, amount);
+      ledger.consume_link(e, rate, uses);
     }
   }
 }
@@ -229,24 +228,11 @@ net::CapacityLedger ShardedLedger::residuals() const {
 }
 
 bool ShardedLedger::residuals_nominal() const {
-  // Same tolerance as the drivers' conservation check: consume/release
-  // round-trips are float adds, not bitwise inverses.
-  constexpr double kTol = 1e-6;
-  const net::Network& net = substrate_->network();
-  for (RegionId r = 0; r < shards_.size(); ++r) {
-    std::lock_guard lock(shards_[r]->mu);
-    const net::CapacityLedger& ledger = shards_[r]->ledger;
-    for (const EdgeId e : substrate_->links_owned_by(r)) {
-      if (std::abs(ledger.link_residual(e) - net.link_capacity(e)) > kTol) {
-        return false;
-      }
-    }
-    for (const InstanceId id : substrate_->instances_owned_by(r)) {
-      if (std::abs(ledger.instance_residual(id) - net.instance(id).capacity) >
-          kTol) {
-        return false;
-      }
-    }
+  // Resources a shard does not own stay nominal in it, so each shard's
+  // whole ledger must be.
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    if (!shard->ledger.at_nominal()) return false;
   }
   return true;
 }

@@ -35,10 +35,10 @@
 /// (solvers take it const), so between two composes it still holds what
 /// the last one wrote. A shard stamps every resource it mutates with its
 /// new epoch, so a resource whose stamp is at or below the remembered epoch
-/// still holds the residual the view copied. Every copy is bitwise, through
-/// CapacityLedger::set_*_residual (a no-op on equal values), so the view's
-/// path cache sees only the footprint-scoped invalidations of residuals
-/// that actually changed and stays warm across requests.
+/// still holds the residual the view copied. Every copy is an exact unit
+/// count, through CapacityLedger::copy_*_residual (a no-op on equal counts),
+/// so the view's path cache sees only the footprint-scoped invalidations of
+/// residuals that actually changed and stays warm across requests.
 ///
 /// ## Commit protocol
 ///
@@ -168,14 +168,14 @@ class ShardedLedger {
   /// owning shards are derived from the usage itself.
   void release(const core::ResourceUsage& usage, double rate);
 
-  /// The live residuals of every resource, each read from its owner shard
-  /// (bitwise), as one ledger over the substrate's network. Only the
+  /// The live residuals of every resource, each copied from its owner shard
+  /// (exactly), as one ledger over the substrate's network. Only the
   /// residuals are meaningful; the copy's epoch and stamps are its own.
   [[nodiscard]] net::CapacityLedger residuals() const;
 
-  /// True iff every shard's owned resources are back at nominal capacity —
-  /// the conservation oracle for commit/release batteries. Locks shards
-  /// one at a time, so call only at quiescence.
+  /// True iff every shard's owned resources are back at their nominal unit
+  /// counts, exactly — the conservation oracle for commit/release
+  /// batteries. Locks shards one at a time, so call only at quiescence.
   [[nodiscard]] bool residuals_nominal() const;
 
   /// Direct locked read of one resource's live residual (diagnostics).

@@ -50,22 +50,13 @@ RegionPartition partition_stripe(const graph::Graph& g, std::size_t regions) {
   const std::size_t n = g.num_nodes();
   DAGSFC_CHECK_MSG(regions >= 1 && regions <= n,
                    "region count must be in [1, num_nodes]");
-  const std::size_t block = (n + regions - 1) / regions;
   RegionPartition p;
   p.region_of.resize(n);
   p.members.resize(regions);
   for (graph::NodeId v = 0; v < n; ++v) {
-    const auto r = static_cast<RegionId>(
-        std::min<std::size_t>(v / block, regions - 1));
+    const auto r = static_cast<RegionId>(v * regions / n);
     p.region_of[v] = r;
     p.members[r].push_back(v);
-  }
-  // A too-even split can leave trailing blocks empty (e.g. n=10, k=7 →
-  // block=2 uses only 5 blocks); ceil-division guarantees that cannot
-  // happen while regions ≤ n... except when clamping folds several block
-  // indices into the last region and skips intermediates. Guard explicitly.
-  for (const auto& m : p.members) {
-    DAGSFC_CHECK_MSG(!m.empty(), "stripe partition produced an empty region");
   }
   return p;
 }

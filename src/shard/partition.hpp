@@ -7,9 +7,10 @@
 /// places:
 ///   * kLabels — the region-labeled generators (graph::make_regional_waxman
 ///     / make_regional_fat_tree) emit labels alongside the topology;
-///   * kStripe — contiguous NodeId blocks of near-equal size (exactly the
-///     pod blocks of a fat-tree, and a cheap deterministic default for any
-///     substrate whose generator laid related nodes out contiguously);
+///   * kStripe — contiguous NodeId blocks whose sizes differ by at most one
+///     (exactly the pod blocks of a fat-tree, and a cheap deterministic
+///     default for any substrate whose generator laid related nodes out
+///     contiguously);
 ///   * kBfs — geodesic regions grown by breadth-first search from
 ///     farthest-first seeds, for substrates with no exploitable id layout.
 ///
@@ -71,8 +72,8 @@ enum class PartitionScheme : std::uint8_t { kLabels, kStripe, kBfs };
 [[nodiscard]] PartitionScheme partition_scheme_from_string(
     const std::string& name);
 
-/// Contiguous id blocks: region r gets nodes [r·⌈n/k⌉, …) with the last
-/// region absorbing the remainder. Requires 1 ≤ k ≤ n.
+/// Contiguous id blocks: node v goes to region ⌊v·k/n⌋, so block sizes
+/// differ by at most one and none is empty. Requires 1 ≤ k ≤ n.
 [[nodiscard]] RegionPartition partition_stripe(const graph::Graph& g,
                                                std::size_t regions);
 

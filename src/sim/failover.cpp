@@ -118,25 +118,12 @@ FailoverResult run_failover(const FailoverConfig& cfg,
   result.affected = affected.size();
   for (std::size_t i : affected) {
     const Committed& c = committed[i];
-    for (net::InstanceId id = 0; id < c.usage.instance_uses.size(); ++id) {
-      if (c.usage.instance_uses[id] > 0) {
-        ledger.release_instance(
-            id, static_cast<double>(c.usage.instance_uses[id]) * c.flow.rate);
-      }
-    }
-    for (graph::EdgeId e = 0; e < c.usage.link_uses.size(); ++e) {
-      if (c.usage.link_uses[e] > 0) {
-        ledger.release_link(
-            e, static_cast<double>(c.usage.link_uses[e]) * c.flow.rate);
-      }
-    }
+    ledger.unapply(c.usage.link_uses, c.usage.instance_uses, c.flow.rate);
     result.original_cost.add(c.cost);
   }
-  for (graph::EdgeId e : dead_links) {
-    ledger.consume_link(e, ledger.link_residual(e));
-  }
+  for (graph::EdgeId e : dead_links) ledger.set_link_residual(e, 0.0);
   for (net::InstanceId id : dead_instances) {
-    ledger.consume_instance(id, ledger.instance_residual(id));
+    ledger.set_instance_residual(id, 0.0);
   }
 
   // ---- Phase 3: recover --------------------------------------------------

@@ -86,6 +86,10 @@ TEST(NetworkIo, ErrorsCarryLineNumbers) {
   expect_error("catalog 2\nnodes 2\nvnf 0 7 1 1\n", "out of range");
   expect_error("catalog 2\nnodes 2\nvnf 0 1\n", "vnf needs");
   expect_error("catalog 2\nnodes 2\nlink 0 0 1 1\n", "self loops");
+  // Capacities the ledger cannot count in its int64 units.
+  expect_error("catalog 2\nnodes 2\nlink 0 1 1 -1\n", "link capacity");
+  expect_error("catalog 2\nnodes 2\nlink 0 1 1 1e300\n", "link capacity");
+  expect_error("catalog 2\nnodes 2\nvnf 0 1 1 1e300\n", "line 3");
 }
 
 TEST(SfcIo, RoundTripStructure) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_helpers.hpp"
 
 namespace dagsfc::core {
@@ -20,8 +22,16 @@ TEST(EmbeddingProblem, ValidateChecksEverything) {
   EXPECT_THROW(bad.validate(), ContractViolation);
 
   bad = fx->problem;
-  bad.flow.rate = 0.0;
-  EXPECT_THROW(bad.validate(), ContractViolation);
+  // Rates the ledger cannot count: below one 1e-9 unit, or not finite, or
+  // beyond its int64 range.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double rate : {0.0, 4e-10, nan, inf, 1e10}) {
+    bad.flow.rate = rate;
+    EXPECT_THROW(bad.validate(), ContractViolation) << rate;
+  }
+  bad.flow.rate = 1e-9;  // one unit
+  EXPECT_NO_THROW(bad.validate());
 
   bad = fx->problem;
   bad.flow.size = -1.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/rng.hpp"
 
 namespace dagsfc::net {
@@ -93,6 +95,18 @@ TEST(Network, InvalidArgumentsRejected) {
   EXPECT_THROW((void)n.deploy(0, 99, 1.0, 1.0), ContractViolation);
   EXPECT_THROW((void)n.deploy(0, 1, -1.0, 1.0), ContractViolation);
   EXPECT_THROW((void)n.deploy(0, 1, 1.0, -1.0), ContractViolation);
+  // Capacities the ledger cannot count in its int64 units of 1e-9.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, 1e10}) {
+    EXPECT_THROW(n.set_link_capacity(0, bad), ContractViolation);
+    EXPECT_THROW((void)n.deploy(0, 1, 1.0, bad), ContractViolation);
+    EXPECT_THROW(Network(graph::Graph(2), VnfCatalog(1), bad),
+                 ContractViolation);
+  }
+  EXPECT_EQ(n.num_instances(), 0u);
+  n.set_link_capacity(0, 9e9);  // the range ends near 9.2e9
+  EXPECT_EQ(n.link_capacity(0), 9e9);
 }
 
 /// find_instance answers from a dense node × type table; it must agree with

@@ -45,10 +45,14 @@ graph::Graph diamond() {
 // ---------------------------------------------------------------------------
 // PathCache unit behavior
 
-constexpr double kEps = 1e-9;
-
-/// The cache's context convention: the flow rate, bit-cast.
-std::uint64_t ctx(double rate) { return std::bit_cast<std::uint64_t>(rate); }
+/// The cache's context convention: a rate's count in the ledger's residual
+/// units. The hooks take residuals in the same units.
+std::uint64_t ctx(double rate) {
+  return net::CapacityLedger::rate_context(rate);
+}
+std::int64_t units(double residual) {
+  return static_cast<std::int64_t>(ctx(residual));
+}
 
 TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
   const graph::Graph g = diamond();
@@ -65,7 +69,7 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
 
   // A debit that leaves the edge usable at rate 1.0 is not a flip: the
   // usable-edge set — and therefore every cached result — is unchanged.
-  cache.on_link_debit(0, 0, 1, 10.0, 5.0, kEps);
+  cache.on_link_debit(0, 0, 1, units(10.0), units(5.0));
   (void)cache.tree(g, 0, ctx(1.0), {}, c);
   EXPECT_EQ(c.cache_hits, 2u);
   EXPECT_EQ(cache.invalidation_stats().flips, 0u);
@@ -73,7 +77,7 @@ TEST(PathCache, TreeHitsOnRepeatAndSurvivesNonFlipDebits) {
 
   // Draining edge 0 below the rate flips it unusable; the tree from node 0
   // carries edge 0 in its parent footprint, so it must go.
-  cache.on_link_debit(0, 0, 1, 5.0, 0.5, kEps);
+  cache.on_link_debit(0, 0, 1, units(5.0), units(0.5));
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   const auto t3 = cache.tree(g, 0, ctx(1.0), {}, c);
@@ -92,7 +96,7 @@ TEST(PathCache, DebitFlipSparesTreesOutsideTheFootprint) {
 
   // Edge 1 (1–3) flips unusable: only the tree from node 0 routes through
   // it, so the tree from node 2 survives and keeps hitting.
-  cache.on_link_debit(1, 1, 3, 1.0, 0.0, kEps);
+  cache.on_link_debit(1, 1, 3, units(1.0), units(0.0));
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   EXPECT_EQ(cache.num_trees(), 1u);
   (void)cache.tree(g, 2, ctx(1.0), {}, c);
@@ -111,7 +115,7 @@ TEST(PathCache, ContextSeparatesEntriesAndFlipsAreRateScoped) {
   EXPECT_EQ(cache.num_trees(), 2u);
 
   // 2.5 → 1.5 flips edge 0 at rate 2.0 only; the rate-1.0 entry survives.
-  cache.on_link_debit(0, 0, 1, 2.5, 1.5, kEps);
+  cache.on_link_debit(0, 0, 1, units(2.5), units(1.5));
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.num_trees(), 1u);
   (void)cache.tree(g, 0, ctx(1.0), {}, c);
@@ -143,12 +147,12 @@ TEST(PathCache, DebitFlipEvictsAllKPathListsAtThatRate) {
   // Yen entries are evicted wholesale on a flip even when their paths avoid
   // the edge: a vanished edge can unmask equal-cost candidates, so keeping
   // "non-intersecting" lists would not be bit-exact.
-  cache.on_link_debit(3, 2, 3, 1.0, 0.0, kEps);
+  cache.on_link_debit(3, 2, 3, units(1.0), units(0.0));
   EXPECT_EQ(cache.invalidation_stats().yens_evicted, 1u);
   EXPECT_EQ(cache.num_k_paths(), 0u);
   // A non-flip debit, by contrast, spares them.
   (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
-  cache.on_link_debit(3, 2, 3, 10.0, 5.0, kEps);
+  cache.on_link_debit(3, 2, 3, units(10.0), units(5.0));
   EXPECT_EQ(cache.num_k_paths(), 1u);
 }
 
@@ -161,14 +165,14 @@ TEST(PathCache, CreditFlipEvictsEverythingAtThatRate) {
   (void)cache.k_paths(g, 0, 3, 2, ctx(1.0), nullptr, ws, c);
 
   // A credit that keeps the edge unusable flips nothing.
-  cache.on_link_credit(0, 0.2, 0.6, kEps);
+  cache.on_link_credit(0, units(0.2), units(0.6));
   EXPECT_EQ(cache.invalidation_stats().flips, 0u);
   EXPECT_EQ(cache.num_trees(), 1u);
   EXPECT_EQ(cache.num_k_paths(), 1u);
 
   // Flipping an edge usable can improve paths anywhere — every rate-1.0
   // entry goes, footprints notwithstanding.
-  cache.on_link_credit(0, 0.6, 2.0, kEps);
+  cache.on_link_credit(0, units(0.6), units(2.0));
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.num_trees(), 0u);
   EXPECT_EQ(cache.num_k_paths(), 0u);
@@ -529,7 +533,7 @@ TEST(ResumableEntry, DebitOnATentativeParentEvicts) {
 
   // e3 flips unusable: no settled node routes over it, but resuming would
   // pop node 3 at the stale 10 instead of 3 — so the entry must go.
-  cache.on_link_debit(3, 0, 3, 1.0, 0.0, kEps);
+  cache.on_link_debit(3, 0, 3, units(1.0), units(0.0));
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   EXPECT_EQ(cache.num_trees(), 0u);
   EXPECT_TRUE(entry->invalidated());
@@ -560,7 +564,7 @@ TEST(ResumableEntry, DebitOnAScannedNonParentEdgeKeepsAndResumesExactly) {
 
   // e1 was scanned (from node 0) but is nobody's parent: the kept entry,
   // resumed under the new usable set, is a fresh search on that set.
-  cache.on_link_debit(1, 0, 2, 1.0, 0.0, kEps);
+  cache.on_link_debit(1, 0, 2, units(1.0), units(0.0));
   EXPECT_EQ(cache.invalidation_stats().flips, 1u);
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 0u);
   EXPECT_FALSE(entry->invalidated());
@@ -607,7 +611,7 @@ TEST(ResumableEntry, KeptEntriesResumeLikeFreshSearchesAfterRandomDebits) {
       if (!mask.allows(e)) continue;
       buf.clear(e);
       const graph::Edge& ed = g.edge(e);
-      cache.on_link_debit(e, ed.u, ed.v, 1.0, 0.0, kEps);
+      cache.on_link_debit(e, ed.u, ed.v, units(1.0), units(0.0));
       const graph::EdgeMask after = buf.view();
       graph::dijkstra_into(g, source, ws, &after);
       const graph::SearchWorkspace& full = ws;
@@ -639,7 +643,7 @@ TEST(ResumableEntry, CreditFlipEvictsTheRate) {
   at1->settle(g, 1, nullptr);
   at2->settle(g, 1, nullptr);
   // 0.5 → 1.5 makes the edge usable at rate 1.0 but not at 2.0.
-  cache.on_link_credit(4, 0.5, 1.5, kEps);
+  cache.on_link_credit(4, units(0.5), units(1.5));
   EXPECT_EQ(cache.invalidation_stats().trees_evicted, 1u);
   EXPECT_TRUE(at1->invalidated());
   EXPECT_FALSE(at2->invalidated());
@@ -652,7 +656,7 @@ TEST(ResumableEntry, InvalidatedHeldEntryRefusesToResume) {
   graph::PathQueryCounters c;
   const auto held = cache.search(g, 0, ctx(1.0), c);
   held->settle(g, 1, nullptr);
-  cache.on_link_debit(0, 0, 1, 1.0, 0.0, kEps);  // e0: node 1's parent
+  cache.on_link_debit(0, 0, 1, units(1.0), units(0.0));  // e0: node 1's parent
   ASSERT_TRUE(held->invalidated());
   // What it settled stays readable; going further does not.
   EXPECT_EQ(bits(held->dist[1]), bits(1.0));
@@ -873,7 +877,6 @@ TEST(LivePathOracle, EveryQueryMatchesTheSeedKernelsAcrossDebitsAndCredits) {
     net::CapacityLedger ledger(network);
     // Long-lived, like a worker's: its usable mask follows the epoch.
     core::PathOracle oracle(g, ledger, kRate);
-    std::vector<double> consumed(g.num_edges(), 0.0);
 
     for (int batch = 0; batch < 16; ++batch) {
       SCOPED_TRACE("batch " + std::to_string(batch));
@@ -884,17 +887,17 @@ TEST(LivePathOracle, EveryQueryMatchesTheSeedKernelsAcrossDebitsAndCredits) {
       const std::size_t mutations = 1 + rng.index(g.num_edges() / 3 + 1);
       for (std::size_t m = 0; m < mutations; ++m) {
         const auto e = static_cast<graph::EdgeId>(rng.index(g.num_edges()));
-        if (consumed[e] > 0.0 && rng.bernoulli(0.5)) {
+        // Credits come from what the ledger holds, not from a sum of the
+        // random amounts debited: the ledger rounds each to whole units.
+        const double consumed = kCapacity - ledger.link_residual(e);
+        if (consumed > 0.0 && rng.bernoulli(0.5)) {
           const double amount = rng.bernoulli(0.5)
-                                    ? consumed[e]
-                                    : consumed[e] * rng.uniform_real(0.2, 0.9);
+                                    ? consumed
+                                    : consumed * rng.uniform_real(0.2, 0.9);
           ledger.release_link(e, amount);
-          consumed[e] -= amount;
         } else if (ledger.link_residual(e) > 0.0) {
-          const double amount =
-              ledger.link_residual(e) * rng.uniform_real(0.2, 1.0);
-          ledger.consume_link(e, amount);
-          consumed[e] += amount;
+          ledger.consume_link(
+              e, ledger.link_residual(e) * rng.uniform_real(0.2, 1.0));
         }
       }
     }

@@ -315,16 +315,19 @@ TEST(EmbeddingService, MalformedRequestsThrowAtSubmitAndServingGoesOn) {
   EmbeddingService service(network, mbbe, {});
 
   // What core::ModelIndex would reject on a worker thread: endpoints that
-  // are not nodes, non-positive (or NaN) rates and sizes.
+  // are not nodes, non-positive (or NaN) rates and sizes, and rates the
+  // ledger cannot count (below one 1e-9 unit, or infinite).
   const auto malformed = [](RequestId id, core::Flow flow) {
     Request req = one_slot_request(id);
     req.flow = flow;
     return req;
   };
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const core::Flow bad_flows[] = {
       {99, 2, 1.0, 1.0}, {0, 99, 1.0, 1.0}, {0, 2, 0.0, 1.0},
       {0, 2, -1.0, 1.0}, {0, 2, nan, 1.0},  {0, 2, 1.0, 0.0},
+      {0, 2, 4e-10, 1.0}, {0, 2, inf, 1.0},
   };
   RequestId id = 1;
   for (const core::Flow& flow : bad_flows) {

@@ -63,13 +63,35 @@ TEST(Partition, StripeBlocksCoverEveryNodeAndValidate) {
   const shard::RegionPartition p = shard::partition_stripe(g, 3);
   EXPECT_EQ(p.num_regions(), 3u);
   p.validate(g);
-  // ceil(10/3) = 4: blocks of 4, 4, 2, contiguous.
+  // Node v goes to region ⌊3v/10⌋: blocks of 4, 3, 3, contiguous.
   EXPECT_EQ(p.members[0].size(), 4u);
-  EXPECT_EQ(p.members[1].size(), 4u);
-  EXPECT_EQ(p.members[2].size(), 2u);
+  EXPECT_EQ(p.members[1].size(), 3u);
+  EXPECT_EQ(p.members[2].size(), 3u);
   EXPECT_EQ(p.region(0), 0u);
   EXPECT_EQ(p.region(4), 1u);
   EXPECT_EQ(p.region(9), 2u);
+}
+
+TEST(Partition, StripeRegionsAreNonEmptyAndContiguousForEveryCount) {
+  for (std::size_t n = 1; n <= 40; ++n) {
+    const graph::Graph g(n);
+    for (std::size_t k = 1; k <= n; ++k) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const shard::RegionPartition p = shard::partition_stripe(g, k);
+      ASSERT_EQ(p.num_regions(), k);
+      ASSERT_NO_THROW(p.validate(g));
+      graph::NodeId next = 0;
+      for (const auto& m : p.members) {
+        ASSERT_FALSE(m.empty());
+        EXPECT_EQ(m.front(), next);
+        EXPECT_EQ(m.back(), next + m.size() - 1);  // ids in order, no gap
+        EXPECT_LE(m.size(), n / k + 1);
+        EXPECT_GE(m.size(), n / k);
+        next = m.back() + 1;
+      }
+      EXPECT_EQ(next, n);
+    }
+  }
 }
 
 TEST(Partition, StripeDegenerateCounts) {
@@ -555,7 +577,8 @@ TEST(ShardService, WatchdogFiresOncePerSlowHierRequest) {
 // ------------------------------------------------ non-dyadic residuals --
 
 /// A two-region scenario whose links and VNF instances all have capacity
-/// 1.0, so a few non-dyadic debits drive a residual a few ulps below zero.
+/// 1.0, where a few non-dyadic debits would drive a double residual a few
+/// ulps below zero.
 sim::RegionalScenario unit_capacity_scenario(std::uint64_t seed) {
   Rng rng(seed);
   auto cfg = small_workload_config(2, 8, 1);
@@ -564,7 +587,7 @@ sim::RegionalScenario unit_capacity_scenario(std::uint64_t seed) {
   return sim::make_regional_scenario(rng, cfg.regional);
 }
 
-TEST(ShardLedger, ComposeCopiesResidualsJustBelowZeroBitwise) {
+TEST(ShardLedger, ComposeCopiesAnExactlyDrainedResidual) {
   const sim::RegionalScenario s = unit_capacity_scenario(5);
   const shard::ShardedSubstrate sub = make_substrate(s);
   shard::ShardedLedger ledger(sub);
@@ -582,21 +605,19 @@ TEST(ShardLedger, ComposeCopiesResidualsJustBelowZeroBitwise) {
     ledger.snapshot_epochs(regions, epochs);
     ASSERT_TRUE(ledger.try_commit(u, rate, regions, epochs).ok);
   }
-  // 1.0 − 0.3 − 0.3 − 0.3 − 0.1 = −2.8e-17: inside consume_*'s −kEps
-  // admission tolerance, so the shard holds it.
-  const double link_left = ledger.link_residual(e);
-  const double instance_left = ledger.instance_residual(id);
-  ASSERT_LT(link_left, 0.0);
-  ASSERT_LT(instance_left, 0.0);
+  // In doubles 1.0 − 0.3 − 0.3 − 0.3 − 0.1 is −2.8e-17; in units it is
+  // exactly zero.
+  EXPECT_EQ(ledger.link_residual(e), 0.0);
+  EXPECT_EQ(ledger.instance_residual(id), 0.0);
 
-  // compose() is a bitwise copy: try_commit's fast path applies without
-  // re-checking because the view holds exactly what the shards hold.
+  // compose() copies the count: the view reads zero and refuses even the
+  // smallest rate.
   shard::ComposedView view(sub);
   ledger.compose(regions, view);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.ledger().link_residual(e)),
-            std::bit_cast<std::uint64_t>(link_left));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(view.ledger().instance_residual(id)),
-            std::bit_cast<std::uint64_t>(instance_left));
+  EXPECT_EQ(view.ledger().link_residual(e), 0.0);
+  EXPECT_EQ(view.ledger().instance_residual(id), 0.0);
+  EXPECT_FALSE(view.ledger().link_can_carry(e, 1e-9));
+  EXPECT_FALSE(view.ledger().instance_can_process(id, 1e-9));
 }
 
 TEST(ShardLedger, IncrementalComposeMatchesAFreshViewBitwise) {
@@ -666,18 +687,20 @@ TEST(ShardLedger, IncrementalComposeMatchesAFreshViewBitwise) {
   EXPECT_TRUE(ledger.residuals_nominal());
 }
 
-TEST(ShardLedger, SetResidualStillRejectsBelowMinusEps) {
+TEST(ShardLedger, SetResidualRejectsEveryNegativeResidual) {
   const sim::RegionalScenario s = unit_capacity_scenario(5);
   net::CapacityLedger ledger(s.network);
-  constexpr double kEps = 1e-9;  // the ledger's feasibility tolerance
-  ledger.set_link_residual(0, -kEps);
-  ledger.set_instance_residual(0, -kEps);
-  EXPECT_EQ(ledger.link_residual(0), -kEps);
-  EXPECT_EQ(ledger.instance_residual(0), -kEps);
-  EXPECT_THROW(ledger.set_link_residual(0, -2 * kEps), ContractViolation);
-  EXPECT_THROW(ledger.set_instance_residual(0, -2 * kEps),
-               ContractViolation);
-  EXPECT_EQ(ledger.link_residual(0), -kEps);  // a rejected set changes nothing
+  ledger.set_link_residual(0, 0.0);
+  ledger.set_instance_residual(0, 0.0);
+  EXPECT_EQ(ledger.link_residual(0), 0.0);
+  EXPECT_EQ(ledger.instance_residual(0), 0.0);
+  for (const double bad : {-1e-9, -1e-300, -1.0}) {
+    EXPECT_THROW(ledger.set_link_residual(0, bad), ContractViolation);
+    EXPECT_THROW(ledger.set_instance_residual(0, bad), ContractViolation);
+  }
+  EXPECT_THROW(ledger.set_link_residual(0, 1.0 + 1e-9), ContractViolation);
+  EXPECT_EQ(ledger.link_residual(0), 0.0);  // a rejected set changes nothing
+  EXPECT_EQ(ledger.instance_residual(0), 0.0);
 }
 
 TEST(ShardService, NonDyadicRatesDrainToNominal) {
