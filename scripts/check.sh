@@ -49,6 +49,9 @@ guards=(
   # layout) and the search's allocation regression.
   'asan test_corpus\.Solves/BacktrackingGolden\.'
   'asan test_backtracking\..*AllocatesLessThanOncePerExpandedSubSolution'
+  # Parents at a shared end node replay one recorded expansion: ring
+  # searches run once per (layer, end node, pass).
+  'asan test_backtracking\.Engine\.ParentsSharingAnEndNodeShareOneExpansion'
   # Resumable path-cache entries: differential, invalidation and counter
   # tests, and the dense instance table's agreement with a scan.
   'asan test_path_cache\.ResumableEntry\.'

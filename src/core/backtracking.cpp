@@ -44,6 +44,44 @@ struct SubSolution {
   std::uint32_t picks = 0;        ///< offset into Arena::picks
 };
 
+/// One step of a parent's expansion in a layer pass: a forward or backward
+/// search with its traced outcome, or a candidate child with what its layer
+/// adds. The steps depend only on the parent's end node, so parents that
+/// share one replay the first one's steps (DESIGN.md §14, "Shared
+/// expansions").
+struct ExpansionStep {
+  enum class Kind : std::uint8_t { ForwardSearch, BackwardSearch, Child };
+
+  Kind kind = Kind::Child;
+  bool covered = false;  ///< search: it found every VNF type it looked for
+  bool capped = false;   ///< forward search: X_max bounded it
+  NodeId node = graph::kInvalidNode;  ///< search start, or child end node
+  std::uint32_t searched = 0;         ///< search: nodes searched
+  std::uint32_t placement = 0;        ///< child: offset into Arena::placements
+  std::uint32_t picks = 0;            ///< child: offset into Arena::picks
+  double cost = 0.0;   ///< child: layer cost, vnf + link
+  double delay = 0.0;  ///< child: layer critical-path delay (ms)
+
+  static ExpansionStep search(Kind kind, NodeId from, std::size_t searched,
+                              bool covered) {
+    ExpansionStep s;
+    s.kind = kind;
+    s.node = from;
+    s.searched = static_cast<std::uint32_t>(searched);
+    s.covered = covered;
+    return s;
+  }
+};
+
+/// Per end node, for the current layer pass: how many parents end there,
+/// and the steps [first, last) its first parent recorded when they are more
+/// than one (first = kNoParent until then).
+struct SharedExpansion {
+  std::uint32_t parents = 0;
+  std::uint32_t first = kNoParent;
+  std::uint32_t last = 0;
+};
+
 /// Append-only per-solve storage behind every sub-solution. Paths are
 /// shared: each meta-path instance is stored once and referenced by id
 /// from every child that picks it. graph::Path is built only when a
@@ -492,26 +530,68 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
   std::vector<std::uint32_t> combo_cursor;
   std::vector<std::uint32_t> picks;   // inter ids, then inner ids
   std::vector<graph::EdgeId> edge_scratch;
+  std::vector<SharedExpansion> shared(g.num_nodes());  // per end node
+  std::vector<ExpansionStep> steps;  // recorded in the current layer pass
 
-  /// Stores a candidate child in the arena and \p children.
-  const auto emit_child = [&](std::size_t l, std::uint32_t parent,
-                              NodeId end, double cost, double delay) {
+  /// A candidate child of the expansion under way: stores the current
+  /// placement and picks in the arena, with the cost and delay its layer
+  /// adds.
+  const auto child_step = [&](NodeId end, double cost, double delay) {
     DAGSFC_CHECK(arena.picks.size() < kNoParent);
-    SubSolution child;
-    child.parent = parent;
-    child.end_node = end;
-    child.cumulative_cost = cost;
-    child.cumulative_delay = delay;
-    child.placement = static_cast<std::uint32_t>(arena.placements.size());
-    child.picks = static_cast<std::uint32_t>(arena.picks.size());
+    ExpansionStep s;
+    s.node = end;
+    s.cost = cost;
+    s.delay = delay;
+    s.placement = static_cast<std::uint32_t>(arena.placements.size());
+    s.picks = static_cast<std::uint32_t>(arena.picks.size());
     arena.placements.insert(arena.placements.end(), placement.begin(),
                             placement.end());
     arena.picks.insert(arena.picks.end(), picks.begin(), picks.end());
+    return s;
+  };
+
+  /// Applies one expansion step to the parent \p ss at index \p parent of
+  /// layer \p l's pool: a search is traced; a child within the delay budget
+  /// joins \p children at the parent's cost plus its layer's. With \p rec,
+  /// the parent is the first at a shared end node, and the step is recorded
+  /// there for the others before it is applied.
+  const auto apply = [&](const ExpansionStep& s, std::size_t l,
+                         std::uint32_t parent, const SubSolution& ss,
+                         SharedExpansion* rec) {
+    if (rec != nullptr) {
+      steps.push_back(s);
+      DAGSFC_CHECK(steps.size() < kNoParent);
+      rec->last = static_cast<std::uint32_t>(steps.size());
+    }
+    if (s.kind != ExpansionStep::Kind::Child) {
+      if (!tr) return;
+      SolveEvent e;
+      const bool forward = s.kind == ExpansionStep::Kind::ForwardSearch;
+      e.kind = forward ? TraceEventKind::ForwardSearch
+                       : TraceEventKind::BackwardSearch;
+      e.i0 = static_cast<std::int64_t>(l);
+      e.i1 = static_cast<std::int64_t>(s.node);
+      e.i2 = static_cast<std::int64_t>(s.searched);
+      e.v0 = s.covered ? 1.0 : 0.0;
+      if (forward) e.v1 = s.capped ? 1.0 : 0.0;
+      tr(e);
+      return;
+    }
+    const double cost = ss.cumulative_cost + s.cost;
+    const double delay = ss.cumulative_delay + s.delay;
+    if (opts_.delay_budget_ms && delay > *opts_.delay_budget_ms) return;
+    SubSolution child;
+    child.parent = parent;
+    child.end_node = s.node;
+    child.cumulative_cost = cost;
+    child.cumulative_delay = delay;
+    child.placement = s.placement;
+    child.picks = s.picks;
     if (tr) {
       SolveEvent e;
       e.kind = TraceEventKind::CandidateChild;
       e.i0 = static_cast<std::int64_t>(l);
-      e.i1 = static_cast<std::int64_t>(end);
+      e.i1 = static_cast<std::int64_t>(s.node);
       e.i2 = static_cast<std::int64_t>(parent);
       e.v0 = cost;
       tr(e);
@@ -583,30 +663,48 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
       tr(e);
     }
 
+    // Parents at a shared end node share its expansion: the first one
+    // records the steps, the others replay them. An end node with a
+    // single parent is expanded in place, unrecorded.
+    for (const SubSolution& ss : pools[l]) shared[ss.end_node] = {};
+    for (const SubSolution& ss : pools[l]) ++shared[ss.end_node].parents;
+    steps.clear();
+
     for (std::size_t p = 0; p < pools[l].size(); ++p) {
       const auto parent = static_cast<std::uint32_t>(p);
       const SubSolution& ss = pools[l][p];
       const NodeId start = ss.end_node;
+      SharedExpansion& at = shared[start];
+      children.clear();
+      if (at.first != kNoParent) {
+        for (std::uint32_t i = at.first; i < at.last; ++i) {
+          apply(steps[i], l, parent, ss, nullptr);
+        }
+        prune_and_merge(children, out);
+        continue;
+      }
+      SharedExpansion* rec = nullptr;
+      if (at.parents > 1) {
+        rec = &at;
+        at.first = at.last = static_cast<std::uint32_t>(steps.size());
+      }
+      // Every search outcome and candidate child of the expansion below.
+      const auto note = [&](const ExpansionStep& s) {
+        apply(s, l, parent, ss, rec);
+      };
 
       // ---- Step 1: forward search --------------------------------------
       coverage.reset(required);
       const bool fwd_ok =
           ring_search(g, start, coverage, x_max_pass, {}, ws, fst);
       oracle.note_bfs();
-      if (tr) {
-        SolveEvent e;
-        e.kind = TraceEventKind::ForwardSearch;
-        e.i0 = static_cast<std::int64_t>(l);
-        e.i1 = static_cast<std::int64_t>(start);
-        e.i2 = static_cast<std::int64_t>(fst.size());
-        e.v0 = fwd_ok ? 1.0 : 0.0;
-        e.v1 = x_max_pass > 0 ? 1.0 : 0.0;
-        tr(e);
-      }
+      ExpansionStep forward = ExpansionStep::search(
+          ExpansionStep::Kind::ForwardSearch, start, fst.size(), fwd_ok);
+      forward.capped = x_max_pass > 0;
+      note(forward);
       if (!fwd_ok) continue;
 
       meta.begin_parent(start);
-      children.clear();
 
       if (!layer.has_merger()) {
         // Single-VNF layer: each hosting node in the forward set is a
@@ -620,16 +718,9 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
           const double vnf = vnf_cost(ctx, placement, slots);
           for (std::uint32_t j = 0; j < run.count; ++j) {
             picks.assign(1, run.first + j);
-            const double cost =
-                ss.cumulative_cost +
-                (vnf + link_cost(ctx, arena, picks, {}, edge_scratch));
-            const double delay =
-                ss.cumulative_delay +
-                layer_delay(ctx, arena, picks, {}, slots, opts_.delay_model);
-            if (opts_.delay_budget_ms && delay > *opts_.delay_budget_ms) {
-              continue;
-            }
-            emit_child(l, parent, v, cost, delay);
+            note(child_step(
+                v, vnf + link_cost(ctx, arena, picks, {}, edge_scratch),
+                layer_delay(ctx, arena, picks, {}, slots, opts_.delay_model)));
           }
         }
         prune_and_merge(children, out);
@@ -651,15 +742,8 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
             g, m, coverage, 0, [&fst](NodeId v) { return fst.contains(v); },
             ws, bst);
         oracle.note_bfs();
-        if (tr) {
-          SolveEvent e;
-          e.kind = TraceEventKind::BackwardSearch;
-          e.i0 = static_cast<std::int64_t>(l);
-          e.i1 = static_cast<std::int64_t>(m);
-          e.i2 = static_cast<std::int64_t>(bst.size());
-          e.v0 = bwd_ok ? 1.0 : 0.0;
-          tr(e);
-        }
+        note(ExpansionStep::search(ExpansionStep::Kind::BackwardSearch, m,
+                                   bst.size(), bwd_ok));
         if (!bwd_ok) continue;
         meta.begin_merger(m);
 
@@ -730,18 +814,12 @@ SolveResult BacktrackingEngine::run(const ModelIndex& index,
                                                              width);
             const std::span<const std::uint32_t> inner_picks(
                 picks.data() + width, width);
-            const double cost =
-                ss.cumulative_cost +
-                (vnf + link_cost(ctx, arena, inter_picks, inner_picks,
-                                 edge_scratch));
-            const double delay =
-                ss.cumulative_delay +
+            note(child_step(
+                m,
+                vnf + link_cost(ctx, arena, inter_picks, inner_picks,
+                                edge_scratch),
                 layer_delay(ctx, arena, inter_picks, inner_picks, slots,
-                            opts_.delay_model);
-            if (opts_.delay_budget_ms && delay > *opts_.delay_budget_ms) {
-              continue;
-            }
-            emit_child(l, parent, m, cost, delay);
+                            opts_.delay_model)));
           }
         }
       }

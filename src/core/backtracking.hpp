@@ -11,15 +11,18 @@
 ///           strategy (3): only the cheapest X_d children of each
 ///           sub-solution enter the sub-solution tree (X_d-tree).
 ///
-/// Per layer, for every sub-solution of the previous layer, the engine runs
-/// forward search (§4.2) from that sub-solution's end node until the
-/// searched node set hosts all VNFs the layer requires, then — for parallel
-/// layers — backward search (§4.3) from every merger-hosting node of the
-/// forward set, restricted to the forward set, and finally candidate
+/// Per layer, for every sub-solution of the previous layer, the engine
+/// expands that sub-solution's end node: forward search (§4.2) from it until
+/// the searched node set hosts all VNFs the layer requires, then — for
+/// parallel layers — backward search (§4.3) from every merger-hosting node
+/// of the forward set, restricted to the forward set, and finally candidate
 /// sub-solution generation (§4.4) over VNF allocations inside the backward
-/// set. After the last layer each surviving sub-solution is completed with a
-/// minimum-cost path to the destination and the cheapest feasible complete
-/// solution wins.
+/// set. The expansion depends only on the end node, so sub-solutions that
+/// share one share it: the first records its searches and candidates, the
+/// others replay them at their own cumulative cost and delay (DESIGN.md §14,
+/// "Shared expansions"). After the last layer each surviving sub-solution is
+/// completed with a minimum-cost path to the destination and the cheapest
+/// feasible complete solution wins.
 ///
 /// Two safety valves the paper implies but does not parameterize (it reports
 /// BBE running out of memory at SFC size > 5): a cap on allocations

@@ -3,15 +3,18 @@
 namespace dagsfc::net {
 
 CapacityLedger::CapacityLedger(const Network& network) : net_(&network) {
-  for (const Kind k : {kLink, kInstance}) {
-    const std::size_t n =
-        k == kLink ? network.num_links() : network.num_instances();
-    units_[k].reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      units_[k].push_back(units(capacity(k, i)));
-    }
-    stamps_[k].assign(n, 0);
+  const std::size_t links = network.num_links();
+  const std::size_t instances = network.num_instances();
+  units_[kLink].resize(links);
+  for (EdgeId e = 0; e < links; ++e) {
+    units_[kLink][e] = units(network.link_capacity(e));
   }
+  units_[kInstance].resize(instances);
+  for (InstanceId id = 0; id < instances; ++id) {
+    units_[kInstance][id] = units(network.instance(id).capacity);
+  }
+  stamps_[kLink].assign(links, 0);
+  stamps_[kInstance].assign(instances, 0);
 }
 
 graph::PathCache& CapacityLedger::path_cache() const {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
+#include <tuple>
 
 #include "core/exact.hpp"
 #include "graph/workspace.hpp"
@@ -368,6 +370,41 @@ TEST(Mbbe, AllocatesLessThanOncePerExpandedSubSolutionOnTable2) {
   EXPECT_LT(allocs, r.expanded_sub_solutions)
       << allocs << " allocations for " << r.expanded_sub_solutions
       << " expanded sub-solutions";
+}
+
+// Within one layer pass a parent's expansion depends only on its end node:
+// the first parent at a shared end node runs the searches, the others replay
+// its steps. The trace still shows every parent's searches, but only the
+// first occurrence of each (layer, start, capped pass) key and the backward
+// searches that follow it run a ring search.
+TEST(Engine, ParentsSharingAnEndNodeShareOneExpansion) {
+  const auto fx = table2_fixture(500, 5, 7);
+  const BbeEmbedder bbe;
+  const MbbeEmbedder mbbe;
+  for (const Embedder* algo : {static_cast<const Embedder*>(&bbe),
+                               static_cast<const Embedder*>(&mbbe)}) {
+    EmbeddingTrace trace;
+    Rng rng(1);
+    const auto r = algo->solve_fresh(*fx->index, rng, &trace);
+    ASSERT_TRUE(r.ok()) << algo->name() << ": " << r.failure_reason;
+    std::set<std::tuple<std::int64_t, std::int64_t, double>> keys;
+    std::size_t forward = 0;
+    std::size_t run = 0;       // searches a ring search answered
+    std::size_t replayed = 0;  // backward searches replayed from a record
+    bool first = false;
+    for (const SolveEvent& e : trace.events()) {
+      if (e.kind == TraceEventKind::ForwardSearch) {
+        ++forward;
+        first = keys.emplace(e.i0, e.i1, e.v1).second;
+        if (first) ++run;
+      } else if (e.kind == TraceEventKind::BackwardSearch) {
+        ++(first ? run : replayed);
+      }
+    }
+    EXPECT_LT(keys.size(), forward) << algo->name();
+    EXPECT_GT(replayed, 0u) << algo->name();
+    EXPECT_EQ(r.path_queries.bfs_calls, run) << algo->name();
+  }
 }
 
 }  // namespace
